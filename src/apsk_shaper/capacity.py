@@ -9,8 +9,9 @@ information in bits per 2D channel use is
 
 which this module evaluates two independent ways: a deterministic tensor
 Gauss-Hermite rule (`mi_quadrature`) and a seeded stratified Monte Carlo
-(`mi_monte_carlo`) that serves as its cross-check. Inner sums use
-log-sum-exp with max subtraction throughout.
+(`mi_monte_carlo`) that serves as its cross-check. Both form their inner
+sums in one helper, `_log_partition`, which uses log-sum-exp with max
+subtraction.
 """
 
 import math
@@ -41,35 +42,11 @@ class SnrSpec:
     snr: float
 
     def __post_init__(self):
-        if not np.isfinite(self.snr) or self.snr <= 0:
-            raise DomainError(f"snr must be a positive finite ratio, got {self.snr!r}")
+        _as_snr(self.snr)
 
     @classmethod
     def from_db(cls, snr_db: float) -> "SnrSpec":
         return cls(10.0 ** (snr_db / 10.0))
-
-    @property
-    def db(self) -> float:
-        return 10.0 * math.log10(self.snr)
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """Total 2D noise variance N0, split N0/2 per real axis."""
-
-    n0: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.n0) or self.n0 <= 0:
-            raise DomainError(f"noise variance must be > 0, got {self.n0!r}")
-
-    @classmethod
-    def for_constellation(cls, c: Constellation, snr) -> "NoiseModel":
-        return cls(c.power / _as_snr(snr))
-
-    @property
-    def per_axis(self) -> float:
-        return self.n0 / 2.0
 
 
 @dataclass(frozen=True)
@@ -79,7 +56,6 @@ class MiEstimate:
     value: float
     method: str
     std_error: float
-    samples_or_order: int
 
 
 def _as_snr(snr) -> float:
@@ -87,6 +63,27 @@ def _as_snr(snr) -> float:
     if not np.isfinite(value) or value <= 0:
         raise DomainError(f"snr must be a positive finite ratio, got {snr!r}")
     return value
+
+
+def _noise_variance(c: Constellation, snr) -> float:
+    """Total 2D noise variance N0 = P/snr, split N0/2 per real axis."""
+    n0 = c.power / _as_snr(snr)
+    # a hand-built Constellation can carry power 0
+    if not np.isfinite(n0) or n0 <= 0:
+        raise DomainError(f"noise variance must be > 0, got {n0!r}")
+    return n0
+
+
+def _log_partition(noise2, diff, sq, n0):
+    """log sum_j exp(-(|x_i-x_j|^2 + <2*noise, x_i-x_j>)/N0) per noise row.
+
+    `noise2` is (K, 2) doubled noise, `diff` is (..., M, 2) of x_i - x_j and
+    `sq` is (..., M) of |x_i - x_j|^2; the result has shape (..., K).
+    """
+    expo = np.matmul(noise2, np.swapaxes(diff, -1, -2))
+    expo += sq[..., None, :]
+    expo *= -1.0 / n0
+    return logsumexp_rows(expo)
 
 
 def gaussian_capacity(snr) -> float:
@@ -111,24 +108,20 @@ def mi_quadrature(c: Constellation, snr, order: int = DEFAULT_ORDER) -> MiEstima
     """
     if not isinstance(order, int) or isinstance(order, bool) or order < 2:
         raise DomainError(f"quadrature order must be an integer >= 2, got {order!r}")
-    n0 = NoiseModel.for_constellation(c, snr).n0
+    n0 = _noise_variance(c, snr)
     pts = c.points
     m = len(pts)
     nodes, weights = gauss_hermite_2d(order)
-    # premultiplied so exponent = -(|x_i-x_j|^2 + 2*sqrt(N0)*<z, x_i-x_j>)/N0
-    scaled = (2.0 * math.sqrt(n0)) * nodes
+    # 2*N for the noise N = sqrt(N0) * z at every node
+    noise2 = (2.0 * math.sqrt(n0)) * nodes
     total = 0.0
     chunk = max(1, _CHUNK_ELEMENTS // (len(nodes) * m))
     for s in range(0, m, chunk):
         diff = pts[s : s + chunk, None, :] - pts[None, :, :]
         sq = np.einsum("imd,imd->im", diff, diff)
-        expo = np.matmul(scaled, diff.transpose(0, 2, 1))
-        expo += sq[:, None, :]
-        expo *= -1.0 / n0
-        log_scores = logsumexp_rows(expo)
-        total += float((log_scores @ weights).sum())
+        total += float((_log_partition(noise2, diff, sq, n0) @ weights).sum())
     value = math.log2(m) - total / (m * LN2)
-    return MiEstimate(_finish_value(value, m), "quadrature", 0.0, order)
+    return MiEstimate(_finish_value(value, m), "quadrature", 0.0)
 
 
 def _merge_moments(state, count, mean, m2):
@@ -155,7 +148,7 @@ def mi_monte_carlo(c: Constellation, snr, samples: int, seed: int) -> MiEstimate
         raise DomainError(f"samples must be an integer >= 1, got {samples!r}")
     if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
         raise DomainError(f"seed must be an integer in [0, 2**64), got {seed!r}")
-    n0 = NoiseModel.for_constellation(c, snr).n0
+    n0 = _noise_variance(c, snr)
     pts = c.points
     m = len(pts)
     counts = np.full(m, samples // m, dtype=np.int64)
@@ -176,13 +169,9 @@ def mi_monte_carlo(c: Constellation, snr, samples: int, seed: int) -> MiEstimate
         left = int(counts[i])
         while left > 0:
             k = min(left, _MC_CHUNK_ROWS)
-            noise = rng.standard_normal((k, 2))
-            noise *= sigma
-            expo = noise @ diff.T
-            expo *= 2.0
-            expo += sq[None, :]
-            expo *= -1.0 / n0
-            g = log_m - logsumexp_rows(expo)
+            noise2 = rng.standard_normal((k, 2))
+            noise2 *= 2.0 * sigma
+            g = log_m - _log_partition(noise2, diff, sq, n0)
             g /= LN2
             acc += float(g.sum())
             gm = float(g.mean())
@@ -196,7 +185,7 @@ def mi_monte_carlo(c: Constellation, snr, samples: int, seed: int) -> MiEstimate
         value = float(np.sum(stratum_means * counts) / samples)
     _, _, m2 = moments
     std_error = math.sqrt(m2 / (samples - 1) / samples) if samples > 1 else 0.0
-    return MiEstimate(_finish_value(value, m), "monte_carlo", std_error, samples)
+    return MiEstimate(_finish_value(value, m), "monte_carlo", std_error)
 
 
 def gap_metrics(mi: float, snr) -> tuple:

@@ -31,7 +31,7 @@ from .errors import (
     EstimatorError,
 )
 from .storage import dumps_constellation, read_constellation
-from .sweeps import evaluate_row, render_csv, sweep_rows
+from .sweeps import _fmt, evaluate_row, render_csv, sweep_rows
 
 SEED_ENV_VAR = "APSK_SHAPER_SEED"
 
@@ -141,10 +141,6 @@ def _write_text(path, text):
         fh.write(text)
 
 
-def _fmt9(value) -> str:
-    return format(float(value), ".9g")
-
-
 def cmd_generate(args) -> int:
     c = make_constellation(args.family, args.n, args.power, args.normalize, args.label)
     text = dumps_constellation(c)
@@ -229,7 +225,7 @@ def _lemma_csv():
     lines = ["k,lhs,rhs,margin"]
     for k in _LEMMA_KS:
         lines.append(
-            f"{k},{_fmt9(lhs[k - 1])},{_fmt9(rhs[k - 1])},{_fmt9(rhs[k - 1] - lhs[k - 1])}"
+            f"{k},{_fmt(lhs[k - 1])},{_fmt(rhs[k - 1])},{_fmt(rhs[k - 1] - lhs[k - 1])}"
         )
     holds = bool(np.all(lhs <= rhs + _LEMMA_RTOL * np.abs(rhs)))
     return "\n".join(lines) + "\n", holds
@@ -245,7 +241,7 @@ def _power_csv(power):
     for audit in audits:
         ok = ok and bool(np.all(audit.slacks > 0))
         for n, avg, nominal, slack in audit.rows():
-            lines.append(f"{audit.family},{n},{_fmt9(avg)},{_fmt9(nominal)},{_fmt9(slack)}")
+            lines.append(f"{audit.family},{n},{_fmt(avg)},{_fmt(nominal)},{_fmt(slack)}")
     return "\n".join(lines) + "\n", ok
 
 
@@ -253,7 +249,7 @@ def _cf_csv(family, n_list, power):
     report = cf_convergence_scan(family, n_list, power)
     lines = ["family,n,t1,t2,abs_error"]
     for n, t1, t2, err in report.rows():
-        lines.append(f"{report.family},{n},{_fmt9(t1)},{_fmt9(t2)},{_fmt9(err)}")
+        lines.append(f"{report.family},{n},{_fmt(t1)},{_fmt(t2)},{_fmt(err)}")
     maxes = report.max_errors()
     # the coarsest grid must be at least twice as far from the limit
     ok = len(n_list) < 2 or bool(maxes[-1] <= 0.5 * maxes[0])

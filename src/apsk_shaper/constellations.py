@@ -10,7 +10,7 @@ spaced baseline, rescaled to average power exactly P.
 """
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -45,16 +45,6 @@ def canonical_family(name: str) -> str:
         ) from None
 
 
-@dataclass(frozen=True)
-class RingSpec:
-    """One ring of an APSK constellation."""
-
-    ring_index: int
-    radius: float
-    phase_offset: float
-    points_per_ring: int
-
-
 @dataclass(frozen=True, eq=False)
 class Constellation:
     """Immutable labeled point set with its nominal power budget.
@@ -69,14 +59,11 @@ class Constellation:
     n: int
     power: float
     points: np.ndarray
-    rings: Optional[Tuple[RingSpec, ...]] = None
 
     def __post_init__(self):
         pts = np.ascontiguousarray(np.asarray(self.points, dtype=np.float64))
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
-        if self.rings is not None:
-            object.__setattr__(self, "rings", tuple(self.rings))
 
     @property
     def M(self) -> int:
@@ -97,18 +84,13 @@ def _ring_points(radii: np.ndarray, phases: np.ndarray) -> np.ndarray:
     return np.stack([x.ravel(), y.ravel()], axis=1)
 
 
-def _apsk(family, n, power, radii, phases, ppr, normalize, label):
+def _apsk(family, n, power, radii, phases, normalize, label):
     points = _ring_points(radii, phases)
     if normalize:
-        scale = np.sqrt(power / np.mean(np.sum(points**2, axis=1)))
-        points = points * scale
-        radii = radii * scale
+        points = points * np.sqrt(power / np.mean(np.sum(points**2, axis=1)))
     if label is None:
         label = f"{family}_n{n}" + ("_normalized" if normalize else "")
-    rings = tuple(
-        RingSpec(k, float(r), float(phases[0]), ppr) for k, r in enumerate(radii)
-    )
-    return Constellation(label, family, n, float(power), points, rings)
+    return Constellation(label, family, n, float(power), points)
 
 
 def box_muller_apsk(
@@ -135,7 +117,7 @@ def box_muller_apsk(
     u = (2 * k + 1) / (2.0 * n)
     radii = np.sqrt(-power * np.log(u))
     phases = 2.0 * np.pi * (2 * k + 1) / (2.0 * n)
-    return _apsk(BOX_MULLER, n, power, radii, phases, n, normalize, label)
+    return _apsk(BOX_MULLER, n, power, radii, phases, normalize, label)
 
 
 def dvb_variant_apsk(
@@ -156,7 +138,7 @@ def dvb_variant_apsk(
     u = (2 * k + 1) / float(n)
     radii = np.sqrt(-power * np.log(u))
     phases = 2.0 * np.pi * (2 * np.arange(2 * n) + 1) / (4.0 * n)
-    return _apsk(DVB_VARIANT, n, power, radii, phases, 2 * n, normalize, label)
+    return _apsk(DVB_VARIANT, n, power, radii, phases, normalize, label)
 
 
 def square_qam(n: int, power: float = 1.0, label: Optional[str] = None) -> Constellation:
@@ -177,7 +159,7 @@ def square_qam(n: int, power: float = 1.0, label: Optional[str] = None) -> Const
         points = np.stack([gx.ravel(), gy.ravel()], axis=1)
     if label is None:
         label = f"{SQUARE_QAM}_n{n}"
-    return Constellation(label, SQUARE_QAM, n, float(power), points, None)
+    return Constellation(label, SQUARE_QAM, n, float(power), points)
 
 
 def make_constellation(
@@ -234,12 +216,6 @@ def min_distance(c: Constellation) -> float:
     return float(np.sqrt(best))
 
 
-def _expected_ring_shape(family: str, n: int) -> Tuple[int, int]:
-    if family == BOX_MULLER:
-        return n, n
-    return n // 2, 2 * n
-
-
 def validate_constellation(c: Constellation) -> None:
     """Check every structural invariant; raise DomainError on violation.
 
@@ -248,12 +224,9 @@ def validate_constellation(c: Constellation) -> None:
     """
     if c.family not in FAMILIES:
         raise DomainError(f"unknown family {c.family!r}")
-    if not isinstance(c.n, int) or isinstance(c.n, bool) or c.n < 1:
-        raise DomainError(f"n must be an integer >= 1, got {c.n!r}")
+    _check_common(c.n, c.power)
     if c.family == DVB_VARIANT and c.n % 2:
         raise DomainError(f"family {DVB_VARIANT} requires an even n, got {c.n}")
-    if not np.isfinite(c.power) or c.power <= 0:
-        raise DomainError(f"power must be > 0, got {c.power!r}")
     pts = c.points
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise DomainError(f"points must have shape (M, 2), got {pts.shape}")
@@ -280,22 +253,11 @@ def validate_constellation(c: Constellation) -> None:
 
     if avg > c.power * (1.0 + _POWER_RTOL):
         raise DomainError(f"average power {avg!r} exceeds the budget {c.power!r}")
-    n_rings, ppr = _expected_ring_shape(c.family, c.n)
-    radii = np.sqrt(np.sum(pts**2, axis=1)).reshape(n_rings, ppr)
+    # ring-major order: n rings of n points, or n/2 rings of 2n points
+    n_rings = c.n if c.family == BOX_MULLER else c.n // 2
+    radii = np.sqrt(np.sum(pts**2, axis=1)).reshape(n_rings, -1)
     ring_radii = radii.mean(axis=1)
     if np.any(np.abs(radii - ring_radii[:, None]) > _RING_RTOL * ring_radii[:, None]):
         raise DomainError("every point must lie on its ring radius")
-    if len(np.unique(ring_radii)) != n_rings and np.any(
-        np.abs(np.diff(np.sort(ring_radii))) <= _RING_RTOL * ring_radii.max()
-    ):
+    if np.any(np.abs(np.diff(np.sort(ring_radii))) <= _RING_RTOL * ring_radii.max()):
         raise DomainError("ring radii must be distinct")
-    if c.rings is not None:
-        if len(c.rings) != n_rings:
-            raise DomainError(f"expected {n_rings} rings, found {len(c.rings)}")
-        for spec, r in zip(c.rings, ring_radii):
-            if spec.points_per_ring != ppr:
-                raise DomainError("points_per_ring must be equal across rings")
-            if abs(spec.radius - r) > _RING_RTOL * r:
-                raise DomainError(
-                    f"ring {spec.ring_index} radius {spec.radius!r} does not match points"
-                )

@@ -1,13 +1,12 @@
 """Numerical audits of the limit behaviour behind the constellation design.
 
 Three families of checks live here: the log-integral bound that guarantees
-the power budget is respected for every size (`lemma_gap`), the budget slack
+the power budget is respected for every size (`lemma_scan`), the budget slack
 itself (`power_audit`), and the convergence of the constellation's
-characteristic function to the Gaussian one (`empirical_cf`,
+characteristic function to the Gaussian one (`point_set_cf`,
 `gaussian_cf`, `cf_convergence_scan`).
 """
 
-import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Tuple
 
@@ -19,21 +18,12 @@ from .errors import DomainError
 DEFAULT_T_VALUES = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
 
 
-def lemma_gap(k: int) -> Tuple[float, float]:
-    """Return (k*ln(k) - k, sum_{j=0}^{k-1} ln(j + 1/2)).
+def lemma_scan(k_max: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lemma table for every k in [1, k_max]: (k, k*ln(k) - k, sum_{j<k} ln(j + 1/2)).
 
     The left side never exceeds the right; the margin is what keeps the
     ring-radius construction inside its power budget.
     """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise DomainError(f"k must be an integer >= 1, got {k!r}")
-    lhs = k * math.log(k) - k
-    rhs = float(np.log(np.arange(k) + 0.5).sum())
-    return lhs, rhs
-
-
-def lemma_scan(k_max: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized lemma table for every k in [1, k_max]: (k, lhs, rhs)."""
     if not isinstance(k_max, int) or isinstance(k_max, bool) or k_max < 1:
         raise DomainError(f"k_max must be an integer >= 1, got {k_max!r}")
     ks = np.arange(1, k_max + 1, dtype=np.int64)
@@ -51,18 +41,15 @@ def point_set_cf(points: np.ndarray, t_points: np.ndarray) -> np.ndarray:
     return np.exp(1j * phases).mean(axis=0)
 
 
-def empirical_cf(family: str, n: int, power: float, t) -> complex:
-    """CF of one constellation family at a single evaluation point t=(t1,t2)."""
-    c = make_constellation(family, n, power)
-    return complex(point_set_cf(c.points, np.asarray([t], dtype=np.float64))[0])
+def gaussian_cf(power: float, t_points: np.ndarray) -> np.ndarray:
+    """CF of the limiting zero-mean Gaussian with variance P/2 per axis.
 
-
-def gaussian_cf(power: float, t) -> complex:
-    """CF of the limiting zero-mean Gaussian with variance P/2 per axis."""
+    Real-valued, evaluated at each (t1, t2) row of `t_points`.
+    """
     if not np.isfinite(power) or power <= 0:
         raise DomainError(f"power must be > 0, got {power!r}")
-    t1, t2 = float(t[0]), float(t[1])
-    return complex(math.exp(-power * (t1 * t1 + t2 * t2) / 4.0), 0.0)
+    t_points = np.asarray(t_points, dtype=np.float64)
+    return np.exp(-power * np.sum(t_points**2, axis=1) / 4.0)
 
 
 def default_t_grid() -> np.ndarray:
@@ -108,7 +95,7 @@ def cf_convergence_scan(
     grid = default_t_grid() if t_grid is None else np.asarray(t_grid, dtype=np.float64)
     if grid.ndim != 2 or grid.shape[1] != 2 or not len(grid):
         raise DomainError("t_grid must be a non-empty array of (t1, t2) rows")
-    gauss = np.exp(-power * np.sum(grid**2, axis=1) / 4.0)
+    gauss = gaussian_cf(power, grid)
     errors = np.empty((len(n_list), len(grid)))
     for i, n in enumerate(n_list):
         c = make_constellation(family, n, power)

@@ -1,4 +1,4 @@
-"""Shared numerical helpers: dB conversion, log-sum-exp, Gauss-Hermite nodes."""
+"""Shared numerical helpers: log-sum-exp and Gauss-Hermite nodes."""
 
 from functools import lru_cache
 
@@ -6,14 +6,6 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
 LN2 = float(np.log(2.0))
-
-
-def db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
-
-
-def linear_to_db(ratio: float) -> float:
-    return 10.0 * float(np.log10(ratio))
 
 
 def logsumexp_rows(a: np.ndarray) -> np.ndarray:

@@ -8,19 +8,10 @@ invariants and rejects files that violate any of them.
 """
 
 import json
-import math
-from typing import Tuple
 
 import numpy as np
 
-from .constellations import (
-    BOX_MULLER,
-    DVB_VARIANT,
-    Constellation,
-    RingSpec,
-    _expected_ring_shape,
-    validate_constellation,
-)
+from .constellations import Constellation, validate_constellation
 from .errors import DomainError
 
 _KEYS = ("label", "family", "n", "power", "points")
@@ -49,17 +40,6 @@ def dumps_constellation(c: Constellation) -> str:
 def write_constellation(c: Constellation, path) -> None:
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(dumps_constellation(c))
-
-
-def _rebuild_rings(family: str, n: int, points: np.ndarray) -> Tuple[RingSpec, ...]:
-    n_rings, ppr = _expected_ring_shape(family, n)
-    rings = []
-    for k in range(n_rings):
-        block = points[k * ppr : (k + 1) * ppr]
-        radius = float(np.mean(np.sqrt(np.sum(block**2, axis=1))))
-        phase = float(math.atan2(block[0, 1], block[0, 0])) % (2.0 * math.pi)
-        rings.append(RingSpec(k, radius, phase, ppr))
-    return tuple(rings)
 
 
 def loads_constellation(text: str) -> Constellation:
@@ -91,14 +71,7 @@ def loads_constellation(text: str) -> Constellation:
     ):
         raise DomainError("points must be a list of [x, y] number pairs")
     points = np.asarray(raw_points, dtype=np.float64).reshape(len(raw_points), 2)
-    rings = None
-    if family in (BOX_MULLER, DVB_VARIANT):
-        well_shaped = n >= 1 and points.shape[0] == n * n
-        if family == DVB_VARIANT:
-            well_shaped = well_shaped and n % 2 == 0
-        if well_shaped and np.all(np.isfinite(points)):
-            rings = _rebuild_rings(family, n, points)
-    c = Constellation(label, family, n, float(power), points, rings)
+    c = Constellation(label, family, n, float(power), points)
     validate_constellation(c)
     return c
 

@@ -9,7 +9,6 @@ from apsk_shaper import (
     Constellation,
     DomainError,
     EstimatorError,
-    NoiseModel,
     SnrSpec,
     average_power,
     box_muller_apsk,
@@ -33,8 +32,8 @@ class TestSnrSpec:
     def test_db_round_trip(self):
         for db in (-7.0, 0.0, 3.01, 10.0, 25.0):
             spec = SnrSpec.from_db(db)
-            assert spec.db == pytest.approx(db, rel=1e-12)
-            assert SnrSpec.from_db(spec.db).snr == pytest.approx(spec.snr, rel=1e-12)
+            assert spec.snr == 10.0 ** (db / 10.0)
+            assert 10.0 * math.log10(spec.snr) == pytest.approx(db, rel=1e-12)
 
     def test_rejects_non_positive(self):
         with pytest.raises(DomainError):
@@ -43,16 +42,30 @@ class TestSnrSpec:
             SnrSpec(-2.0)
 
 
-class TestNoiseModel:
+class TestNoiseVariance:
     def test_from_power_and_snr(self):
-        c = box_muller_apsk(2, 4.0)
-        nm = NoiseModel.for_constellation(c, SnrSpec(2.0))
-        assert nm.n0 == pytest.approx(2.0)
-        assert nm.per_axis == pytest.approx(1.0)
+        # N0 = P/snr: scaling P by 4 doubles every point and quadruples N0
+        big, unit = box_muller_apsk(2, 4.0), box_muller_apsk(2, 1.0)
+        snr = SnrSpec(2.0)
+        assert mi_quadrature(big, snr).value == pytest.approx(
+            mi_quadrature(unit, snr).value, abs=1e-12
+        )
+        assert mi_monte_carlo(big, snr, 10_000, 5).value == pytest.approx(
+            mi_monte_carlo(unit, snr, 10_000, 5).value, abs=1e-12
+        )
+        # the budget, not the points, sets N0: P=4 at snr 2 is N0 = 2
+        relabeled = Constellation(unit.label, unit.family, unit.n, 4.0, unit.points)
+        assert mi_quadrature(relabeled, snr).value == pytest.approx(
+            mi_quadrature(unit, SnrSpec(0.5)).value, abs=1e-12
+        )
 
     def test_rejects_bad_variance(self):
-        with pytest.raises(DomainError):
-            NoiseModel(0.0)
+        c = box_muller_apsk(2)
+        silent = Constellation(c.label, c.family, c.n, 0.0, c.points)
+        with pytest.raises(DomainError, match="noise variance"):
+            mi_quadrature(silent, SnrSpec(2.0))
+        with pytest.raises(DomainError, match="noise variance"):
+            mi_monte_carlo(silent, SnrSpec(2.0), 100, 0)
 
 
 class TestGaussianCapacity:
@@ -118,7 +131,7 @@ class TestQuadrature:
         # angle is checked where the rule resolves 1e-9 (low snr)
         def rotated(c, th):
             rot = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
-            return Constellation(c.label, c.family, c.n, c.power, c.points @ rot.T, None)
+            return Constellation(c.label, c.family, c.n, c.power, c.points @ rot.T)
 
         for c, db in ((box_muller_apsk(4), 10.0), (box_muller_apsk(8), 15.0)):
             a = mi_quadrature(c, SnrSpec.from_db(db)).value

@@ -9,11 +9,14 @@ from apsk_shaper import (
     BOX_MULLER,
     DVB_VARIANT,
     SQUARE_QAM,
+    Constellation,
     DomainError,
     average_power,
     box_muller_apsk,
     canonical_family,
+    dumps_constellation,
     dvb_variant_apsk,
+    loads_constellation,
     make_constellation,
     min_distance,
     papr,
@@ -45,8 +48,9 @@ class TestBoxMuller:
         assert c.points.shape == (1, 2)
         assert c.points[0, 0] == pytest.approx(-SQRT_LN2, abs=1e-15)
         assert abs(c.points[0, 1]) < 1e-15
-        assert c.rings[0].radius == pytest.approx(SQRT_LN2, abs=1e-15)
-        assert c.rings[0].phase_offset == pytest.approx(math.pi, abs=1e-15)
+        assert np.hypot(*c.points[0]) == pytest.approx(SQRT_LN2, abs=1e-15)
+        phase = math.atan2(c.points[0, 1], c.points[0, 0]) % (2 * math.pi)
+        assert phase == pytest.approx(math.pi, abs=1e-15)
 
     def test_n2_geometry(self):
         c = box_muller_apsk(2)
@@ -55,8 +59,9 @@ class TestBoxMuller:
         assert c.points[:, 1] == pytest.approx(
             [SQRT_LN4, -SQRT_LN4, SQRT_LN4_3, -SQRT_LN4_3], abs=1e-15
         )
-        assert [r.radius for r in c.rings] == pytest.approx([SQRT_LN4, SQRT_LN4_3])
-        assert [r.points_per_ring for r in c.rings] == [2, 2]
+        # two points per ring
+        radii = np.hypot(c.points[:, 0], c.points[:, 1]).reshape(2, 2)
+        assert radii.ravel() == pytest.approx([SQRT_LN4, SQRT_LN4, SQRT_LN4_3, SQRT_LN4_3])
 
     def test_cardinality(self):
         for n in (1, 2, 3, 5, 8, 17):
@@ -80,8 +85,9 @@ class TestBoxMuller:
     def test_ring_membership(self):
         c = box_muller_apsk(6)
         radii = np.sqrt((c.points**2).sum(axis=1)).reshape(6, 6)
-        for ring, row in zip(c.rings, radii):
-            assert np.all(np.abs(row - ring.radius) <= 1e-9 * ring.radius)
+        ring_radii = np.sqrt(-np.log((2 * np.arange(6) + 1) / 12.0))
+        for ring_radius, row in zip(ring_radii, radii):
+            assert np.all(np.abs(row - ring_radius) <= 1e-9 * ring_radius)
 
     def test_rotational_symmetry(self):
         c = box_muller_apsk(5)
@@ -100,7 +106,7 @@ class TestBoxMuller:
         a = box_muller_apsk(9, 2.0)
         b = box_muller_apsk(9, 2.0)
         assert np.array_equal(a.points, b.points)
-        assert a.rings == b.rings
+        assert (a.label, a.family, a.n, a.power) == (b.label, b.family, b.n, b.power)
 
     def test_normalize(self):
         c = box_muller_apsk(4, 2.0, normalize=True)
@@ -119,16 +125,17 @@ class TestBoxMuller:
 class TestDvbVariant:
     def test_n2_single_ring(self):
         c = dvb_variant_apsk(2)
-        assert len(c.rings) == 1
-        assert c.rings[0].radius == pytest.approx(SQRT_LN2, abs=1e-15)
+        # one ring of four points
+        assert np.hypot(c.points[:, 0], c.points[:, 1]) == pytest.approx([SQRT_LN2] * 4, abs=1e-15)
         phases = np.arctan2(c.points[:, 1], c.points[:, 0])
         expected = [math.pi / 4, 3 * math.pi / 4, 5 * math.pi / 4 - 2 * math.pi, 7 * math.pi / 4 - 2 * math.pi]
         assert phases == pytest.approx(expected, abs=1e-12)
 
     def test_n4_two_rings(self):
         c = dvb_variant_apsk(4)
-        assert [r.radius for r in c.rings] == pytest.approx([SQRT_LN4, SQRT_LN4_3], abs=1e-15)
-        assert [r.points_per_ring for r in c.rings] == [8, 8]
+        # two rings of eight points
+        radii = np.hypot(c.points[:, 0], c.points[:, 1]).reshape(2, 8)
+        assert radii.ravel() == pytest.approx([SQRT_LN4] * 8 + [SQRT_LN4_3] * 8, abs=1e-15)
         assert c.points.shape == (16, 2)
         assert average_power(c) == pytest.approx(BM2_AVG, abs=1e-14)
 
@@ -203,7 +210,7 @@ class TestMetrics:
         c = square_qam(2)
         dup = np.array(c.points)
         dup[1] = dup[0]
-        broken = type(c)(c.label, c.family, c.n, c.power, dup, None)
+        broken = type(c)(c.label, c.family, c.n, c.power, dup)
         assert min_distance(broken) == 0.0
         with pytest.raises(DomainError, match="distinct"):
             validate_constellation(broken)
@@ -227,6 +234,17 @@ class TestFamilies:
     def test_validate_passes_on_fresh_constellations(self):
         for c in (box_muller_apsk(3), dvb_variant_apsk(4), square_qam(4), square_qam(1)):
             validate_constellation(c)
+
+    def test_validate_rejects_near_equal_ring_radii(self):
+        # box_muller n=2 with its two rings moved to radii 0.5 and 0.5*(1+1e-12)
+        c = box_muller_apsk(2)
+        radii = np.hypot(c.points[:, 0], c.points[:, 1])[:, None]
+        target = np.array([0.5, 0.5, 0.5 * (1 + 1e-12), 0.5 * (1 + 1e-12)])[:, None]
+        close = Constellation(c.label, c.family, c.n, c.power, c.points / radii * target)
+        with pytest.raises(DomainError, match="ring radii must be distinct"):
+            validate_constellation(close)
+        with pytest.raises(DomainError, match="ring radii must be distinct"):
+            loads_constellation(dumps_constellation(close))
 
     def test_points_are_read_only(self):
         c = box_muller_apsk(2)

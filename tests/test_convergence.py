@@ -12,33 +12,39 @@ from apsk_shaper import (
     cf_convergence_scan,
     default_t_grid,
     dvb_variant_apsk,
-    empirical_cf,
     gaussian_cf,
-    lemma_gap,
     lemma_scan,
+    make_constellation,
     point_set_cf,
     power_audit,
 )
 
 
+def _lemma_direct(k):
+    """(k*ln(k) - k, sum_{j<k} ln(j + 1/2)) by a plain loop."""
+    return k * math.log(k) - k, math.fsum(math.log(j + 0.5) for j in range(k))
+
+
 class TestLemma:
     def test_known_values(self):
-        assert lemma_gap(1) == pytest.approx((-1.0, -0.6931471805599453), abs=1e-14)
-        assert lemma_gap(2) == pytest.approx(
+        ks, lhs, rhs = lemma_scan(10)
+        assert list(ks) == list(range(1, 11))
+        assert (lhs[0], rhs[0]) == pytest.approx((-1.0, -0.6931471805599453), abs=1e-14)
+        assert (lhs[1], rhs[1]) == pytest.approx(
             (-0.6137056388801094, -0.2876820724517809), abs=1e-13
         )
-        assert lemma_gap(10) == pytest.approx(
+        assert (lhs[9], rhs[9]) == pytest.approx(
             (13.02585092994046, 13.368260276479063), abs=1e-11
         )
 
     def test_rejects_zero(self):
         with pytest.raises(DomainError):
-            lemma_gap(0)
+            lemma_scan(0)
 
     def test_scan_matches_direct_sums(self):
         ks, lhs, rhs = lemma_scan(1000)
         for k in (1, 2, 17, 500, 1000):
-            direct = lemma_gap(k)
+            direct = _lemma_direct(k)
             assert lhs[k - 1] == pytest.approx(direct[0], rel=1e-14, abs=1e-14)
             assert rhs[k - 1] == pytest.approx(direct[1], rel=1e-12)
 
@@ -64,19 +70,24 @@ def _psi_double_sum(family, n, power, t):
     return total / (len(u) * len(v))
 
 
+def empirical(family, n, power, t):
+    """CF of one constellation family at a single evaluation point t=(t1,t2)."""
+    return point_set_cf(make_constellation(family, n, power).points, [t])[0]
+
+
 class TestEmpiricalCf:
     def test_at_origin_is_one(self):
         for family, n in (("box_muller", 3), ("dvb_variant", 4), ("qam", 2)):
-            assert empirical_cf(family, n, 1.0, (0.0, 0.0)) == 1.0 + 0.0j
+            assert empirical(family, n, 1.0, (0.0, 0.0)) == 1.0 + 0.0j
 
     def test_single_point_value(self):
-        value = empirical_cf("box_muller", 1, 1.0, (1.0, 0.0))
+        value = empirical("box_muller", 1, 1.0, (1.0, 0.0))
         assert value.real == pytest.approx(0.6729884322761298, abs=1e-14)
         assert value.imag == pytest.approx(-0.7396530064986669, abs=1e-14)
 
     def test_axis_degeneracy(self):
         # all box n=2 points sit on the imaginary axis, so <t, w> vanishes
-        value = empirical_cf("box_muller", 2, 1.0, (1.0, 0.0))
+        value = empirical("box_muller", 2, 1.0, (1.0, 0.0))
         assert value == pytest.approx(1.0 + 0.0j, abs=1e-15)
 
     @pytest.mark.parametrize("family,n", [("box_muller", 1), ("box_muller", 2),
@@ -84,7 +95,7 @@ class TestEmpiricalCf:
                                           ("dvb_variant", 4), ("dvb_variant", 8)])
     @pytest.mark.parametrize("t", [(1.0, 0.0), (0.5, -1.0), (2.0, 2.0)])
     def test_grid_double_sum_identity(self, family, n, t):
-        assert empirical_cf(family, n, 1.0, t) == pytest.approx(
+        assert empirical(family, n, 1.0, t) == pytest.approx(
             _psi_double_sum(family, n, 1.0, t), abs=1e-12
         )
 
@@ -103,24 +114,25 @@ class TestEmpiricalCf:
 
 class TestGaussianCf:
     def test_known_values(self):
-        assert gaussian_cf(1.0, (0.0, 0.0)) == 1.0 + 0.0j
-        assert gaussian_cf(1.0, (1.0, 0.0)).real == pytest.approx(0.7788007830714049, abs=1e-15)
-        assert gaussian_cf(4.0, (1.0, 1.0)).real == pytest.approx(0.1353352832366127, abs=1e-15)
+        unit = gaussian_cf(1.0, [(0.0, 0.0), (1.0, 0.0)])
+        assert unit[0] == 1.0
+        assert unit[1] == pytest.approx(0.7788007830714049, abs=1e-15)
+        assert gaussian_cf(4.0, [(1.0, 1.0)])[0] == pytest.approx(0.1353352832366127, abs=1e-15)
 
     def test_shape_properties(self):
         radii = np.linspace(0.0, 3.0, 13)
-        values = [gaussian_cf(1.0, (r, 0.0)).real for r in radii]
-        assert all(v > 0 for v in values)
+        values = gaussian_cf(1.0, np.column_stack([radii, np.zeros_like(radii)]))
+        assert values.shape == (13,)
+        assert np.all(values > 0)
         assert np.all(np.diff(values) < 0)
-        # radial symmetry
-        a = gaussian_cf(2.0, (0.6, 0.8))
-        b = gaussian_cf(2.0, (1.0, 0.0))
-        assert a.real == pytest.approx(b.real, rel=1e-12)
-        assert a.imag == b.imag == 0.0
+        # radial symmetry; the CF of a zero-mean Gaussian is real
+        a, b = gaussian_cf(2.0, [(0.6, 0.8), (1.0, 0.0)])
+        assert a == pytest.approx(b, rel=1e-12)
+        assert not np.iscomplexobj(values)
 
     def test_rejects_bad_power(self):
         with pytest.raises(DomainError):
-            gaussian_cf(0.0, (1.0, 0.0))
+            gaussian_cf(0.0, [(1.0, 0.0)])
 
 
 class TestConvergenceScan:
