@@ -19,6 +19,7 @@ from apsk_shaper import (
     mi_quadrature,
     square_qam,
 )
+from apsk_shaper import capacity
 
 LOG2_11 = 3.4594316186372973
 GAPDB_HALF_BIT_AT_0DB = 3.82775685337863  # 10*log10(1/(2**0.5 - 1))
@@ -97,6 +98,20 @@ class TestQuadrature:
     def test_rejects_small_order(self):
         with pytest.raises(DomainError):
             mi_quadrature(square_qam(2), SnrSpec(1.0), order=1)
+
+    def test_rejects_order_above_cap_before_building_nodes(self, monkeypatch):
+        def no_nodes(*args):
+            raise AssertionError("nodes built for a rejected order")
+
+        monkeypatch.setattr(capacity, "gauss_hermite_2d", no_nodes)
+        for order in (capacity._MAX_ORDER + 1, 100_000):
+            with pytest.raises(DomainError, match=str(capacity._MAX_ORDER)):
+                mi_quadrature(square_qam(2), SnrSpec(1.0), order=order)
+
+    def test_accepts_order_at_cap(self):
+        c, snr = box_muller_apsk(2), SnrSpec.from_db(5.0)
+        top = mi_quadrature(c, snr, order=capacity._MAX_ORDER).value
+        assert top == pytest.approx(V2_BOX2_5DB, abs=1e-6)
 
     def test_deterministic(self):
         a = mi_quadrature(dvb_variant_apsk(4), SnrSpec.from_db(8.0))

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from apsk_shaper import capacity
 from apsk_shaper.cli import main
 
 V2_ROW_VALUE = "1.19556193"  # box_muller n=2 at 5 dB, 9 significant digits
@@ -99,6 +100,17 @@ class TestEvaluate:
                            "--samples", "4", "--seed", "2")
         assert code == 3
         assert "capacity" in err
+
+    def test_order_above_cap_exits_2(self, capsys, monkeypatch):
+        def no_nodes(*args):
+            raise AssertionError("nodes built for a rejected order")
+
+        monkeypatch.setattr(capacity, "gauss_hermite_2d", no_nodes)
+        for command in ("evaluate", "sweep"):
+            code, out, err = run(capsys, command, "--family", "qam", "--n", "2",
+                                 "--snr-db", "10", "--order", "100000")
+            assert (code, out) == (2, "")
+            assert "order" in err
 
     def test_mc_seed_determinism(self, capsys):
         args = ("evaluate", "--family", "qam", "--n", "2", "--snr-db", "10",

@@ -1,0 +1,123 @@
+"""The shared log-partition kernel: row blocks, row max, exp clip, node pruning."""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+from numpy.polynomial.hermite import hermgauss
+
+from apsk_shaper import SnrSpec, make_constellation, mi_monte_carlo, mi_quadrature
+from apsk_shaper import capacity, numerics
+
+
+def random_case(k, m, seed):
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((m, 2))
+    diff = pts[0] - pts
+    return 3.0 * rng.standard_normal((k, 2)), diff, np.sum(diff * diff, axis=1)
+
+
+def record_blocks(monkeypatch):
+    """Wrap capacity.logsumexp_rows; return the list of (size, M) it receives."""
+    blocks = []
+    inner = capacity.logsumexp_rows
+
+    def recording(a):
+        blocks.append((a.size, a.shape[-1]))
+        return inner(a)
+
+    monkeypatch.setattr(capacity, "logsumexp_rows", recording)
+    return blocks
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("k", [1, 2, 1001])
+    @pytest.mark.parametrize("m", [2, 7, 64])
+    def test_block_size_does_not_change_bits(self, monkeypatch, k, m):
+        noise2, diff, sq = random_case(k, m, seed=k * m)
+        want = capacity._log_partition(noise2, diff, sq, 0.7)
+        # budgets of 1 and 3 give two-row blocks, so k = 1001 ends in a
+        # one-row tail; M - 1 gives one row per budget and blocks of two
+        for budget in (1, 3, m - 1):
+            monkeypatch.setattr(capacity, "_BLOCK_ELEMENTS", budget)
+            got = capacity._log_partition(noise2, diff, sq, 0.7)
+            assert got.tobytes() == want.tobytes(), budget
+
+    @pytest.mark.parametrize(
+        "family,n,samples", [("qam", 4, 16 * 41 + 3), ("box_muller", 8, 64 * 9 + 1)]
+    )
+    def test_mc_does_not_depend_on_the_block_size(self, monkeypatch, family, n, samples):
+        c = make_constellation(family, n)
+        snr = SnrSpec.from_db(20.0)
+        want = mi_monte_carlo(c, snr, samples, 11)
+        for budget in (1, 3, c.M - 1):
+            monkeypatch.setattr(capacity, "_BLOCK_ELEMENTS", budget)
+            got = mi_monte_carlo(c, snr, samples, 11)
+            assert (got.value, got.std_error) == (want.value, want.std_error), budget
+
+    def test_mc_blocks_stay_within_budget(self, monkeypatch):
+        c = make_constellation("box_muller", 8)
+        blocks = record_blocks(monkeypatch)
+        mi_monte_carlo(c, SnrSpec.from_db(10.0), 64 * 5000, 1)
+        assert {m for _, m in blocks} == {c.M}
+        assert max(size for size, _ in blocks) <= max(capacity._BLOCK_ELEMENTS, c.M)
+        # 5000 draws per point make more than one block each
+        assert len(blocks) > c.M
+
+    def test_quadrature_blocks_and_temporaries_stay_bounded(self, monkeypatch):
+        c = make_constellation("box_muller", 32)
+        blocks = record_blocks(monkeypatch)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            mi_quadrature(c, SnrSpec.from_db(10.0), 40)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert {m for _, m in blocks} == {c.M}
+        assert max(size for size, _ in blocks) <= max(capacity._BLOCK_ELEMENTS, c.M)
+        # the unblocked kernel held 53 MB of exponents at once here
+        assert peak <= 4e6
+
+
+class TestLogSumExp:
+    @pytest.mark.parametrize("m", [1, 2, 5, 63, 64, 65])
+    def test_row_max_matches_numpy_on_both_sides_of_the_switch(self, m):
+        a = np.random.default_rng(m).standard_normal((37, m))
+        assert numerics._row_max(a).tobytes() == a.max(axis=-1).tobytes()
+
+    def test_clipped_rows_match_exact_sums(self):
+        rows = np.array(
+            [
+                [0.0, -750.0, -1e4, -1e300],
+                [-1e300, 0.0, -700.5, -699.0],
+                [-1e300, -1e300, -1e300, -1e300],
+                [3.0, 3.0, -747.0, -1e300],
+            ]
+        )
+        want = [
+            math.log(math.fsum(math.exp(v - max(row)) for v in row)) + max(row)
+            for row in rows.tolist()
+        ]
+        got = numerics.logsumexp_rows(rows.copy())
+        assert np.all(np.isfinite(got))
+        assert got.tolist() == want
+
+
+class TestPrunedRule:
+    @pytest.mark.parametrize("order", [40, 60])
+    def test_dropped_mass_is_negligible(self, order):
+        _, w = hermgauss(order)
+        full = np.outer(w, w).reshape(-1) / np.pi
+        _, kept = numerics.gauss_hermite_2d(order)
+        dropped = full[full < numerics.MIN_NODE_WEIGHT]
+        assert len(kept) == len(full) - len(dropped) < len(full)
+        assert 0.0 < math.fsum(dropped) < 1e-14
+
+    @pytest.mark.parametrize("order", [40, 60])
+    def test_kept_nodes_keep_the_square_symmetry(self, order):
+        nodes, _ = numerics.gauss_hermite_2d(order)
+        kept = {tuple(z) for z in nodes.tolist()}
+        assert {(-z2, z1) for z1, z2 in kept} == kept
+        assert {(z1, -z2) for z1, z2 in kept} == kept
