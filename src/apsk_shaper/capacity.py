@@ -54,7 +54,11 @@ class SnrSpec:
 
     @classmethod
     def from_db(cls, snr_db: float) -> "SnrSpec":
-        return cls(10.0 ** (snr_db / 10.0))
+        try:
+            snr = 10.0 ** (snr_db / 10.0)
+        except OverflowError:  # above about 3082.5 dB; rejected as infinite below
+            snr = math.inf
+        return cls(snr)
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,10 @@
 
 Subcommands: generate | evaluate | sweep | compare | convergence. Outputs are
 canonical constellation JSON or plot-ready CSV; every command is
-deterministic for fixed inputs and seed. Exit codes: 0 success, 2 usage or
-validation failure, 3 estimator inconsistency, 4 contract violation from the
-convergence audits.
+deterministic for fixed inputs and seed. Settings resolve flag > config file
+> default; an unset seed falls back to APSK_SHAPER_SEED, then 0. Exit codes:
+0 success, 2 usage or validation failure (an unwritable output included),
+3 estimator inconsistency, 4 contract violation from the convergence audits.
 """
 
 import argparse
@@ -13,6 +14,7 @@ import sys
 
 import numpy as np
 
+from .capacity import DEFAULT_ORDER
 from .constellations import (
     BOX_MULLER,
     DVB_VARIANT,
@@ -31,11 +33,19 @@ from .errors import (
     EstimatorError,
 )
 from .storage import dumps_constellation, read_constellation
-from .sweeps import _fmt, evaluate_row, render_csv, sweep_rows
+from .sweeps import evaluate_row, render_csv, render_table, sweep_rows
 
 SEED_ENV_VAR = "APSK_SHAPER_SEED"
 
 _METHODS = {"quad": "quadrature", "mc": "monte_carlo"}
+
+# command -> (help, default families, n values, snr_db values)
+_GRIDS = {
+    "sweep": ("rate-vs-size table for box_muller and qam",
+              ("box_muller", "qam"), tuple(range(2, 36)), (5.0, 10.0, 15.0)),
+    "compare": ("rate table for the two APSK designs, with PAPR",
+                ("box_muller", "dvb_variant"), (2, 4, 8), (0.0, 5.0, 10.0, 15.0, 20.0)),
+}
 
 _LEMMA_KS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 100, 1000, 10_000, 100_000, 1_000_000)
 _AUDIT_MAX_N = 64
@@ -43,16 +53,19 @@ _CF_DEFAULT_NS = (4, 8, 16, 32, 64)
 _LEMMA_RTOL = 1e-9
 
 
+def _str_list(text: str):
+    items = [t.strip() for t in text.split(",") if t.strip()]
+    if not items:
+        raise ValueError("empty list")
+    return items
+
+
 def _int_list(text: str):
-    return [int(t) for t in text.split(",") if t.strip()]
+    return [int(t) for t in _str_list(text)]
 
 
 def _float_list(text: str):
-    return [float(t) for t in text.split(",") if t.strip()]
-
-
-def _str_list(text: str):
-    return [t.strip() for t in text.split(",") if t.strip()]
+    return [float(t) for t in _str_list(text)]
 
 
 def _bool(text: str):
@@ -64,12 +77,19 @@ def _bool(text: str):
     raise ValueError(f"not a boolean: {text!r}")
 
 
+def _method(text: str):
+    if text not in _METHODS:
+        raise ValueError(f"must be one of {sorted(_METHODS)}, got {text!r}")
+    return text
+
+
+# config key -> parser; every key is also the dest of the grid flag it stands for
 _CONFIG_PARSERS = {
     "families": _str_list,
     "n": _int_list,
     "snr_db": _float_list,
     "power": float,
-    "method": str,
+    "method": _method,
     "order": int,
     "samples": int,
     "seed": int,
@@ -103,51 +123,32 @@ def _load_config(path):
     return cfg
 
 
-def _env_seed():
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return None
+def _seed(args) -> int:
+    """The flag's or config's seed, else APSK_SHAPER_SEED, else 0."""
+    if args.seed is not None:
+        return args.seed
+    raw = os.environ.get(SEED_ENV_VAR, "0")
     try:
         return int(raw)
     except ValueError:
         raise DomainError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
 
 
-def _resolve(flag_value, cfg, key, default):
-    if flag_value is not None:
-        return flag_value
-    if key in cfg:
-        return cfg[key]
-    return default
-
-
-def _resolve_seed(flag_value, cfg):
-    if flag_value is not None:
-        return flag_value
-    if "seed" in cfg:
-        return cfg["seed"]
-    env = _env_seed()
-    return env if env is not None else 0
-
-
-def _resolve_method(name):
-    if name in _METHODS:
-        return _METHODS[name]
-    raise DomainError(f"method must be one of {sorted(_METHODS)}, got {name!r}")
-
-
-def _write_text(path, text):
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(text)
+def _emit(path, text):
+    """Write `text` to the file `path`, or to stdout when no path is given."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w", encoding="ascii", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise DomainError(f"cannot write {path}: {exc}") from None
 
 
 def cmd_generate(args) -> int:
     c = make_constellation(args.family, args.n, args.power, args.normalize, args.label)
-    text = dumps_constellation(c)
-    if args.out:
-        _write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _emit(args.out, dumps_constellation(c))
     return EXIT_OK
 
 
@@ -160,123 +161,64 @@ def cmd_evaluate(args) -> int:
         if args.family is None or args.n is None:
             raise DomainError("need a constellation file or both --family and --n")
         c = make_constellation(args.family, args.n, args.power, args.normalize)
-    row = evaluate_row(
-        c,
-        args.snr_db,
-        method=_resolve_method(args.method),
-        order=args.order,
-        samples=args.samples,
-        seed=_resolve_seed(args.seed, {}),
-    )
-    sys.stdout.write(render_csv([row]))
+    row = evaluate_row(c, args.snr_db, _METHODS[args.method], args.order, args.samples, _seed(args))
+    _emit(None, render_csv([row]))
     return EXIT_OK
 
 
-_SWEEP_DEFAULTS = {
-    "families": ("box_muller", "qam"),
-    "n": tuple(range(2, 36)),
-    "snr_db": (5.0, 10.0, 15.0),
-}
-_COMPARE_DEFAULTS = {
-    "families": ("box_muller", "dvb_variant"),
-    "n": (2, 4, 8),
-    "snr_db": (0.0, 5.0, 10.0, 15.0, 20.0),
-}
-
-
-def _grid_command(args, defaults) -> int:
-    cfg = _load_config(args.config) if args.config else {}
-    families = _resolve(args.family, cfg, "families", defaults["families"])
-    n_values = _resolve(args.n, cfg, "n", defaults["n"])
-    snr_dbs = _resolve(args.snr_db, cfg, "snr_db", defaults["snr_db"])
-    power = _resolve(args.power, cfg, "power", 1.0)
-    method = _resolve_method(_resolve(args.method, cfg, "method", "quad"))
-    order = _resolve(args.order, cfg, "order", 40)
-    samples = _resolve(args.samples, cfg, "samples", 10**6)
-    seed = _resolve_seed(args.seed, cfg)
-    normalize = args.normalize or cfg.get("normalize", False)
-    out = _resolve(args.out, cfg, "out", None)
-
+def cmd_grid(args) -> int:
+    """`sweep` and `compare`: one CSV row per (family, n, snr_db)."""
+    seed, method = _seed(args), _METHODS[args.method]
     constellations = [
         # QAM is already at exactly P; --normalize only rescales the APSK rows
-        make_constellation(fam, n, power, normalize and canonical_family(fam) != SQUARE_QAM)
-        for fam in families
-        for n in n_values
+        make_constellation(f, n, args.power, args.normalize and canonical_family(f) != SQUARE_QAM)
+        for f in args.families
+        for n in args.n
     ]
-    rows = sweep_rows(constellations, snr_dbs, method, order, samples, seed)
-    text = render_csv(rows)
-    if out:
-        _write_text(out, text)
-    else:
-        sys.stdout.write(text)
+    rows = sweep_rows(constellations, args.snr_db, method, args.order, args.samples, seed)
+    _emit(args.out, render_csv(rows))
     return EXIT_OK
-
-
-def cmd_sweep(args) -> int:
-    return _grid_command(args, _SWEEP_DEFAULTS)
-
-
-def cmd_compare(args) -> int:
-    return _grid_command(args, _COMPARE_DEFAULTS)
-
-
-def _lemma_csv():
-    ks, lhs, rhs = lemma_scan(max(_LEMMA_KS))
-    lines = ["k,lhs,rhs,margin"]
-    for k in _LEMMA_KS:
-        lines.append(
-            f"{k},{_fmt(lhs[k - 1])},{_fmt(rhs[k - 1])},{_fmt(rhs[k - 1] - lhs[k - 1])}"
-        )
-    holds = bool(np.all(lhs <= rhs + _LEMMA_RTOL * np.abs(rhs)))
-    return "\n".join(lines) + "\n", holds
-
-
-def _power_csv(power):
-    audits = [
-        power_audit(BOX_MULLER, range(1, _AUDIT_MAX_N + 1), power),
-        power_audit(DVB_VARIANT, range(2, _AUDIT_MAX_N + 1, 2), power),
-    ]
-    lines = ["family,n,avg_power,nominal_power,slack"]
-    ok = True
-    for audit in audits:
-        ok = ok and bool(np.all(audit.slacks > 0))
-        for n, avg, nominal, slack in audit.rows():
-            lines.append(f"{audit.family},{n},{_fmt(avg)},{_fmt(nominal)},{_fmt(slack)}")
-    return "\n".join(lines) + "\n", ok
-
-
-def _cf_csv(family, n_list, power):
-    report = cf_convergence_scan(family, n_list, power)
-    lines = ["family,n,t1,t2,abs_error"]
-    for n, t1, t2, err in report.rows():
-        lines.append(f"{report.family},{n},{_fmt(t1)},{_fmt(t2)},{_fmt(err)}")
-    maxes = report.max_errors()
-    # the coarsest grid must be at least twice as far from the limit
-    ok = len(n_list) < 2 or bool(maxes[-1] <= 0.5 * maxes[0])
-    return "\n".join(lines) + "\n", ok
 
 
 def cmd_convergence(args) -> int:
     family = canonical_family(args.family)
     if family not in (BOX_MULLER, DVB_VARIANT):
         raise DomainError("convergence audits apply to the APSK families only")
-    n_list = tuple(args.n) if args.n else _CF_DEFAULT_NS
-    lemma_text, lemma_ok = _lemma_csv()
-    power_text, power_ok = _power_csv(args.power)
-    cf_text, cf_ok = _cf_csv(family, n_list, args.power)
-    if args.out:
-        _write_text(f"{args.out}_lemma.csv", lemma_text)
-        _write_text(f"{args.out}_power.csv", power_text)
-        _write_text(f"{args.out}_cf.csv", cf_text)
-    else:
-        sys.stdout.write("# lemma\n" + lemma_text + "\n")
-        sys.stdout.write("# power_audit\n" + power_text + "\n")
-        sys.stdout.write("# cf_error\n" + cf_text)
-    failed = [
-        name
-        for name, ok in (("lemma", lemma_ok), ("power_slack", power_ok), ("cf_ordering", cf_ok))
-        if not ok
+    audits = [
+        power_audit(BOX_MULLER, range(1, _AUDIT_MAX_N + 1), args.power),
+        power_audit(DVB_VARIANT, range(2, _AUDIT_MAX_N + 1, 2), args.power),
     ]
+    cf = cf_convergence_scan(family, args.n, args.power)
+    # last, so that its three 1e6-entry arrays overlap no other audit's memory
+    _, lhs, rhs = lemma_scan(max(_LEMMA_KS))
+    # (file suffix, stdout section, CSV text)
+    tables = (
+        ("lemma", "lemma", render_table(
+            ("k", "lhs", "rhs", "margin"),
+            ((k, lhs[k - 1], rhs[k - 1], rhs[k - 1] - lhs[k - 1]) for k in _LEMMA_KS),
+        )),
+        ("power", "power_audit", render_table(
+            ("family", "n", "avg_power", "nominal_power", "slack"),
+            ((a.family, *row) for a in audits for row in a.rows()),
+        )),
+        ("cf", "cf_error", render_table(
+            ("family", "n", "t1", "t2", "abs_error"),
+            ((cf.family, *row) for row in cf.rows()),
+        )),
+    )
+    if args.out:
+        for suffix, _, text in tables:
+            _emit(f"{args.out}_{suffix}.csv", text)
+    else:
+        _emit(None, "\n".join(f"# {section}\n{text}" for _, section, text in tables))
+    maxes = cf.max_errors()
+    checks = {
+        "lemma": bool(np.all(lhs <= rhs + _LEMMA_RTOL * np.abs(rhs))),
+        "power_slack": all(bool(np.all(a.slacks > 0)) for a in audits),
+        # the coarsest grid must be at least twice as far from the limit
+        "cf_ordering": len(args.n) < 2 or bool(maxes[-1] <= 0.5 * maxes[0]),
+    }
+    failed = [name for name, ok in checks.items() if not ok]
     if failed:
         raise ContractError(f"contracted inequalities failed: {', '.join(failed)}")
     return EXIT_OK
@@ -298,40 +240,36 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", default=None)
     gen.set_defaults(handler=cmd_generate)
 
-    ev = sub.add_parser("evaluate", help="one CSV row of rate metrics on stdout")
+    # the options shared by evaluate, sweep and compare
+    estimator = argparse.ArgumentParser(add_help=False)
+    estimator.add_argument("--power", type=float, default=1.0)
+    estimator.add_argument("--normalize", action="store_true")
+    estimator.add_argument("--method", choices=sorted(_METHODS), default="quad")
+    estimator.add_argument("--order", type=int, default=DEFAULT_ORDER)
+    estimator.add_argument("--samples", type=int, default=10**6)
+    estimator.add_argument("--seed", type=int, default=None)
+
+    ev = sub.add_parser("evaluate", parents=[estimator], help="one CSV row of rates on stdout")
     ev.add_argument("constellation_file", nargs="?", default=None)
     ev.add_argument("--family", default=None)
     ev.add_argument("--n", type=int, default=None)
-    ev.add_argument("--power", type=float, default=1.0)
-    ev.add_argument("--normalize", action="store_true")
     ev.add_argument("--snr-db", type=float, required=True, dest="snr_db")
-    ev.add_argument("--method", choices=sorted(_METHODS), default="quad")
-    ev.add_argument("--order", type=int, default=40)
-    ev.add_argument("--samples", type=int, default=10**6)
-    ev.add_argument("--seed", type=int, default=None)
     ev.set_defaults(handler=cmd_evaluate)
 
-    for name, help_text in (
-        ("sweep", "rate-vs-size table for box_muller and qam"),
-        ("compare", "rate table for the two APSK designs, with PAPR"),
-    ):
-        grid = sub.add_parser(name, help=help_text)
-        grid.add_argument("--family", type=_str_list, default=None, metavar="LIST")
-        grid.add_argument("--n", type=_int_list, default=None, metavar="LIST")
-        grid.add_argument("--snr-db", type=_float_list, default=None, dest="snr_db", metavar="LIST")
-        grid.add_argument("--power", type=float, default=None)
-        grid.add_argument("--method", default=None)
-        grid.add_argument("--order", type=int, default=None)
-        grid.add_argument("--samples", type=int, default=None)
-        grid.add_argument("--seed", type=int, default=None)
-        grid.add_argument("--normalize", action="store_true")
+    for name, (help_text, families, n_values, snr_dbs) in _GRIDS.items():
+        grid = sub.add_parser(name, parents=[estimator], help=help_text)
+        grid.add_argument("--family", type=_str_list, dest="families", metavar="LIST")
+        grid.add_argument("--n", type=_int_list, metavar="LIST")
+        grid.add_argument("--snr-db", type=_float_list, dest="snr_db", metavar="LIST")
         grid.add_argument("--config", default=None)
         grid.add_argument("--out", default=None)
-        grid.set_defaults(handler=cmd_sweep if name == "sweep" else cmd_compare)
+        grid.set_defaults(
+            handler=cmd_grid, grid=grid, families=families, n=n_values, snr_db=snr_dbs
+        )
 
     conv = sub.add_parser("convergence", help="lemma, power-slack, and CF audits")
     conv.add_argument("--family", default="box_muller")
-    conv.add_argument("--n", type=_int_list, default=None, metavar="LIST")
+    conv.add_argument("--n", type=_int_list, default=_CF_DEFAULT_NS, metavar="LIST")
     conv.add_argument("--power", type=float, default=1.0)
     conv.add_argument("--out", default=None, help="prefix for the three CSV files")
     conv.set_defaults(handler=cmd_convergence)
@@ -343,10 +281,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "config", None):
+            # the file's values become the grid's defaults, so flags still win
+            args.grid.set_defaults(**_load_config(args.config))
+            args = parser.parse_args(argv)
+        return args.handler(args)
     except SystemExit as exc:  # argparse already printed its diagnostic
         return int(exc.code or 0)
-    try:
-        return args.handler(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

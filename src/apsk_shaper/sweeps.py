@@ -1,7 +1,7 @@
 """Rate-sweep rows and CSV rendering for the command-line front end."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Iterable, List, Sequence
 
 from .capacity import (
@@ -32,7 +32,10 @@ CSV_COLUMNS = (
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One output record: a constellation evaluated at one SNR."""
+    """One output record: a constellation evaluated at one SNR.
+
+    The fields follow CSV_COLUMNS in order; `render_csv` writes them as they are.
+    """
 
     family: str
     n: int
@@ -113,26 +116,13 @@ def _fmt(value) -> str:
     return format(value, ".9g")
 
 
-def render_csv(rows: Iterable[SweepRow]) -> str:
-    """CSV text with the fixed column list; numbers at 9 significant digits."""
-    lines = [",".join(CSV_COLUMNS)]
-    for r in rows:
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    r.family,
-                    r.n,
-                    r.m,
-                    r.snr_db,
-                    r.mi_bits,
-                    r.capacity_bits,
-                    r.gap_bits,
-                    r.gap_db,
-                    r.avg_power,
-                    r.papr,
-                    r.method,
-                )
-            )
-        )
+def render_table(columns: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """CSV text: the header line, then one line per row; numbers at 9 significant digits."""
+    lines = [",".join(columns)]
+    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     return "\n".join(lines) + "\n"
+
+
+def render_csv(rows: Iterable[SweepRow]) -> str:
+    """CSV text with the fixed column list, one line per row."""
+    return render_table(CSV_COLUMNS, (astuple(r) for r in rows))

@@ -42,6 +42,15 @@ class TestSnrSpec:
         with pytest.raises(DomainError):
             SnrSpec(-2.0)
 
+    @pytest.mark.parametrize("db", [3083.0, 4000.0, 1e308])
+    def test_from_db_overflow_is_a_domain_error(self, db):
+        # 10 ** (db / 10) overflows a float above about 3082.5 dB
+        with pytest.raises(DomainError, match="finite"):
+            SnrSpec.from_db(db)
+
+    def test_from_db_largest_finite(self):
+        assert SnrSpec.from_db(3082.0).snr == 10.0 ** 308.2
+
 
 class TestNoiseVariance:
     def test_from_power_and_snr(self):

@@ -3,10 +3,11 @@
 import csv
 import io
 import json
+from dataclasses import fields
 
 import pytest
 
-from apsk_shaper import capacity
+from apsk_shaper import CSV_COLUMNS, SweepRow, capacity
 from apsk_shaper.cli import main
 
 V2_ROW_VALUE = "1.19556193"  # box_muller n=2 at 5 dB, 9 significant digits
@@ -112,6 +113,12 @@ class TestEvaluate:
             assert (code, out) == (2, "")
             assert "order" in err
 
+    def test_snr_db_overflow_exits_2(self, capsys):
+        code, out, err = run(capsys, "evaluate", "--family", "qam", "--n", "2",
+                             "--snr-db", "4000")
+        assert (code, out) == (2, "")
+        assert "snr" in err
+
     def test_mc_seed_determinism(self, capsys):
         args = ("evaluate", "--family", "qam", "--n", "2", "--snr-db", "10",
                 "--method", "mc", "--samples", "20000", "--seed", "42")
@@ -145,6 +152,9 @@ class TestSweep:
         keys = [(r["family"], float(r["snr_db"]), int(r["n"])) for r in rows]
         assert keys == sorted(keys)
 
+    def test_row_fields_follow_csv_columns(self):
+        assert [f.name for f in fields(SweepRow)] == [c.lower() for c in CSV_COLUMNS]
+
     def test_byte_determinism(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for path in (a, b):
@@ -175,6 +185,19 @@ class TestSweep:
         code, _, err = run(capsys, "sweep", "--config", str(cfg))
         assert code == 2
         assert "unknown config key" in err
+
+    def test_config_bad_method_names_file_and_line(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("families = qam\nmethod = bogus\n")
+        code, out, err = run(capsys, "sweep", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert f"{cfg}:2: bad value for method" in err
+
+    def test_flag_bad_method_exits_2(self, capsys):
+        code, out, err = run(capsys, "sweep", "--family", "qam", "--n", "2",
+                             "--snr-db", "5", "--method", "bogus")
+        assert (code, out) == (2, "")
+        assert "invalid choice" in err
 
     def test_malformed_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -240,9 +263,43 @@ class TestConvergence:
         assert code == 2
 
 
+class TestOutput:
+    @pytest.mark.parametrize("argv", [
+        ["generate", "qam", "--n", "2", "--out"],
+        ["sweep", "--family", "qam", "--n", "2", "--snr-db", "10", "--out"],
+        ["compare", "--n", "2", "--snr-db", "5", "--out"],
+        ["convergence", "--n", "4,8", "--out"],
+    ], ids=lambda argv: argv[0])
+    def test_unwritable_out_exits_2(self, argv, tmp_path, capsys):
+        target = str(tmp_path / "missing" / "x")
+        code, out, err = run(capsys, *argv, target)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {target}")
+        assert not (tmp_path / "missing").exists()
+
+
 class TestUsage:
     def test_missing_subcommand(self, capsys):
         assert run(capsys, )[0] == 2
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
+
+    @pytest.mark.parametrize("argv,config", [
+        (["sweep", "--n", ""], None),
+        (["sweep", "--family", " , "], None),
+        (["sweep", "--snr-db", ""], None),
+        (["compare", "--n", ","], None),
+        (["convergence", "--n", ""], None),
+        (["sweep"], "families = qam\nn =\n"),
+        (["compare"], "snr_db = ,\n"),
+    ], ids=["sweep_n", "sweep_family", "sweep_snr_db", "compare_n", "convergence_n",
+            "config_n", "config_snr_db"])
+    def test_empty_list_exits_2(self, argv, config, tmp_path, capsys):
+        if config is not None:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(config)
+            argv = [*argv, "--config", str(cfg)]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert ("empty list" in err) if config else ("invalid" in err)
