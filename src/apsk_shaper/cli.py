@@ -53,19 +53,26 @@ _CF_DEFAULT_NS = (4, 8, 16, 32, 64)
 _LEMMA_RTOL = 1e-9
 
 
-def _str_list(text: str):
-    items = [t.strip() for t in text.split(",") if t.strip()]
-    if not items:
-        raise ValueError("empty list")
-    return items
+def _list_of(kind, what):
+    """Parser of a comma-separated list; argparse prefixes its errors with the flag."""
+
+    def parse(text: str):
+        try:
+            items = [kind(t.strip()) for t in text.split(",") if t.strip()]
+        except ValueError:
+            items = []
+        if not items:
+            raise argparse.ArgumentTypeError(
+                f"expected a comma-separated list of {what}, got {text!r}"
+            )
+        return items
+
+    return parse
 
 
-def _int_list(text: str):
-    return [int(t) for t in _str_list(text)]
-
-
-def _float_list(text: str):
-    return [float(t) for t in _str_list(text)]
+_str_list = _list_of(str, "names")
+_int_list = _list_of(int, "integers")
+_float_list = _list_of(float, "numbers")
 
 
 def _bool(text: str):
@@ -118,7 +125,7 @@ def _load_config(path):
             raise DomainError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
             cfg[key] = _CONFIG_PARSERS[key](value.strip())
-        except ValueError as exc:
+        except (ValueError, argparse.ArgumentTypeError) as exc:
             raise DomainError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
     return cfg
 

@@ -9,6 +9,7 @@ drives the capacity results this package audits. Square QAM is the uniformly
 spaced baseline, rescaled to average power exactly P.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -33,6 +34,13 @@ _FAMILY_ALIASES = {
 # relative tolerances used by the structural validator
 _POWER_RTOL = 1e-9
 _RING_RTOL = 1e-9
+
+# the largest n accepted: its (n^2, 2) float64 point array takes 64 MiB and
+# building it peaks near four times that. Past it no estimator is in reach
+# anyway (quadrature costs O(n^4)), and an unchecked n asked numpy for
+# 74.5 GiB at n = 100000.
+_MAX_POINT_BYTES = 64 * 2**20
+MAX_N = math.isqrt(_MAX_POINT_BYTES // 16)  # 2048
 
 
 def canonical_family(name: str) -> str:
@@ -72,8 +80,8 @@ class Constellation:
 
 
 def _check_common(n: int, power: float) -> None:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise DomainError(f"n must be an integer >= 1, got {n!r}")
+    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= MAX_N:
+        raise DomainError(f"n must be an integer in [1, {MAX_N}], got {n!r}")
     if not np.isfinite(power) or power <= 0:
         raise DomainError(f"power must be > 0, got {power!r}")
 
@@ -169,7 +177,7 @@ def make_constellation(
     normalize: bool = False,
     label: Optional[str] = None,
 ) -> Constellation:
-    """Construct any family by (canonical or alias) name."""
+    """Construct any family by (canonical or alias) name, for n in [1, MAX_N]."""
     fam = canonical_family(family)
     if fam == BOX_MULLER:
         return box_muller_apsk(n, power, normalize, label)

@@ -1,4 +1,4 @@
-"""Shared numerical helpers: log-sum-exp and Gauss-Hermite nodes."""
+"""Shared numerical helpers: log-sum-exp and Gauss-Hermite rules."""
 
 from functools import lru_cache
 
@@ -71,3 +71,18 @@ def gauss_hermite_2d(order: int):
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
+
+
+@lru_cache(maxsize=8)
+def gauss_hermite_1d(order: int):
+    """Gauss-Hermite rule for one axis: (nodes, weights), both of shape (order,).
+
+    hermgauss(order) with weights divided by sqrt(pi), so the rule
+    approximates E[f(Z)] for Z with density exp(-z^2)/sqrt(pi). Every node
+    is kept. Both arrays are read-only so the cache is safe to share.
+    """
+    z, w = hermgauss(order)
+    w = w / np.sqrt(np.pi)
+    z.setflags(write=False)
+    w.setflags(write=False)
+    return z, w

@@ -9,6 +9,7 @@ import pytest
 
 from apsk_shaper import CSV_COLUMNS, SweepRow, capacity
 from apsk_shaper.cli import main
+from apsk_shaper.constellations import MAX_N
 
 V2_ROW_VALUE = "1.19556193"  # box_muller n=2 at 5 dB, 9 significant digits
 
@@ -107,6 +108,7 @@ class TestEvaluate:
             raise AssertionError("nodes built for a rejected order")
 
         monkeypatch.setattr(capacity, "gauss_hermite_2d", no_nodes)
+        monkeypatch.setattr(capacity, "gauss_hermite_1d", no_nodes)
         for command in ("evaluate", "sweep"):
             code, out, err = run(capsys, command, "--family", "qam", "--n", "2",
                                  "--snr-db", "10", "--order", "100000")
@@ -279,6 +281,28 @@ class TestOutput:
 
 
 class TestUsage:
+    @pytest.mark.parametrize("argv", [
+        ["generate", "qam", "--n", "100000"],
+        ["evaluate", "--family", "box_muller", "--n", "100000", "--snr-db", "10"],
+        ["sweep", "--family", "qam", "--n", "2,100000", "--snr-db", "10"],
+    ], ids=lambda argv: argv[0])
+    def test_oversized_n_exits_2(self, argv, capsys):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"n must be an integer in [1, {MAX_N}], got 100000" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--n", "x"],
+        ["sweep", "--snr-db", "10,ten"],
+        ["compare", "--n", "2.5"],
+        ["convergence", "--n", "4,x"],
+    ], ids=["sweep_n", "sweep_snr_db", "compare_n", "convergence_n"])
+    def test_bad_list_item_names_the_flag(self, argv, capsys):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"argument {argv[1]}: expected a comma-separated list of" in err
+        assert "_list" not in err
+
     def test_missing_subcommand(self, capsys):
         assert run(capsys, )[0] == 2
 
@@ -302,4 +326,6 @@ class TestUsage:
             argv = [*argv, "--config", str(cfg)]
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
-        assert ("empty list" in err) if config else ("invalid" in err)
+        assert "expected a comma-separated list" in err
+        # a flag's error names the flag, a config's names the file and line
+        assert (f"{cfg}:" in err) if config else (f"argument {argv[1]}:" in err)

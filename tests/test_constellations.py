@@ -24,6 +24,7 @@ from apsk_shaper import (
     square_qam,
     validate_constellation,
 )
+from apsk_shaper.constellations import MAX_N
 
 SQRT_LN2 = 0.8325546111576977
 SQRT_LN4 = 1.1774100225154747
@@ -230,6 +231,12 @@ class TestFamilies:
         assert make_constellation("dvb_variant", 2).family == DVB_VARIANT
         with pytest.raises(DomainError):
             make_constellation("qam", 2, normalize=True)
+
+    @pytest.mark.parametrize("family", ["box_muller", "dvb_variant", "qam"])
+    @pytest.mark.parametrize("n", [MAX_N + 2, 100_000])
+    def test_make_constellation_caps_n_before_allocating(self, family, n):
+        with pytest.raises(DomainError, match=rf"\[1, {MAX_N}\], got {n}"):
+            make_constellation(family, n)
 
     def test_validate_passes_on_fresh_constellations(self):
         for c in (box_muller_apsk(3), dvb_variant_apsk(4), square_qam(4), square_qam(1)):

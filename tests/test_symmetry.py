@@ -1,0 +1,198 @@
+"""Quadrature over symmetry orbits and product grids against the full loop."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from apsk_shaper import (
+    SQUARE_QAM,
+    Constellation,
+    SnrSpec,
+    box_muller_apsk,
+    dvb_variant_apsk,
+    make_constellation,
+    mi_quadrature,
+    square_qam,
+    validate_constellation,
+)
+from apsk_shaper import capacity, numerics
+from apsk_shaper.symmetry import D4, _matches, orbits, product_axes
+
+SNR_DBS = (0.0, 10.0, 20.0, 30.0)
+ORDERS = (40, 60)
+# the shortcuts move a value by rounding only
+PATH_TOL = 1.5e-13
+
+ALL_D4 = {"identity", *(name for name, _, _ in D4)}
+D2 = {"identity", "rot180", "mirror_x", "mirror_y"}
+MIRROR_X = {"identity", "mirror_x"}
+
+
+def full_loop(c, snr, order):
+    """The plain loop over every point against the tensor rule."""
+    n0 = capacity._noise_variance(c, snr)
+    nodes, weights = numerics.gauss_hermite_2d(order)
+    noise2 = (2.0 * math.sqrt(n0)) * nodes
+    pts = c.points
+    total = 0.0
+    for i in range(len(pts)):
+        diff = pts[i] - pts
+        sq = np.sum(diff * diff, axis=1)
+        total += float(capacity._log_partition(noise2, diff, sq, n0) @ weights)
+    return max(math.log2(len(pts)) - total / (len(pts) * numerics.LN2), 0.0)
+
+
+def symmetry_group(points):
+    return {"identity", *_matches(points)}
+
+
+def apply(name, points):
+    if name == "identity":
+        return points.copy()
+    _, cols, signs = next(g for g in D4 if g[0] == name)
+    return points[:, cols] * signs
+
+
+def rebuilt(c, points):
+    return Constellation("edited", c.family, c.n, c.power, points)
+
+
+CASES = (
+    [("box_muller", n) for n in (*range(1, 10), 16)]
+    + [("dvb_variant", n) for n in range(2, 17, 2)]
+    + [("qam", n) for n in range(1, 17)]
+)
+
+
+@pytest.mark.parametrize("family,n", CASES, ids=[f"{f}-{n}" for f, n in CASES])
+def test_shortcut_matches_the_full_loop(family, n):
+    c = make_constellation(family, n)
+    # a single point is a 1 x 1 grid
+    assert (product_axes(c.points) is not None) == (family == "qam" or n == 1)
+    for snr_db in SNR_DBS:
+        snr = SnrSpec.from_db(snr_db)
+        for order in ORDERS:
+            got = mi_quadrature(c, snr, order).value
+            want = full_loop(c, snr, order)
+            assert abs(got - want) <= PATH_TOL, (snr_db, order, got - want)
+
+
+@pytest.mark.parametrize("n", range(1, 33))
+def test_box_muller_group(n):
+    want = ALL_D4 if n % 4 == 0 else D2 if n % 2 == 0 else MIRROR_X
+    assert symmetry_group(box_muller_apsk(n).points) == want
+
+
+@pytest.mark.parametrize("n", range(2, 33, 2))
+def test_dvb_variant_group(n):
+    assert symmetry_group(dvb_variant_apsk(n).points) == ALL_D4
+
+
+@pytest.mark.parametrize("n", range(1, 33))
+def test_qam_is_a_symmetric_product(n):
+    pts = square_qam(n).points
+    assert symmetry_group(pts) == ALL_D4
+    xs, ys = product_axes(pts)
+    assert xs.tolist() == ys.tolist() == sorted(set(pts[:, 0].tolist()))
+
+
+@pytest.mark.parametrize("c", [box_muller_apsk(32), dvb_variant_apsk(32)], ids=["box", "dvb"])
+def test_free_orbits_at_n32(c):
+    # no point lies on a mirror line, so every orbit has all 8 images
+    reps, mults = orbits(c.points)
+    assert len(reps) == c.M // 8 and set(mults.tolist()) == {8}
+
+
+def test_orbit_multiplicities_cover_every_point():
+    for c in (box_muller_apsk(6), box_muller_apsk(7), dvb_variant_apsk(2), square_qam(5)):
+        reps, mults = orbits(c.points)
+        assert int(mults.sum()) == c.M and len(reps) < c.M
+
+
+@pytest.mark.parametrize("c", [box_muller_apsk(8), dvb_variant_apsk(4), box_muller_apsk(5)],
+                         ids=["box8", "dvb4", "box5"])
+def test_nudged_phase_falls_back_to_the_full_loop_bit_for_bit(c):
+    pts = c.points.copy()
+    radius = math.hypot(*pts[3])
+    phase = math.atan2(pts[3, 1], pts[3, 0]) + 1e-9
+    pts[3] = radius * math.cos(phase), radius * math.sin(phase)
+    nudged = rebuilt(c, pts)
+    validate_constellation(nudged)
+    assert symmetry_group(nudged.points) == {"identity"}
+    for snr_db in (0.0, 20.0):
+        snr = SnrSpec.from_db(snr_db)
+        assert mi_quadrature(nudged, snr).value == full_loop(nudged, snr, 40)
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_qam_rotated_45_degrees_takes_the_orbit_path(n):
+    c = square_qam(n)
+    cos, sin = math.cos(math.pi / 4), math.sin(math.pi / 4)
+    x, y = c.points[:, 0], c.points[:, 1]
+    rotated = rebuilt(c, np.stack([cos * x - sin * y, sin * x + cos * y], axis=1))
+    validate_constellation(rotated)
+    assert product_axes(rotated.points) is None
+    assert symmetry_group(rotated.points) == ALL_D4
+    for snr_db in SNR_DBS:
+        snr = SnrSpec.from_db(snr_db)
+        for order in ORDERS:
+            got = mi_quadrature(rotated, snr, order).value
+            assert abs(got - full_loop(rotated, snr, order)) <= PATH_TOL, (snr_db, order)
+
+
+# -- properties ---------------------------------------------------------------
+
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+coordinate = st.integers(-40, 40).map(lambda k: k / 16.0)
+
+
+@st.composite
+def point_sets(draw):
+    """A family constellation, or up to 16 distinct points of a fine grid."""
+    kind = draw(st.sampled_from(["box_muller", "dvb_variant", "qam", "random"]))
+    if kind != "random":
+        n = draw(st.integers(1, 6).map(lambda k: 2 * k) if kind == "dvb_variant"
+                 else st.integers(1, 6))
+        return make_constellation(kind, n)
+    pts = np.array(draw(st.lists(st.tuples(coordinate, coordinate), min_size=1,
+                                 max_size=16, unique=True)))
+    # the capacity bound needs the budget at or above the realised power;
+    # mi_quadrature reads only the points and the budget, not family or n
+    power = float(np.mean(np.sum(pts**2, axis=1))) or 1.0
+    return Constellation("random", SQUARE_QAM, 1, power, pts)
+
+
+snr_dbs = st.floats(-10.0, 40.0)
+orders = st.sampled_from([8, 20, 40])
+
+
+@PROPERTY_SETTINGS
+@given(c=point_sets(), snr_db=snr_dbs, order=orders)
+def test_mi_is_invariant_under_the_square_symmetries(c, snr_db, order):
+    snr = SnrSpec.from_db(snr_db)
+    want = mi_quadrature(c, snr, order).value
+    for name in sorted(ALL_D4):
+        got = mi_quadrature(rebuilt(c, apply(name, c.points)), snr, order).value
+        assert abs(got - want) <= 1e-12, name
+
+
+@PROPERTY_SETTINGS
+@given(c=point_sets(), snr_db=snr_dbs, order=orders, seed=st.integers(0, 2**32 - 1))
+def test_mi_is_invariant_under_point_order(c, snr_db, order, seed):
+    snr = SnrSpec.from_db(snr_db)
+    perm = np.random.default_rng(seed).permutation(c.M)
+    got = mi_quadrature(rebuilt(c, c.points[perm]), snr, order).value
+    assert abs(got - mi_quadrature(c, snr, order).value) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(c=point_sets(), snr_db=snr_dbs, order=orders)
+def test_mi_lies_between_zero_and_both_bounds(c, snr_db, order):
+    snr = SnrSpec.from_db(snr_db)
+    value = mi_quadrature(c, snr, order).value
+    upper = min(math.log2(c.M), capacity.gaussian_capacity(snr))
+    assert 0.0 <= value <= upper + 1e-9
