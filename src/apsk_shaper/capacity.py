@@ -26,10 +26,15 @@ Gauss-Hermite rule with points and nodes embedded on the x axis. Any other
 set is evaluated at one point per orbit of the largest subgroup of the
 square's symmetries that maps it onto itself, weighted by the orbit's
 size; with no symmetry that is every point once. Monte Carlo always draws
-for every point: it is the independent check on both shortcuts.
+for every point: it is the independent check on both shortcuts. Its
+points (strata) run on one thread per available core, each drawing from
+its own Philox stream, and are merged in point order, so the value and
+std_error have the same bits for any number of threads.
 """
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +54,11 @@ _MAX_ORDER = 256
 _MC_CHUNK_ROWS = 65536
 # counter advance separating per-point Philox streams
 _MC_STREAM_STRIDE = 1 << 64
+# threads for the Monte Carlo strata, the calling thread included
+try:
+    _WORKERS = len(os.sched_getaffinity(0))
+except AttributeError:  # no sched_getaffinity on macOS or Windows
+    _WORKERS = os.cpu_count() or 1
 
 _MI_SLACK = 1e-9
 _CAPACITY_SLACK = 1e-6
@@ -97,31 +107,39 @@ def _noise_variance(c: Constellation, snr) -> float:
     return n0
 
 
-def _log_partition(noise2, diff, sq, n0):
+def _log_partition(noise2, diff, sq, n0, out=None, buf=None):
     """log sum_j exp(-(|x_i-x_j|^2 + <2*noise, x_i-x_j>)/N0) per noise row.
 
     `noise2` is (K, 2) doubled noise, `diff` is (M, 2) of x_i - x_j for one
     transmitted point x_i and `sq` is (M,) of |x_i - x_j|^2; the result has
-    shape (K,). Rows are formed and reduced in blocks of
-    max(2, _BLOCK_ELEMENTS // M) rows. A one-row matmul goes through gemv,
-    which rounds differently from gemm, so no block has one row unless K
-    is 1: a one-row tail starts a row early and recomputes that row.
+    shape (K,) and is written into `out` when given. Rows are formed and
+    reduced in blocks of max(2, _BLOCK_ELEMENTS // M) rows, in `buf` when
+    given (it needs at least min(K, block rows) rows of M). A one-row
+    matmul goes through gemv, which rounds differently from gemm, so no
+    block has one row unless K is 1: a one-row tail starts a row early and
+    recomputes that row.
     """
     k = len(noise2)
-    rows = max(2, _BLOCK_ELEMENTS // len(diff))
+    rows = _block_rows(len(diff))
     diff_t = diff.T
-    out = np.empty(k)
+    if out is None:
+        out = np.empty(k)
     # one buffer for every block: allocated afresh, at alternating sizes, a
     # block is mapped and unmapped by malloc each time (0.5 s of page
     # faults in 1.8 s at box_muller n=24)
-    buf = np.empty((min(rows, k), len(diff)))
+    if buf is None:
+        buf = np.empty((min(rows, k), len(diff)))
     for s in range(0, k, rows):
         lo, hi = max(0, min(s, k - 2)), min(s + rows, k)
         expo = np.matmul(noise2[lo:hi], diff_t, out=buf[: hi - lo])
         expo += sq
         expo *= -1.0 / n0
-        out[lo:hi] = logsumexp_rows(expo)
+        logsumexp_rows(expo, out=out[lo:hi])
     return out
+
+
+def _block_rows(m: int) -> int:
+    return max(2, _BLOCK_ELEMENTS // m)
 
 
 def gaussian_capacity(snr) -> float:
@@ -201,6 +219,40 @@ def _merge_moments(state, count, mean, m2):
     return n, mean_out, m2_out
 
 
+def _mc_stratum(pts, i, count, seed, n0, scratch):
+    """`count` draws for transmitted point i from its own Philox stream.
+
+    Returns (sum of the per-draw contributions, [(k, mean, M2) per chunk of
+    at most _MC_CHUNK_ROWS draws]). `scratch` is the calling worker's
+    (noise, row, block) buffers, sized for its largest chunk.
+    """
+    bitgen = np.random.Philox(key=seed)
+    bitgen.advance(i * _MC_STREAM_STRIDE)
+    rng = np.random.Generator(bitgen)
+    diff = pts[i] - pts
+    sq = np.sum(diff * diff, axis=1)
+    scale = 2.0 * math.sqrt(n0 / 2.0)
+    log_m = math.log(len(pts))
+    noise, rows, buf = scratch
+    acc = 0.0
+    chunks = []
+    left = count
+    while left > 0:
+        k = min(left, _MC_CHUNK_ROWS)
+        noise2 = rng.standard_normal(out=noise[:k])
+        noise2 *= scale
+        g = _log_partition(noise2, diff, sq, n0, out=rows[:k], buf=buf)
+        np.subtract(log_m, g, out=g)
+        g /= LN2
+        acc += float(g.sum())
+        gm = float(g.mean())
+        g -= gm
+        g *= g
+        chunks.append((k, gm, float(g.sum())))
+        left -= k
+    return acc, chunks
+
+
 def mi_monte_carlo(c: Constellation, snr, samples: int, seed: int) -> MiEstimate:
     """Stratified Monte Carlo MI estimate, the quadrature cross-check.
 
@@ -208,9 +260,11 @@ def mi_monte_carlo(c: Constellation, snr, samples: int, seed: int) -> MiEstimate
     transmitted points (the first `samples % M` points receive one extra).
     Each point draws from its own Philox stream, offset from `seed` by a
     fixed counter stride, so the result is independent of evaluation order
-    and bitwise reproducible for identical inputs. std_error is the sample
-    standard deviation of the per-draw contributions divided by
-    sqrt(samples).
+    and bitwise reproducible for identical inputs. The points (strata) run
+    on one thread per available core, the calling thread included, and are
+    merged in point order, so the bits do not depend on the thread count.
+    std_error is the sample standard deviation of the per-draw
+    contributions divided by sqrt(samples).
     """
     if not isinstance(samples, int) or isinstance(samples, bool) or samples < 1:
         raise DomainError(f"samples must be an integer >= 1, got {samples!r}")
@@ -221,30 +275,47 @@ def mi_monte_carlo(c: Constellation, snr, samples: int, seed: int) -> MiEstimate
     m = len(pts)
     counts = np.full(m, samples // m, dtype=np.int64)
     counts[: samples % m] += 1
-    sigma = math.sqrt(n0 / 2.0)
-    log_m = math.log(m)
+    strata = min(samples, m)  # the points that receive a draw come first
+    # counts differ by at most one, so striping balances the workers
+    workers = min(_WORKERS, strata)
+    chunk = min(int(counts[0]), _MC_CHUNK_ROWS)  # the largest chunk
+    results = [None] * strata
+    errors = []
+
+    def work(w):
+        try:
+            scratch = (
+                np.empty((chunk, 2)),
+                np.empty(chunk),
+                np.empty((min(_block_rows(m), chunk), m)),
+            )
+            for i in range(w, strata, workers):
+                if errors:
+                    return
+                results[i] = _mc_stratum(pts, i, int(counts[i]), seed, n0, scratch)
+        except BaseException as exc:  # re-raised by the caller after the joins
+            errors.append(exc)
+
+    threads = []
+    try:
+        for w in range(1, workers):
+            thread = threading.Thread(target=work, args=(w,))
+            thread.start()
+            threads.append(thread)
+    except BaseException as exc:  # stops the started workers at their next stratum
+        errors.append(exc)
+    work(0)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+
     stratum_means = np.zeros(m)
     moments = (0.0, 0.0, 0.0)  # pooled per-draw count/mean/M2
-    for i in range(m):
-        if counts[i] == 0:
-            continue
-        bitgen = np.random.Philox(key=seed)
-        bitgen.advance(i * _MC_STREAM_STRIDE)
-        rng = np.random.Generator(bitgen)
-        diff = pts[i] - pts
-        sq = np.sum(diff * diff, axis=1)
-        acc = 0.0
-        left = int(counts[i])
-        while left > 0:
-            k = min(left, _MC_CHUNK_ROWS)
-            noise2 = rng.standard_normal((k, 2))
-            noise2 *= 2.0 * sigma
-            g = log_m - _log_partition(noise2, diff, sq, n0)
-            g /= LN2
-            acc += float(g.sum())
-            gm = float(g.mean())
-            moments = _merge_moments(moments, k, gm, float(np.sum((g - gm) ** 2)))
-            left -= k
+    for i in range(strata):
+        acc, chunks = results[i]
+        for k, gm, m2 in chunks:
+            moments = _merge_moments(moments, k, gm, m2)
         stratum_means[i] = acc / counts[i]
     if samples >= m:
         value = float(stratum_means.mean())

@@ -29,7 +29,7 @@ def _row_max(a: np.ndarray) -> np.ndarray:
     return mx
 
 
-def logsumexp_rows(a: np.ndarray) -> np.ndarray:
+def logsumexp_rows(a: np.ndarray, out=None) -> np.ndarray:
     """log(sum(exp(a))) over the last axis, with max subtraction.
 
     After the max is subtracted every row holds a 0, so its sum of
@@ -38,13 +38,15 @@ def logsumexp_rows(a: np.ndarray) -> np.ndarray:
     for any M that fits in memory is far below half an ulp of a sum >= 1,
     so the sum cannot change, and `exp` skips its slow underflow path.
 
-    Consumes `a` (overwrites it in place); inputs must be finite.
+    Consumes `a` (overwrites it in place); inputs must be finite. The
+    result is written into `out` when given, else into a new array.
     """
     mx = _row_max(a)
     a -= mx[..., None]
     np.maximum(a, EXP_FLOOR, out=a)
     np.exp(a, out=a)
-    out = np.log(a.sum(axis=-1))
+    out = np.sum(a, axis=-1, out=out)
+    np.log(out, out=out)
     out += mx
     return out
 

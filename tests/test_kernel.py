@@ -1,6 +1,7 @@
 """The shared log-partition kernel: row blocks, row max, exp clip, node pruning."""
 
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -23,9 +24,9 @@ def record_blocks(monkeypatch):
     blocks = []
     inner = capacity.logsumexp_rows
 
-    def recording(a):
+    def recording(a, out=None):
         blocks.append((a.size, a.shape[-1]))
-        return inner(a)
+        return inner(a, out=out)
 
     monkeypatch.setattr(capacity, "logsumexp_rows", recording)
     return blocks
@@ -79,6 +80,80 @@ class TestBlocks:
         assert max(size for size, _ in blocks) <= max(capacity._BLOCK_ELEMENTS, c.M)
         # the unblocked kernel held 53 MB of exponents at once here
         assert peak <= 4e6
+
+
+def mc_result(c, samples, seed=5):
+    got = mi_monte_carlo(c, SnrSpec.from_db(20.0), samples, seed)
+    return got.value, got.std_error
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("family", ["box_muller", "dvb_variant", "qam"])
+    def test_bits_do_not_depend_on_the_worker_count(self, monkeypatch, family):
+        c = make_constellation(family, 4)
+        for samples in (1, c.M - 1, c.M + 1):
+            monkeypatch.setattr(capacity, "_WORKERS", 1)
+            want = mc_result(c, samples)
+            for workers in (2, 3, c.M + 1):
+                monkeypatch.setattr(capacity, "_WORKERS", workers)
+                assert mc_result(c, samples) == want, (samples, workers)
+
+    def test_multi_chunk_strata_with_an_uneven_split(self, monkeypatch):
+        c = make_constellation("qam", 2)
+        # two or three chunks per point; three workers take 2, 1 and 1 points
+        samples = 2 * capacity._MC_CHUNK_ROWS * c.M + 3
+        monkeypatch.setattr(capacity, "_WORKERS", 1)
+        want = mc_result(c, samples)
+        for workers in (2, 3, c.M + 1):
+            monkeypatch.setattr(capacity, "_WORKERS", workers)
+            assert mc_result(c, samples) == want, workers
+
+    @pytest.mark.parametrize("workers,samples", [(1, 100), (4, 1)])
+    def test_one_worker_starts_no_thread(self, monkeypatch, workers, samples):
+        # one stratum (a single draw) also leaves a single worker
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(capacity, "_WORKERS", workers)
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        mc_result(make_constellation("qam", 2), samples)
+
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_a_failing_stratum_raises_after_every_thread_joined(self, monkeypatch, failing):
+        # at two workers point 0 runs on the calling thread, point 1 on the other
+        inner = capacity._log_partition
+
+        def failing_point(noise2, diff, sq, n0, **kwargs):
+            if not diff[failing].any():  # diff = x_i - x_j is zero at j = i
+                raise RuntimeError(f"stratum {failing}")
+            return inner(noise2, diff, sq, n0, **kwargs)
+
+        before = threading.active_count()
+        monkeypatch.setattr(capacity, "_WORKERS", 2)
+        monkeypatch.setattr(capacity, "_log_partition", failing_point)
+        with pytest.raises(RuntimeError, match=f"stratum {failing}"):
+            mc_result(make_constellation("qam", 2), 1000)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_temporaries_stay_within_a_budget_per_worker(self, monkeypatch, workers):
+        # each worker holds a 1 MB noise chunk, a 0.5 MB row buffer, a 1 MB
+        # exponent block and its 0.26 MB of row maxima: about 2.9 MB
+        budget = 3.5e6
+        c = make_constellation("box_muller", 2)
+        snr = SnrSpec.from_db(10.0)
+        monkeypatch.setattr(capacity, "_WORKERS", workers)
+        # the first call imports numpy.random, which numpy loads lazily;
+        # that import is not a temporary of the estimator
+        mi_monte_carlo(c, snr, 4000, 0)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            mi_monte_carlo(c, snr, 10**6, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget * min(workers, c.M)
 
 
 class TestLogSumExp:
