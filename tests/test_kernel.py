@@ -1,4 +1,5 @@
-"""The shared log-partition kernel: row blocks, row max, exp clip, node pruning."""
+"""The MI kernels: log-partition row blocks, row max and sum, exp clip, node
+pruning, and the separable tensor-rule kernel of the quadrature."""
 
 import math
 import threading
@@ -8,8 +9,16 @@ import numpy as np
 import pytest
 from numpy.polynomial.hermite import hermgauss
 
-from apsk_shaper import SnrSpec, make_constellation, mi_monte_carlo, mi_quadrature
+from apsk_shaper import (
+    SQUARE_QAM,
+    Constellation,
+    SnrSpec,
+    make_constellation,
+    mi_monte_carlo,
+    mi_quadrature,
+)
 from apsk_shaper import capacity, numerics
+from apsk_shaper.symmetry import orbits, product_axes
 
 
 def random_case(k, m, seed):
@@ -68,7 +77,17 @@ class TestBlocks:
 
     def test_quadrature_blocks_and_temporaries_stay_bounded(self, monkeypatch):
         c = make_constellation("box_muller", 32)
-        blocks = record_blocks(monkeypatch)
+        r = len(numerics.gauss_hermite_2d(40)[0])
+        factors = []
+        inner = capacity._axis_factors
+
+        def recording(coef, d, buf):
+            a, b = inner(coef, d, buf)
+            factors.append((a.size, b.size))
+            return a, b
+
+        monkeypatch.setattr(capacity, "_axis_factors", recording)
+        lse_blocks = record_blocks(monkeypatch)
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
@@ -76,10 +95,19 @@ class TestBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert {m for _, m in blocks} == {c.M}
-        assert max(size for size, _ in blocks) <= max(capacity._BLOCK_ELEMENTS, c.M)
+        assert factors and not lse_blocks
+        assert max(max(f) for f in factors) <= max(capacity._BLOCK_ELEMENTS, r)
         # the unblocked kernel held 53 MB of exponents at once here
         assert peak <= 4e6
+
+    def test_quadrature_factor_blocks_do_not_change_the_value(self, monkeypatch):
+        c = make_constellation("box_muller", 8)
+        snr = SnrSpec.from_db(10.0)
+        want = mi_quadrature(c, snr, 40).value
+        # one column per block, and blocks that split the 64 points unevenly
+        for budget in (1, 60 * 7):
+            monkeypatch.setattr(capacity, "_BLOCK_ELEMENTS", budget)
+            assert abs(mi_quadrature(c, snr, 40).value - want) <= 1e-14, budget
 
 
 def mc_result(c, samples, seed=5):
@@ -162,6 +190,16 @@ class TestLogSumExp:
         a = np.random.default_rng(m).standard_normal((37, m))
         assert numerics._row_max(a).tobytes() == a.max(axis=-1).tobytes()
 
+    @pytest.mark.parametrize("m", range(1, 10))
+    def test_row_sum_matches_numpy_on_both_sides_of_the_switch(self, m):
+        # the summands of logsumexp_rows: exponentials of a wide range
+        a = np.exp(8.0 * np.random.default_rng(m).standard_normal((37, m)))
+        want = np.sum(a, axis=-1).tobytes()
+        assert numerics._row_sum(a).tobytes() == want
+        out = np.full(37, np.nan)
+        assert numerics._row_sum(a, out=out) is out
+        assert out.tobytes() == want
+
     def test_clipped_rows_match_exact_sums(self):
         rows = np.array(
             [
@@ -180,19 +218,121 @@ class TestLogSumExp:
         assert got.tolist() == want
 
 
+def tensor_rule(order):
+    """The kept tensor nodes (K, 2) and weights (K,) of the grid-form rule."""
+    z, w = numerics.gauss_hermite_2d(order)
+    a, b = np.nonzero(w)
+    return np.column_stack((z[a], z[b])), w[a, b]
+
+
 class TestPrunedRule:
     @pytest.mark.parametrize("order", [40, 60])
     def test_dropped_mass_is_negligible(self, order):
         _, w = hermgauss(order)
         full = np.outer(w, w).reshape(-1) / np.pi
-        _, kept = numerics.gauss_hermite_2d(order)
+        _, kept = tensor_rule(order)
         dropped = full[full < numerics.MIN_NODE_WEIGHT]
         assert len(kept) == len(full) - len(dropped) < len(full)
         assert 0.0 < math.fsum(dropped) < 1e-14
 
     @pytest.mark.parametrize("order", [40, 60])
     def test_kept_nodes_keep_the_square_symmetry(self, order):
-        nodes, _ = numerics.gauss_hermite_2d(order)
+        nodes, _ = tensor_rule(order)
         kept = {tuple(z) for z in nodes.tolist()}
         assert {(-z2, z1) for z1, z2 in kept} == kept
         assert {(z1, -z2) for z1, z2 in kept} == kept
+
+
+# -- the separable tensor-rule kernel -----------------------------------------
+
+KERNEL_ORDERS = (2, 40, 60, 256)
+KERNEL_SNR_DBS = (-10.0, 0.0, 10.0, 20.0, 30.0, 60.0, 100.0)
+POWERS = (1e-6, 1.0, 1e6)
+# the kernel forms each term as a product of two exponentials; against the
+# row-wise sums this moves MI by rounding only (3.6e-15 bits at most seen)
+SEPARABLE_TOL = 1e-13
+
+
+def random_set(power, seed=3, m=12):
+    """An asymmetric point set of realised power `power` (budget equal)."""
+    pts = np.random.default_rng(seed).standard_normal((m, 2))
+    pts *= math.sqrt(power / np.mean(np.sum(pts**2, axis=1)))
+    return Constellation("random", SQUARE_QAM, 1, power, pts)
+
+
+def case_id(name):
+    return name if name == "random" else f"{name[0]}-{name[1]}"
+
+
+def kernel_case(name, power):
+    return random_set(power) if name == "random" else make_constellation(*name, power=power)
+
+
+def direct_mi(c, snr, order):
+    """Row-wise log-sum-exp over every point j at every kept tensor node."""
+    n0 = capacity._noise_variance(c, snr)
+    value = capacity._rule_mi(c.points, *orbits(c.points), *tensor_rule(order), n0)
+    return max(value, 0.0)
+
+
+def record_partitions(monkeypatch):
+    """Wrap capacity._grid_partition; return (min S, S all finite) per call."""
+    seen = []
+    inner = capacity._grid_partition
+
+    def recording(coef, d, buf):
+        s = inner(coef, d, buf)
+        seen.append((float(s.min()), bool(np.all(np.isfinite(s)))))
+        return s
+
+    monkeypatch.setattr(capacity, "_grid_partition", recording)
+    return seen
+
+
+SEPARABLE_CASES = (
+    [("box_muller", n) for n in (2, 3, 5, 8, 16)]
+    + [("dvb_variant", n) for n in (2, 4, 8, 16)]
+    + ["random"]
+)
+
+
+class TestSeparableKernel:
+    @pytest.mark.parametrize("name", SEPARABLE_CASES, ids=case_id)
+    def test_matches_the_row_wise_sums(self, monkeypatch, name):
+        # n = 16 costs 2 s per power in the reference; one power covers it
+        powers = (1.0,) if name != "random" and name[1] == 16 else POWERS
+        seen = record_partitions(monkeypatch)
+        for power in powers:
+            c = kernel_case(name, power)
+            assert product_axes(c.points) is None
+            for snr_db in KERNEL_SNR_DBS:
+                snr = SnrSpec.from_db(snr_db)
+                for order in KERNEL_ORDERS:
+                    got = mi_quadrature(c, snr, order).value
+                    want = direct_mi(c, snr, order)
+                    assert abs(got - want) <= SEPARABLE_TOL, (power, snr_db, order, got - want)
+        # every node sum is finite and holds the exact 1 of j = i
+        assert seen and all(finite and low >= 1.0 for low, finite in seen)
+
+    @pytest.mark.parametrize("name", [("box_muller", 3), ("dvb_variant", 4), "random"],
+                             ids=case_id)
+    def test_pruned_terms_are_negligible_at_every_kept_node(self, name):
+        c = kernel_case(name, 1.0)
+        pts, m = c.points, c.M
+        pruned = 0
+        for order in (2, 40, 256):
+            z, w = numerics.gauss_hermite_2d(order)
+            rho = capacity._kept_radius(z, w)
+            nodes, _ = tensor_rule(order)
+            for snr_db in (0.0, 10.0, 20.0, 30.0, 60.0):
+                n0 = capacity._noise_variance(c, SnrSpec.from_db(snr_db))
+                for i in range(m):
+                    diff = pts[i] - pts
+                    sq = np.sum(diff * diff, axis=1)
+                    keep = capacity._kept_columns(sq, rho, m, n0)
+                    terms = np.exp(-(sq + 2.0 * math.sqrt(n0) * (nodes @ diff.T)) / n0)
+                    bound = math.exp(-37.0) / m * terms.sum(axis=1)
+                    assert keep[i]
+                    assert np.all(terms[:, ~keep] < bound[:, None]), (order, snr_db, i)
+                    pruned += int(np.count_nonzero(~keep))
+        assert pruned > 0
