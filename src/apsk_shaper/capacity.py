@@ -16,8 +16,13 @@ one transmitted point x_i at a time in one helper, `_log_partition`. It
 walks the noise rows in blocks of about _BLOCK_ELEMENTS exponents, small
 enough to stay in cache, and reduces each block with
 `numerics.logsumexp_rows` (max subtraction, then exponents clipped at a
-floor that cannot change a row sum). Every row is computed the same way
-whatever the block size, so the blocking changes no value.
+floor that cannot change a row sum). For M up to 128 (numpy's pairwise
+summation block) a block is laid out point-major, one contiguous row of
+exponents per point j, so every step runs over whole columns; longer rows
+stay row-major. In problems of at least _GATE_MIN_ELEMENTS exponents the
+clip runs only when the bound -(|N|max + |d|max)^2/N0 on the shifted
+exponents says it can bite. Every row is computed the same way whatever
+the block size or layout, so neither changes a value.
 
 The 2D quadrature uses that the tensor rule's nodes z = (z_a, z_b) form a
 grid, and that with d_j = x_i - x_j the term of j at node z factors as
@@ -54,7 +59,14 @@ import numpy as np
 
 from .constellations import Constellation
 from .errors import DomainError, EstimatorError
-from .numerics import LN2, gauss_hermite_1d, gauss_hermite_2d, logsumexp_rows
+from .numerics import (
+    EXP_FLOOR,
+    LN2,
+    PAIRWISE_BLOCK,
+    gauss_hermite_1d,
+    gauss_hermite_2d,
+    logsumexp_rows,
+)
 from .symmetry import orbits, product_axes
 
 DEFAULT_ORDER = 40
@@ -63,6 +75,12 @@ DEFAULT_ORDER = 40
 # factors together: 1 << 17 doubles (about 1 MB), so a block stays in a
 # 2 MB L2 cache from the operation that forms it to its reduction
 _BLOCK_ELEMENTS = 1 << 17
+# the EXP_FLOOR clip is skipped when every shifted exponent provably stays
+# above -_CLIP_FREE_NATS (see _clip_can_bite); the bound's three reductions
+# cost about 5 us, as much as clipping this many exponents, so smaller
+# problems (the quadrature's 1D rules) clip without it
+_CLIP_FREE_NATS = -EXP_FLOOR - 100.0
+_GATE_MIN_ELEMENTS = 1 << 13
 # the tensor rule leaves out point j for transmitted point i when its term
 # is below e**-_PRUNE_NATS / M at every kept node (see _kept_columns)
 _PRUNE_NATS = 37.0
@@ -124,35 +142,73 @@ def _noise_variance(c: Constellation, snr) -> float:
     return n0
 
 
-def _log_partition(noise2, diff, sq, n0, out=None, buf=None):
+def _log_partition(noise2, diff, sq, n0, out=None, buf=None, row_max=None):
     """log sum_j exp(-(|x_i-x_j|^2 + <2*noise, x_i-x_j>)/N0) per noise row.
 
     `noise2` is (K, 2) doubled noise, `diff` is (M, 2) of x_i - x_j for one
     transmitted point x_i and `sq` is (M,) of |x_i - x_j|^2; the result has
     shape (K,) and is written into `out` when given. Rows are formed and
-    reduced in blocks of max(2, _BLOCK_ELEMENTS // M) rows, in `buf` when
-    given (it needs at least min(K, block rows) rows of M). A one-row
-    matmul goes through gemv, which rounds differently from gemm, so no
-    block has one row unless K is 1: a one-row tail starts a row early and
-    recomputes that row.
+    reduced in blocks of n = max(2, _BLOCK_ELEMENTS // M) rows, in the
+    first n*M elements of the flat buffer `buf` and the first n of
+    `row_max` when given (they need min(K, n)*M and min(K, n) elements). A
+    one-row matmul goes through gemv, which rounds differently from gemm,
+    so no block has one row unless K is 1: a one-row tail starts a row
+    early and recomputes that row.
+
+    For M <= PAIRWISE_BLOCK a block is formed point-major, as the C-order
+    (M, n) product diff @ noise2.T, and reduced through its (n, M) view:
+    the max, shift, `exp` and the pairwise sum then run over contiguous
+    columns, with the same bits as the row-major block (gemm rounds each
+    element of the inner-dimension-2 product the same either way). Longer
+    rows stay row-major, where np.sum keeps its bits.
     """
-    k = len(noise2)
-    rows = _block_rows(len(diff))
-    diff_t = diff.T
+    k, m = len(noise2), len(diff)
+    rows = _block_rows(m)
+    # point-major takes 0.3-0.5x the row-major time for M = 4 to 64 and
+    # 0.9x at M = 128; a pairwise sum of longer rows over column slices
+    # breaks even at M = 256 and is 1.2x slower at M = 1024 (65,536 draws,
+    # 2-core Xeon, one BLAS thread), so longer rows stay row-major, where
+    # np.sum has the bits without a reproduction
+    point_major = m <= PAIRWISE_BLOCK
     if out is None:
         out = np.empty(k)
     # one buffer for every block: allocated afresh, at alternating sizes, a
     # block is mapped and unmapped by malloc each time (0.5 s of page
     # faults in 1.8 s at box_muller n=24)
     if buf is None:
-        buf = np.empty((min(rows, k), len(diff)))
+        buf = np.empty(min(rows, k) * m)
+    if row_max is None:
+        row_max = np.empty(min(rows, k))
+    clip = k * m < _GATE_MIN_ELEMENTS or _clip_can_bite(noise2, sq, n0)
     for s in range(0, k, rows):
         lo, hi = max(0, min(s, k - 2)), min(s + rows, k)
-        expo = np.matmul(noise2[lo:hi], diff_t, out=buf[: hi - lo])
-        expo += sq
+        n = hi - lo
+        block = buf[: n * m]
+        if point_major:
+            expo = np.matmul(diff, noise2[lo:hi].T, out=block.reshape(m, n))
+            expo += sq[:, None]
+        else:
+            expo = np.matmul(noise2[lo:hi], diff.T, out=block.reshape(n, m))
+            expo += sq
         expo *= -1.0 / n0
-        logsumexp_rows(expo, out=out[lo:hi])
+        if point_major:
+            expo = expo.T
+        logsumexp_rows(expo, out=out[lo:hi], row_max=row_max[:n], clip=clip)
     return out
+
+
+def _clip_can_bite(noise2, sq, n0) -> bool:
+    """Whether a shifted exponent of `_log_partition` can fall below EXP_FLOOR.
+
+    With N = noise2/2 the exponent of j is (|N|^2 - |d_j + N|^2)/N0 and the
+    row max is at most |N|^2/N0, so after the max shift every exponent is
+    at least -(|N| + |d_j|)^2/N0 >= -(|N|max + |d|max)^2/N0, with |N| at
+    most sqrt(2) times its largest coordinate. Below _CLIP_FREE_NATS (100
+    nats inside the floor, far beyond rounding) the clip is a no-op.
+    """
+    coord = 0.5 * max(float(noise2.max()), -float(noise2.min()))
+    reach = math.sqrt(2.0) * coord + math.sqrt(float(sq.max()))
+    return reach * reach / n0 > _CLIP_FREE_NATS
 
 
 def _block_rows(m: int) -> int:
@@ -334,7 +390,7 @@ def _mc_stratum(pts, i, count, seed, n0, scratch):
 
     Returns (sum of the per-draw contributions, [(k, mean, M2) per chunk of
     at most _MC_CHUNK_ROWS draws]). `scratch` is the calling worker's
-    (noise, row, block) buffers, sized for its largest chunk.
+    (noise, row, block, row max) buffers, sized for its largest chunk.
     """
     bitgen = np.random.Philox(key=seed)
     bitgen.advance(i * _MC_STREAM_STRIDE)
@@ -343,7 +399,7 @@ def _mc_stratum(pts, i, count, seed, n0, scratch):
     sq = np.sum(diff * diff, axis=1)
     scale = 2.0 * math.sqrt(n0 / 2.0)
     log_m = math.log(len(pts))
-    noise, rows, buf = scratch
+    noise, rows, buf, row_max = scratch
     acc = 0.0
     chunks = []
     left = count
@@ -351,7 +407,7 @@ def _mc_stratum(pts, i, count, seed, n0, scratch):
         k = min(left, _MC_CHUNK_ROWS)
         noise2 = rng.standard_normal(out=noise[:k])
         noise2 *= scale
-        g = _log_partition(noise2, diff, sq, n0, out=rows[:k], buf=buf)
+        g = _log_partition(noise2, diff, sq, n0, out=rows[:k], buf=buf, row_max=row_max)
         np.subtract(log_m, g, out=g)
         g /= LN2
         acc += float(g.sum())
@@ -394,11 +450,8 @@ def mi_monte_carlo(c: Constellation, snr, samples: int, seed: int) -> MiEstimate
 
     def work(w):
         try:
-            scratch = (
-                np.empty((chunk, 2)),
-                np.empty(chunk),
-                np.empty((min(_block_rows(m), chunk), m)),
-            )
+            rows = min(_block_rows(m), chunk)
+            scratch = (np.empty((chunk, 2)), np.empty(chunk), np.empty(rows * m), np.empty(rows))
             for i in range(w, strata, workers):
                 if errors:
                     return

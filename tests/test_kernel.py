@@ -1,5 +1,6 @@
-"""The MI kernels: log-partition row blocks, row max and sum, exp clip, node
-pruning, and the separable tensor-rule kernel of the quadrature."""
+"""The MI kernels: log-partition row blocks and their point-major layout, row
+max and sum, the exp clip and its gate, node pruning, and the separable
+tensor-rule kernel of the quadrature."""
 
 import math
 import threading
@@ -33,9 +34,9 @@ def record_blocks(monkeypatch):
     blocks = []
     inner = capacity.logsumexp_rows
 
-    def recording(a, out=None):
+    def recording(a, out=None, **kw):
         blocks.append((a.size, a.shape[-1]))
-        return inner(a, out=out)
+        return inner(a, out=out, **kw)
 
     monkeypatch.setattr(capacity, "logsumexp_rows", recording)
     return blocks
@@ -166,7 +167,7 @@ class TestWorkers:
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_temporaries_stay_within_a_budget_per_worker(self, monkeypatch, workers):
         # each worker holds a 1 MB noise chunk, a 0.5 MB row buffer, a 1 MB
-        # exponent block and its 0.26 MB of row maxima: about 2.9 MB
+        # exponent block and a 0.26 MB row-max buffer: about 2.9 MB
         budget = 3.5e6
         c = make_constellation("box_muller", 2)
         snr = SnrSpec.from_db(10.0)
@@ -184,21 +185,36 @@ class TestWorkers:
         assert peak <= budget * min(workers, c.M)
 
 
+# row lengths around numpy's pairwise unroll (8) and block (128) and the
+# old column-wise switches (8 and 64)
+ROW_LENGTHS = [1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 64, 65, 127, 128, 129]
+
+
+def layouts(a):
+    """`a` in C order and as the point-major view of a C-order (M, rows) block."""
+    return {"c_order": a.copy(), "point_major": np.ascontiguousarray(a.T).T}
+
+
 class TestLogSumExp:
-    @pytest.mark.parametrize("m", [1, 2, 5, 63, 64, 65])
+    @pytest.mark.parametrize("m", ROW_LENGTHS)
     def test_row_max_matches_numpy_on_both_sides_of_the_switch(self, m):
         a = np.random.default_rng(m).standard_normal((37, m))
-        assert numerics._row_max(a).tobytes() == a.max(axis=-1).tobytes()
+        want = np.max(a, axis=-1).tobytes()
+        for layout, b in layouts(a).items():
+            row_max = np.full(37, np.nan)
+            numerics.logsumexp_rows(b, row_max=row_max)
+            assert row_max.tobytes() == want, layout
 
-    @pytest.mark.parametrize("m", range(1, 10))
+    @pytest.mark.parametrize("m", ROW_LENGTHS)
     def test_row_sum_matches_numpy_on_both_sides_of_the_switch(self, m):
         # the summands of logsumexp_rows: exponentials of a wide range
         a = np.exp(8.0 * np.random.default_rng(m).standard_normal((37, m)))
         want = np.sum(a, axis=-1).tobytes()
-        assert numerics._row_sum(a).tobytes() == want
-        out = np.full(37, np.nan)
-        assert numerics._row_sum(a, out=out) is out
-        assert out.tobytes() == want
+        for layout, b in layouts(a).items():
+            assert numerics._row_sum(b.copy()).tobytes() == want, layout
+            out = np.full(37, np.nan)
+            assert numerics._row_sum(b, out=out) is out
+            assert out.tobytes() == want, layout
 
     def test_clipped_rows_match_exact_sums(self):
         rows = np.array(
@@ -216,6 +232,93 @@ class TestLogSumExp:
         got = numerics.logsumexp_rows(rows.copy())
         assert np.all(np.isfinite(got))
         assert got.tolist() == want
+
+
+# -- point-major blocks and the clip gate -------------------------------------
+
+LAYOUT_SNR_DBS = (0.0, 30.0, 60.0)
+
+
+def mc_like_case(k, m, snr_db, seed):
+    """Doubled noise as Monte Carlo draws it at N0 = 10**(-snr_db/10), random points."""
+    noise2, diff, sq = random_case(k, m, seed)
+    n0 = 10.0 ** (-snr_db / 10.0)
+    # random_case scales its noise by 3; Monte Carlo's scale is 2*sqrt(N0/2)
+    noise2 *= 2.0 * math.sqrt(n0 / 2.0) / 3.0
+    return noise2, diff, sq, n0
+
+
+def record_shifted_minima(monkeypatch):
+    """Wrap capacity.logsumexp_rows; return (clip, min of a - row max) per block."""
+    seen = []
+    inner = capacity.logsumexp_rows
+
+    def recording(a, out=None, **kw):
+        seen.append((kw["clip"], float(np.min(a - a.max(axis=-1)[:, None]))))
+        return inner(a, out=out, **kw)
+
+    monkeypatch.setattr(capacity, "logsumexp_rows", recording)
+    return seen
+
+
+def row_major_log_partition(noise2, diff, sq, n0):
+    """The row-major kernel in plain numpy: one (K, M) block, np.max, np.sum."""
+    expo = noise2 @ diff.T
+    expo += sq
+    expo *= -1.0 / n0
+    mx = np.max(expo, axis=-1)
+    expo -= mx[:, None]
+    np.maximum(expo, numerics.EXP_FLOOR, out=expo)
+    out = np.log(np.sum(np.exp(expo), axis=-1))
+    out += mx
+    return out
+
+
+class TestLayout:
+    @pytest.mark.parametrize("k", [1, 2, 3, 40, 257, 1001])
+    @pytest.mark.parametrize("snr_db", LAYOUT_SNR_DBS)
+    def test_point_major_blocks_match_row_major_bits(self, snr_db, k):
+        for m in range(1, 130):
+            noise2, diff, sq, n0 = mc_like_case(k, m, snr_db, seed=k + m)
+            got = capacity._log_partition(noise2, diff, sq, n0)
+            want = row_major_log_partition(noise2, diff, sq, n0)
+            assert got.tobytes() == want.tobytes(), m
+
+    def test_the_clip_is_skipped_only_where_it_cannot_bite(self, monkeypatch):
+        seen = record_shifted_minima(monkeypatch)
+        for snr_db in np.arange(-10.0, 40.0, 2.5):
+            for m in (2, 4, 16, 64, 200):
+                capacity._log_partition(*mc_like_case(4096, m, snr_db, seed=m))
+        skipped = [low for clip, low in seen if not clip]
+        taken = [low for clip, low in seen if clip]
+        # both branches run, and a skipped block keeps every shifted exponent
+        # inside the gate's margin, 100 nats above EXP_FLOOR
+        assert skipped and taken
+        assert min(skipped) >= -capacity._CLIP_FREE_NATS
+        assert min(taken) < numerics.EXP_FLOOR
+
+    def test_the_gate_holds_where_its_bound_is_attained(self, monkeypatch):
+        # diagonal noise N = (3, 3), a point at d = -N that makes the row max
+        # |N|^2/N0, and one at |d| = 5 along N: its shifted exponent is
+        # exactly -(|N| + |d|max)^2/N0, the gate's bound; 4096 rows make the
+        # problem large enough to be gated
+        seen = record_shifted_minima(monkeypatch)
+        noise = np.array([3.0, 3.0])
+        diff = np.array([[0.0, 0.0], -noise, 5.0 * noise / math.hypot(*noise)])
+        sq = np.sum(diff * diff, axis=1)
+        reach2 = (math.hypot(*noise) + 5.0) ** 2
+        for nats in np.linspace(500.5, 699.5, 40):
+            capacity._log_partition(np.tile(2.0 * noise, (4096, 1)), diff, sq, reach2 / nats)
+        skipped = [low for clip, low in seen if not clip]
+        assert skipped and len(skipped) < len(seen)
+        assert -capacity._CLIP_FREE_NATS <= min(skipped) < -capacity._CLIP_FREE_NATS + 6.0
+
+    def test_60_db_box_muller_takes_the_clip(self, monkeypatch):
+        seen = record_shifted_minima(monkeypatch)
+        # 200 draws per point for 64 points: large enough to be gated
+        mi_monte_carlo(make_constellation("box_muller", 8), SnrSpec.from_db(60.0), 64 * 200, 2)
+        assert seen and all(clip for clip, _ in seen)
+        assert min(low for _, low in seen) < numerics.EXP_FLOOR
 
 
 def tensor_rule(order):
