@@ -5,6 +5,10 @@ Each case holds an argv, the APSK_SHAPER_SEED value (if any), input files
 for them: the exit code, stdout and the bytes of every file written.
 '{tmp}' in an argv or an input file stands for a fresh directory that holds
 the inputs. Error messages on stderr are not part of the contract.
+
+The default `sweep` table (204 rows, quadrature at n up to 35) must also
+reproduce tests/data/sweep_default.csv, recorded with
+`apsk-shaper sweep --out tests/data/sweep_default.csv` at commit 8ddace1.
 """
 
 import json
@@ -14,7 +18,8 @@ import pytest
 
 from apsk_shaper.cli import SEED_ENV_VAR, main
 
-GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
+DATA = Path(__file__).parent / "data"
+GOLDEN = json.loads((DATA / "cli_golden.json").read_text())
 
 
 @pytest.mark.parametrize("case", GOLDEN["cases"], ids=[c["name"] for c in GOLDEN["cases"]])
@@ -36,3 +41,10 @@ def test_cli_matches_golden(case, tmp_path, capsys, monkeypatch):
         if p.name not in case["files"]
     }
     assert written == case["out_files"]
+
+
+def test_default_sweep_matches_golden(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == (DATA / "sweep_default.csv").read_bytes()
