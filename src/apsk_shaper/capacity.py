@@ -11,20 +11,19 @@ which this module evaluates two independent ways: a deterministic tensor
 Gauss-Hermite rule (`mi_quadrature`) and a seeded stratified Monte Carlo
 (`mi_monte_carlo`) that serves as its cross-check.
 
-Monte Carlo, and the quadrature's 1D problems, form their inner sums for
-one transmitted point x_i at a time in one helper, `_log_partition`. It
-walks the noise rows in blocks of about _BLOCK_ELEMENTS exponents, small
-enough to stay in cache, and reduces each block with
-`numerics.logsumexp_rows` (max subtraction, then exponents clipped at a
-floor that cannot change a row sum). For M up to 128 (numpy's pairwise
-summation block) a block is laid out point-major, one contiguous row of
-exponents per point j, so every step runs over whole columns; longer rows
-stay row-major. In problems of at least _GATE_MIN_ELEMENTS exponents the
-clip runs only when the bound -(|N|max + |d|max)^2/N0 on the shifted
-exponents says it can bite. Every row is computed the same way whatever
-the block size or layout, so neither changes a value.
+Monte Carlo forms its inner sums for one transmitted point x_i at a time
+in `_log_partition`. It walks the noise rows in blocks of about
+_BLOCK_ELEMENTS exponents, small enough to stay in cache, and reduces each
+block with `numerics.logsumexp_rows` (max subtraction, then exponents
+clipped at a floor that cannot change a row sum). For M up to 128 (numpy's
+pairwise summation block) a block is laid out point-major, one contiguous
+row of exponents per point j, so every step runs over whole columns;
+longer rows stay row-major. The clip runs only when the bound
+-(|N|max + |d|max)^2/N0 on the shifted exponents says it can bite. Every
+row is computed the same way whatever the block size or layout, so
+neither changes a value.
 
-The 2D quadrature uses that the tensor rule's nodes z = (z_a, z_b) form a
+The quadrature uses that the tensor rule's nodes z = (z_a, z_b) form a
 grid, and that with d_j = x_i - x_j the term of j at node z factors as
 
     exp(-2 z_a d_jx/sqrt(N0)) * exp(-2 z_b d_jy/sqrt(N0) - |d_j|^2/N0).
@@ -37,13 +36,14 @@ exponent, so S needs no max pass or clip (`_grid_partition`). The rule
 leaves out tensor nodes of weight below 1e-16.
 
 The quadrature takes the outer mean as a loop over (representative point,
-multiplicity) pairs against one Gauss-Hermite rule, and reads two
-structures from the points (see `symmetry`). A square grid X x Y splits
-into two 1D problems, MI = MI(X) + MI(Y), each against the 1D
-Gauss-Hermite rule with points and nodes embedded on the x axis. Any other
-set is evaluated at one point per orbit of the largest subgroup of the
-square's symmetries that maps it onto itself, weighted by the orbit's
-size; with no symmetry that is every point once. Monte Carlo always draws
+multiplicity) pairs against the tensor rule, and reads two structures from
+the points (see `symmetry`). A point set is evaluated at one point per
+orbit of the largest subgroup of the square's symmetries that maps it onto
+itself, weighted by the orbit's size; with no symmetry that is every point
+once. A square grid X x Y first splits into two 1D problems,
+MI = MI(X) + MI(Y), each a point set on the x axis against the same
+kernel: there d_y = 0 for every pair, so the y noise cancels from the
+exponent and B reduces to exp(-|d|^2/N0). Monte Carlo always draws
 for every point: it is the independent check on both shortcuts. Its
 points (strata) run on one thread per available core, each drawing from
 its own Philox stream, and are merged in point order, so the value and
@@ -63,7 +63,6 @@ from .numerics import (
     EXP_FLOOR,
     LN2,
     PAIRWISE_BLOCK,
-    gauss_hermite_1d,
     gauss_hermite_2d,
     logsumexp_rows,
 )
@@ -76,11 +75,8 @@ DEFAULT_ORDER = 40
 # 2 MB L2 cache from the operation that forms it to its reduction
 _BLOCK_ELEMENTS = 1 << 17
 # the EXP_FLOOR clip is skipped when every shifted exponent provably stays
-# above -_CLIP_FREE_NATS (see _clip_can_bite); the bound's three reductions
-# cost about 5 us, as much as clipping this many exponents, so smaller
-# problems (the quadrature's 1D rules) clip without it
+# above -_CLIP_FREE_NATS (see _clip_can_bite)
 _CLIP_FREE_NATS = -EXP_FLOOR - 100.0
-_GATE_MIN_ELEMENTS = 1 << 13
 # the tensor rule leaves out point j for transmitted point i when its term
 # is below e**-_PRUNE_NATS / M at every kept node (see _kept_columns)
 _PRUNE_NATS = 37.0
@@ -145,6 +141,8 @@ def _noise_variance(c: Constellation, snr) -> float:
 def _log_partition(noise2, diff, sq, n0, out=None, buf=None, row_max=None):
     """log sum_j exp(-(|x_i-x_j|^2 + <2*noise, x_i-x_j>)/N0) per noise row.
 
+    Monte Carlo's kernel; the quadrature takes `_grid_mi` instead.
+
     `noise2` is (K, 2) doubled noise, `diff` is (M, 2) of x_i - x_j for one
     transmitted point x_i and `sq` is (M,) of |x_i - x_j|^2; the result has
     shape (K,) and is written into `out` when given. Rows are formed and
@@ -179,7 +177,7 @@ def _log_partition(noise2, diff, sq, n0, out=None, buf=None, row_max=None):
         buf = np.empty(min(rows, k) * m)
     if row_max is None:
         row_max = np.empty(min(rows, k))
-    clip = k * m < _GATE_MIN_ELEMENTS or _clip_can_bite(noise2, sq, n0)
+    clip = _clip_can_bite(noise2, sq, n0)
     for s in range(0, k, rows):
         lo, hi = max(0, min(s, k - 2)), min(s + rows, k)
         n = hi - lo
@@ -220,33 +218,14 @@ def gaussian_capacity(snr) -> float:
     return math.log2(1.0 + _as_snr(snr))
 
 
-def _finish_value(value: float, m: int) -> float:
+def _finish_value(value: float, m: int, cause: str = "estimator bug") -> float:
     if value > math.log2(m) + _MI_SLACK or value < -_MI_SLACK:
-        raise EstimatorError(
-            f"MI estimate {value!r} outside [0, log2({m})]; estimator bug"
-        )
+        raise EstimatorError(f"MI estimate {value!r} outside [0, log2({m})]; {cause}")
     return max(value, 0.0)
 
 
 def _on_x_axis(v: np.ndarray) -> np.ndarray:
     return np.column_stack((v, np.zeros_like(v)))
-
-
-def _rule_mi(pts, reps, mults, nodes, weights, n0) -> float:
-    """log2(M) - (1/M) sum_i E[log2 sum_j ...] over the M points `pts`.
-
-    The sum over i runs over the representatives `reps`, each standing for
-    `mults` points; the expectation is the rule (nodes, weights).
-    """
-    m = len(pts)
-    # 2*N for the noise N = sqrt(N0) * z at every node
-    noise2 = (2.0 * math.sqrt(n0)) * nodes
-    total = 0.0
-    for i, mult in zip(reps.tolist(), mults.tolist()):
-        diff = pts[i] - pts
-        sq = np.sum(diff * diff, axis=1)
-        total += mult * float(_log_partition(noise2, diff, sq, n0) @ weights)
-    return math.log2(m) - total / (m * LN2)
 
 
 def _kept_radius(z, w) -> float:
@@ -305,7 +284,12 @@ def _grid_partition(coef, d, buf) -> np.ndarray:
 
 
 def _grid_mi(pts, reps, mults, z, w, n0) -> float:
-    """`_rule_mi` against the tensor rule in grid form (z, w), with pruning."""
+    """log2(M) - (1/M) sum_i E[log2 sum_j ...] over the M points `pts`.
+
+    The sum over i runs over the representatives `reps`, each standing for
+    `mults` points; the expectation is the tensor rule in grid form (z, w),
+    with pruning.
+    """
     m, r = len(pts), len(z)
     rho = _kept_radius(z, w)
     coef = np.zeros((2 * r, 3))
@@ -336,12 +320,15 @@ def mi_quadrature(c: Constellation, snr, order: int = DEFAULT_ORDER) -> MiEstima
     substitution N = sqrt(N0) * z against the weight exp(-z^2)/sqrt(pi) on
     each axis. Exactly reproducible across runs.
 
-    A square grid X x Y is evaluated as MI(X) + MI(Y) against the 1D rule
-    of the same order. Any other set is evaluated at one point per orbit of
-    its symmetries of the square, weighted by the orbit's size; the tensor
-    nodes are invariant under those symmetries, so this changes the value
-    by rounding only (below 1.5e-13 bits on the families). A set with no
-    symmetry gets the loop over every point.
+    A point set is evaluated at one point per orbit of its symmetries of
+    the square, weighted by the orbit's size; the tensor nodes are
+    invariant under those symmetries, so this changes the value by rounding
+    only (below 1.5e-13 bits on the families). A set with no symmetry gets
+    the loop over every point. A square grid X x Y is evaluated as
+    MI(X) + MI(Y), each axis embedded on the x axis and taken the same way
+    (a symmetric axis halves by the mirror x -> -x). On the x axis the y
+    noise cancels from every exponent, so the tensor rule gives the 1D
+    expectation with the weight of its pruned nodes left out, about 3e-15.
 
     For each point evaluated, the inner sums at all tensor nodes come from
     one product of two small matrices, as the exponent separates over the
@@ -363,16 +350,10 @@ def mi_quadrature(c: Constellation, snr, order: int = DEFAULT_ORDER) -> MiEstima
         )
     n0 = _noise_variance(c, snr)
     pts = c.points
+    rule = gauss_hermite_2d(order)
     axes = product_axes(pts)
-    if axes is None:
-        value = _grid_mi(pts, *orbits(pts), *gauss_hermite_2d(order), n0)
-    else:
-        z, w = gauss_hermite_1d(order)
-        nodes = _on_x_axis(z)
-        # the 1D problems cost O(n^2 * order), so each takes every point
-        n = len(axes[0])
-        every_point = (np.arange(n), np.ones(n, dtype=int))
-        value = sum(_rule_mi(_on_x_axis(a), *every_point, nodes, w, n0) for a in axes)
+    sets = [pts] if axes is None else [_on_x_axis(a) for a in axes]
+    value = sum(_grid_mi(p, *orbits(p), *rule, n0) for p in sets)
     return MiEstimate(_finish_value(value, len(pts)), "quadrature", 0.0)
 
 
@@ -487,7 +468,9 @@ def mi_monte_carlo(c: Constellation, snr, samples: int, seed: int) -> MiEstimate
         value = float(np.sum(stratum_means * counts) / samples)
     _, _, m2 = moments
     std_error = math.sqrt(m2 / (samples - 1) / samples) if samples > 1 else 0.0
-    return MiEstimate(_finish_value(value, m), "monte_carlo", std_error)
+    # sampling noise, not a bug, when too few draws put the mean outside
+    cause = f"std_error {std_error:.3g} from {samples} samples; raise --samples"
+    return MiEstimate(_finish_value(value, m, cause), "monte_carlo", std_error)
 
 
 def gap_metrics(mi: float, snr) -> tuple:

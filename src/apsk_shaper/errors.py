@@ -6,7 +6,12 @@ class DomainError(ValueError):
 
 
 class EstimatorError(RuntimeError):
-    """An estimate violates a bound it must satisfy (estimator bug sentinel)."""
+    """An estimate violates a bound it must satisfy.
+
+    For quadrature that is an estimator bug; for Monte Carlo it can also be
+    sampling noise from too few samples, and the message then gives the
+    standard error and the sample count.
+    """
 
 
 class ContractError(RuntimeError):

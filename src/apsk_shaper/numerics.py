@@ -1,4 +1,5 @@
-"""Shared numerical helpers: log-sum-exp and Gauss-Hermite rules."""
+"""Numerical helpers: Monte Carlo's row-wise log-sum-exp and the tensor
+Gauss-Hermite rule of the quadrature."""
 
 from functools import lru_cache
 
@@ -115,18 +116,3 @@ def gauss_hermite_2d(order: int):
     z.setflags(write=False)
     weights.setflags(write=False)
     return z, weights
-
-
-@lru_cache(maxsize=8)
-def gauss_hermite_1d(order: int):
-    """Gauss-Hermite rule for one axis: (nodes, weights), both of shape (order,).
-
-    hermgauss(order) with weights divided by sqrt(pi), so the rule
-    approximates E[f(Z)] for Z with density exp(-z^2)/sqrt(pi). Every node
-    is kept. Both arrays are read-only so the cache is safe to share.
-    """
-    z, w = hermgauss(order)
-    w = w / np.sqrt(np.pi)
-    z.setflags(write=False)
-    w.setflags(write=False)
-    return z, w

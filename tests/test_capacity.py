@@ -113,7 +113,6 @@ class TestQuadrature:
             raise AssertionError("nodes built for a rejected order")
 
         monkeypatch.setattr(capacity, "gauss_hermite_2d", no_nodes)
-        monkeypatch.setattr(capacity, "gauss_hermite_1d", no_nodes)
         for order in (capacity._MAX_ORDER + 1, 100_000):
             with pytest.raises(DomainError, match=str(capacity._MAX_ORDER)):
                 mi_quadrature(square_qam(2), SnrSpec(1.0), order=order)

@@ -103,12 +103,21 @@ class TestEvaluate:
         assert code == 3
         assert "capacity" in err
 
+    def test_mc_range_error_names_the_sample_count(self, capsys):
+        # 4 draws give -0.615 bits with a standard error of 1.99: too few
+        # samples, not an estimator bug
+        code, out, err = run(capsys, "evaluate", "--family", "box_muller", "--n", "2",
+                             "--snr-db", "10", "--method", "mc",
+                             "--samples", "4", "--seed", "0")
+        assert (code, out) == (3, "")
+        assert "estimator bug" not in err
+        assert "std_error 1.99 from 4 samples" in err and "--samples" in err
+
     def test_order_above_cap_exits_2(self, capsys, monkeypatch):
         def no_nodes(*args):
             raise AssertionError("nodes built for a rejected order")
 
         monkeypatch.setattr(capacity, "gauss_hermite_2d", no_nodes)
-        monkeypatch.setattr(capacity, "gauss_hermite_1d", no_nodes)
         for command in ("evaluate", "sweep"):
             code, out, err = run(capsys, command, "--family", "qam", "--n", "2",
                                  "--snr-db", "10", "--order", "100000")

@@ -77,7 +77,6 @@ class TestBlocks:
         assert len(blocks) > c.M
 
     def test_quadrature_blocks_and_temporaries_stay_bounded(self, monkeypatch):
-        c = make_constellation("box_muller", 32)
         r = len(numerics.gauss_hermite_2d(40)[0])
         factors = []
         inner = capacity._axis_factors
@@ -89,17 +88,21 @@ class TestBlocks:
 
         monkeypatch.setattr(capacity, "_axis_factors", recording)
         lse_blocks = record_blocks(monkeypatch)
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            mi_quadrature(c, SnrSpec.from_db(10.0), 40)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert factors and not lse_blocks
-        assert max(max(f) for f in factors) <= max(capacity._BLOCK_ELEMENTS, r)
-        # the unblocked kernel held 53 MB of exponents at once here
-        assert peak <= 4e6
+        # the square grid's two 1D problems take the same kernel
+        for family in ("box_muller", "qam"):
+            factors.clear()
+            c = make_constellation(family, 32)
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                mi_quadrature(c, SnrSpec.from_db(10.0), 40)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert factors and not lse_blocks, family
+            assert max(max(f) for f in factors) <= max(capacity._BLOCK_ELEMENTS, r), family
+            # the unblocked kernel held 53 MB of exponents at once at box n=32
+            assert peak <= 4e6, family
 
     def test_quadrature_factor_blocks_do_not_change_the_value(self, monkeypatch):
         c = make_constellation("box_muller", 8)
@@ -300,8 +303,7 @@ class TestLayout:
     def test_the_gate_holds_where_its_bound_is_attained(self, monkeypatch):
         # diagonal noise N = (3, 3), a point at d = -N that makes the row max
         # |N|^2/N0, and one at |d| = 5 along N: its shifted exponent is
-        # exactly -(|N| + |d|max)^2/N0, the gate's bound; 4096 rows make the
-        # problem large enough to be gated
+        # exactly -(|N| + |d|max)^2/N0, the gate's bound
         seen = record_shifted_minima(monkeypatch)
         noise = np.array([3.0, 3.0])
         diff = np.array([[0.0, 0.0], -noise, 5.0 * noise / math.hypot(*noise)])
@@ -315,7 +317,7 @@ class TestLayout:
 
     def test_60_db_box_muller_takes_the_clip(self, monkeypatch):
         seen = record_shifted_minima(monkeypatch)
-        # 200 draws per point for 64 points: large enough to be gated
+        # 200 draws per point for 64 points
         mi_monte_carlo(make_constellation("box_muller", 8), SnrSpec.from_db(60.0), 64 * 200, 2)
         assert seen and all(clip for clip, _ in seen)
         assert min(low for _, low in seen) < numerics.EXP_FLOOR
@@ -374,8 +376,14 @@ def kernel_case(name, power):
 def direct_mi(c, snr, order):
     """Row-wise log-sum-exp over every point j at every kept tensor node."""
     n0 = capacity._noise_variance(c, snr)
-    value = capacity._rule_mi(c.points, *orbits(c.points), *tensor_rule(order), n0)
-    return max(value, 0.0)
+    nodes, weights = tensor_rule(order)
+    noise2 = (2.0 * math.sqrt(n0)) * nodes
+    pts, total = c.points, 0.0
+    for i, mult in zip(*(a.tolist() for a in orbits(pts))):
+        diff = pts[i] - pts
+        sq = np.sum(diff * diff, axis=1)
+        total += mult * float(capacity._log_partition(noise2, diff, sq, n0) @ weights)
+    return max(math.log2(c.M) - total / (c.M * numerics.LN2), 0.0)
 
 
 def record_partitions(monkeypatch):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from apsk_shaper import (
@@ -214,3 +214,33 @@ def test_mi_lies_between_zero_and_both_bounds(c, snr_db, order):
     value = mi_quadrature(c, snr, order).value
     upper = min(math.log2(c.M), capacity.gaussian_capacity(snr))
     assert 0.0 <= value <= upper + 1e-9
+
+
+@st.composite
+def product_grids(draw):
+    """(X, Y, points) of a grid X x Y with unequal, asymmetric axes.
+
+    The points are listed with x or with y varying slowest.
+    """
+    n = draw(st.integers(2, 5))
+    axis = st.lists(coordinate, min_size=n, max_size=n, unique=True).filter(
+        lambda v: set(v) != {-t for t in v})
+    xs, ys = draw(axis), draw(axis)
+    assume(sorted(xs) != sorted(ys))
+    if draw(st.booleans()):
+        pts = [(x, y) for x in xs for y in ys]
+    else:
+        pts = [(x, y) for y in ys for x in xs]
+    return xs, ys, np.array(pts)
+
+
+@PROPERTY_SETTINGS
+@given(grid=product_grids(), snr_db=snr_dbs, order=st.integers(8, 60))
+def test_asymmetric_product_grids_match_the_full_loop(grid, snr_db, order):
+    xs, ys, pts = grid
+    assert [a.tolist() for a in product_axes(pts)] == [xs, ys]
+    power = float(np.mean(np.sum(pts**2, axis=1)))
+    c = Constellation("grid", SQUARE_QAM, 1, power, pts)
+    snr = SnrSpec.from_db(snr_db)
+    got = mi_quadrature(c, snr, order).value
+    assert abs(got - full_loop(c, snr, order)) <= PATH_TOL
