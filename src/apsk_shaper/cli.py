@@ -18,7 +18,6 @@ from .capacity import DEFAULT_ORDER
 from .constellations import (
     BOX_MULLER,
     DVB_VARIANT,
-    SQUARE_QAM,
     canonical_family,
     make_constellation,
 )
@@ -177,8 +176,7 @@ def cmd_grid(args) -> int:
     """`sweep` and `compare`: one CSV row per (family, n, snr_db)."""
     seed, method = _seed(args), _METHODS[args.method]
     constellations = [
-        # QAM is already at exactly P; --normalize only rescales the APSK rows
-        make_constellation(f, n, args.power, args.normalize and canonical_family(f) != SQUARE_QAM)
+        make_constellation(f, n, args.power, args.normalize)
         for f in args.families
         for n in args.n
     ]

@@ -177,14 +177,16 @@ def make_constellation(
     normalize: bool = False,
     label: Optional[str] = None,
 ) -> Constellation:
-    """Construct any family by (canonical or alias) name, for n in [1, MAX_N]."""
+    """Construct any family by (canonical or alias) name, for n in [1, MAX_N].
+
+    `normalize` rescales the APSK families to average power exactly P; it is
+    a no-op for square QAM, which is built at exactly P.
+    """
     fam = canonical_family(family)
     if fam == BOX_MULLER:
         return box_muller_apsk(n, power, normalize, label)
     if fam == DVB_VARIANT:
         return dvb_variant_apsk(n, power, normalize, label)
-    if normalize:
-        raise DomainError("normalize applies to the APSK families only")
     return square_qam(n, power, label)
 
 

@@ -229,8 +229,10 @@ class TestFamilies:
         assert make_constellation("qam", 2).family == SQUARE_QAM
         assert make_constellation("box_muller", 2).family == BOX_MULLER
         assert make_constellation("dvb_variant", 2).family == DVB_VARIANT
-        with pytest.raises(DomainError):
-            make_constellation("qam", 2, normalize=True)
+        # square QAM is already at exactly P: normalize changes nothing
+        plain, normalized = make_constellation("qam", 2), make_constellation("qam", 2, normalize=True)
+        assert normalized.label == plain.label
+        assert normalized.points.tobytes() == plain.points.tobytes()
 
     @pytest.mark.parametrize("family", ["box_muller", "dvb_variant", "qam"])
     @pytest.mark.parametrize("n", [MAX_N + 2, 100_000])
