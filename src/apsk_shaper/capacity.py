@@ -13,15 +13,18 @@ Gauss-Hermite rule (`mi_quadrature`) and a seeded stratified Monte Carlo
 
 Monte Carlo forms its inner sums for one transmitted point x_i at a time
 in `_log_partition`. It walks the noise rows in blocks of about
-_BLOCK_ELEMENTS exponents, small enough to stay in cache, and reduces each
-block with `numerics.logsumexp_rows` (max subtraction, then exponents
-clipped at a floor that cannot change a row sum). For M up to 128 (numpy's
-pairwise summation block) a block is laid out point-major, one contiguous
-row of exponents per point j, so every step runs over whole columns;
-longer rows stay row-major. The clip runs only when the bound
--(|N|max + |d|max)^2/N0 on the shifted exponents says it can bite. Every
-row is computed the same way whatever the block size or layout, so
-neither changes a value.
+_BLOCK_ELEMENTS exponents, small enough to stay in cache, each laid out
+point-major (one contiguous row of exponents per point j), and reduces each
+block with `numerics.logsumexp_rows`: exponents clipped at a floor that
+cannot change a row sum, then `exp`, a row sum and `log`. There is no max
+pass: the j = i exponent is exactly 0, so every row sum is at least 1, and
+no exponent exceeds |N|^2/N0, half the squared norm of the draw's
+standard-normal pair. The clip runs only when the bound
+-(|N|max + |d|max)^2/N0 on the exponents says it can bite. A value's bits
+are fixed by the draws per point, M, _BLOCK_ELEMENTS and the gemm kernel
+(gemm can round an element of the exponent product differently at another
+block width); they do not depend on the number of threads or the order in
+which the points run.
 
 The quadrature uses that the tensor rule's nodes z = (z_a, z_b) form a
 grid, and that with d_j = x_i - x_j the term of j at node z factors as
@@ -59,13 +62,7 @@ import numpy as np
 
 from .constellations import Constellation
 from .errors import DomainError, EstimatorError
-from .numerics import (
-    EXP_FLOOR,
-    LN2,
-    PAIRWISE_BLOCK,
-    gauss_hermite_2d,
-    logsumexp_rows,
-)
+from .numerics import EXP_FLOOR, LN2, gauss_hermite_2d, logsumexp_rows
 from .symmetry import orbits, product_axes
 
 DEFAULT_ORDER = 40
@@ -74,7 +71,7 @@ DEFAULT_ORDER = 40
 # factors together: 1 << 17 doubles (about 1 MB), so a block stays in a
 # 2 MB L2 cache from the operation that forms it to its reduction
 _BLOCK_ELEMENTS = 1 << 17
-# the EXP_FLOOR clip is skipped when every shifted exponent provably stays
+# the EXP_FLOOR clip is skipped when every exponent provably stays
 # above -_CLIP_FREE_NATS (see _clip_can_bite)
 _CLIP_FREE_NATS = -EXP_FLOOR - 100.0
 # the tensor rule leaves out point j for transmitted point i when its term
@@ -138,7 +135,7 @@ def _noise_variance(c: Constellation, snr) -> float:
     return n0
 
 
-def _log_partition(noise2, diff, sq, n0, out=None, buf=None, row_max=None):
+def _log_partition(noise2, diff, sq, n0, out=None, buf=None):
     """log sum_j exp(-(|x_i-x_j|^2 + <2*noise, x_i-x_j>)/N0) per noise row.
 
     Monte Carlo's kernel; the quadrature takes `_grid_mi` instead.
@@ -147,27 +144,24 @@ def _log_partition(noise2, diff, sq, n0, out=None, buf=None, row_max=None):
     transmitted point x_i and `sq` is (M,) of |x_i - x_j|^2; the result has
     shape (K,) and is written into `out` when given. Rows are formed and
     reduced in blocks of n = max(2, _BLOCK_ELEMENTS // M) rows, in the
-    first n*M elements of the flat buffer `buf` and the first n of
-    `row_max` when given (they need min(K, n)*M and min(K, n) elements). A
-    one-row matmul goes through gemv, which rounds differently from gemm,
-    so no block has one row unless K is 1: a one-row tail starts a row
-    early and recomputes that row.
+    first n*M elements of the flat buffer `buf` when given (it needs
+    min(K, n)*M elements). A block is formed point-major, as the C-order
+    (M, n) product diff @ noise2.T, and reduced through its (n, M) view, so
+    every step runs over contiguous columns. A one-row matmul goes through
+    gemv, which rounds differently from gemm, so no block has one row
+    unless K is 1: a one-row tail starts a row early and recomputes that
+    row. The bits of a row can depend on n, since gemm may round an element
+    of the product differently at another width; they are fixed by K, M,
+    _BLOCK_ELEMENTS and the gemm kernel.
 
-    For M <= PAIRWISE_BLOCK a block is formed point-major, as the C-order
-    (M, n) product diff @ noise2.T, and reduced through its (n, M) view:
-    the max, shift, `exp` and the pairwise sum then run over contiguous
-    columns, with the same bits as the row-major block (gemm rounds each
-    element of the inner-dimension-2 product the same either way). Longer
-    rows stay row-major, where np.sum keeps its bits.
+    No max is subtracted: the j = i exponent is exactly 0 (diff and sq are
+    0 there), which is what `logsumexp_rows` needs, and no exponent exceeds
+    |N|^2/N0 with N = noise2/2. For Monte Carlo's draws that is |z|^2/2 for
+    a standard-normal pair z, which reaches `exp`'s overflow at 709 only
+    with a coordinate beyond 26 sigma.
     """
     k, m = len(noise2), len(diff)
     rows = _block_rows(m)
-    # point-major takes 0.3-0.5x the row-major time for M = 4 to 64 and
-    # 0.9x at M = 128; a pairwise sum of longer rows over column slices
-    # breaks even at M = 256 and is 1.2x slower at M = 1024 (65,536 draws,
-    # 2-core Xeon, one BLAS thread), so longer rows stay row-major, where
-    # np.sum has the bits without a reproduction
-    point_major = m <= PAIRWISE_BLOCK
     if out is None:
         out = np.empty(k)
     # one buffer for every block: allocated afresh, at alternating sizes, a
@@ -175,32 +169,22 @@ def _log_partition(noise2, diff, sq, n0, out=None, buf=None, row_max=None):
     # faults in 1.8 s at box_muller n=24)
     if buf is None:
         buf = np.empty(min(rows, k) * m)
-    if row_max is None:
-        row_max = np.empty(min(rows, k))
     clip = _clip_can_bite(noise2, sq, n0)
     for s in range(0, k, rows):
         lo, hi = max(0, min(s, k - 2)), min(s + rows, k)
         n = hi - lo
-        block = buf[: n * m]
-        if point_major:
-            expo = np.matmul(diff, noise2[lo:hi].T, out=block.reshape(m, n))
-            expo += sq[:, None]
-        else:
-            expo = np.matmul(noise2[lo:hi], diff.T, out=block.reshape(n, m))
-            expo += sq
+        expo = np.matmul(diff, noise2[lo:hi].T, out=buf[: n * m].reshape(m, n))
+        expo += sq[:, None]
         expo *= -1.0 / n0
-        if point_major:
-            expo = expo.T
-        logsumexp_rows(expo, out=out[lo:hi], row_max=row_max[:n], clip=clip)
+        logsumexp_rows(expo.T, out=out[lo:hi], clip=clip)
     return out
 
 
 def _clip_can_bite(noise2, sq, n0) -> bool:
-    """Whether a shifted exponent of `_log_partition` can fall below EXP_FLOOR.
+    """Whether an exponent of `_log_partition` can fall below EXP_FLOOR.
 
-    With N = noise2/2 the exponent of j is (|N|^2 - |d_j + N|^2)/N0 and the
-    row max is at most |N|^2/N0, so after the max shift every exponent is
-    at least -(|N| + |d_j|)^2/N0 >= -(|N|max + |d|max)^2/N0, with |N| at
+    With N = noise2/2 the exponent of j is (|N|^2 - |d_j + N|^2)/N0, which
+    is at least -(|N| + |d_j|)^2/N0 >= -(|N|max + |d|max)^2/N0, with |N| at
     most sqrt(2) times its largest coordinate. Below _CLIP_FREE_NATS (100
     nats inside the floor, far beyond rounding) the clip is a no-op.
     """
@@ -371,7 +355,7 @@ def _mc_stratum(pts, i, count, seed, n0, scratch):
 
     Returns (sum of the per-draw contributions, [(k, mean, M2) per chunk of
     at most _MC_CHUNK_ROWS draws]). `scratch` is the calling worker's
-    (noise, row, block, row max) buffers, sized for its largest chunk.
+    (noise, row, block) buffers, sized for its largest chunk.
     """
     bitgen = np.random.Philox(key=seed)
     bitgen.advance(i * _MC_STREAM_STRIDE)
@@ -380,7 +364,7 @@ def _mc_stratum(pts, i, count, seed, n0, scratch):
     sq = np.sum(diff * diff, axis=1)
     scale = 2.0 * math.sqrt(n0 / 2.0)
     log_m = math.log(len(pts))
-    noise, rows, buf, row_max = scratch
+    noise, rows, buf = scratch
     acc = 0.0
     chunks = []
     left = count
@@ -388,7 +372,7 @@ def _mc_stratum(pts, i, count, seed, n0, scratch):
         k = min(left, _MC_CHUNK_ROWS)
         noise2 = rng.standard_normal(out=noise[:k])
         noise2 *= scale
-        g = _log_partition(noise2, diff, sq, n0, out=rows[:k], buf=buf, row_max=row_max)
+        g = _log_partition(noise2, diff, sq, n0, out=rows[:k], buf=buf)
         np.subtract(log_m, g, out=g)
         g /= LN2
         acc += float(g.sum())
@@ -432,7 +416,7 @@ def mi_monte_carlo(c: Constellation, snr, samples: int, seed: int) -> MiEstimate
     def work(w):
         try:
             rows = min(_block_rows(m), chunk)
-            scratch = (np.empty((chunk, 2)), np.empty(chunk), np.empty(rows * m), np.empty(rows))
+            scratch = (np.empty((chunk, 2)), np.empty(chunk), np.empty(rows * m))
             for i in range(w, strata, workers):
                 if errors:
                     return

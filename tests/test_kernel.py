@@ -1,6 +1,6 @@
-"""The MI kernels: log-partition row blocks and their point-major layout, row
-max and sum, the exp clip and its gate, node pruning, and the separable
-tensor-rule kernel of the quadrature."""
+"""The MI kernels: Monte Carlo's point-major log-partition blocks against a
+row-major reference, the exp clip and its gate, node pruning, and the
+separable tensor-rule kernel of the quadrature."""
 
 import math
 import threading
@@ -49,7 +49,10 @@ class TestBlocks:
         noise2, diff, sq = random_case(k, m, seed=k * m)
         want = capacity._log_partition(noise2, diff, sq, 0.7)
         # budgets of 1 and 3 give two-row blocks, so k = 1001 ends in a
-        # one-row tail; M - 1 gives one row per budget and blocks of two
+        # one-row tail; M - 1 gives one row per budget and blocks of two.
+        # gemm rounds these narrow blocks as it does the default one; at some
+        # other widths (300 or 655 rows) it can move a row's last bit
+        # (see _log_partition)
         for budget in (1, 3, m - 1):
             monkeypatch.setattr(capacity, "_BLOCK_ELEMENTS", budget)
             got = capacity._log_partition(noise2, diff, sq, 0.7)
@@ -120,9 +123,14 @@ def mc_result(c, samples, seed=5):
 
 
 class TestWorkers:
-    @pytest.mark.parametrize("family", ["box_muller", "dvb_variant", "qam"])
-    def test_bits_do_not_depend_on_the_worker_count(self, monkeypatch, family):
-        c = make_constellation(family, 4)
+    @pytest.mark.parametrize(
+        "family,n",
+        [("box_muller", 4), ("dvb_variant", 4), ("qam", 4), ("box_muller", 12)],
+        ids=["box_muller", "dvb_variant", "qam", "box_muller-12"],
+    )
+    def test_bits_do_not_depend_on_the_worker_count(self, monkeypatch, family, n):
+        # M = 16 and 144 points
+        c = make_constellation(family, n)
         for samples in (1, c.M - 1, c.M + 1):
             monkeypatch.setattr(capacity, "_WORKERS", 1)
             want = mc_result(c, samples)
@@ -169,8 +177,8 @@ class TestWorkers:
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_temporaries_stay_within_a_budget_per_worker(self, monkeypatch, workers):
-        # each worker holds a 1 MB noise chunk, a 0.5 MB row buffer, a 1 MB
-        # exponent block and a 0.26 MB row-max buffer: about 2.9 MB
+        # each worker holds a 1 MB noise chunk, a 0.5 MB row buffer and a 1 MB
+        # exponent block: about 2.6 MB
         budget = 3.5e6
         c = make_constellation("box_muller", 2)
         snr = SnrSpec.from_db(10.0)
@@ -188,53 +196,23 @@ class TestWorkers:
         assert peak <= budget * min(workers, c.M)
 
 
-# row lengths around numpy's pairwise unroll (8) and block (128) and the
-# old column-wise switches (8 and 64)
-ROW_LENGTHS = [1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 64, 65, 127, 128, 129]
-
-
-def layouts(a):
-    """`a` in C order and as the point-major view of a C-order (M, rows) block."""
-    return {"c_order": a.copy(), "point_major": np.ascontiguousarray(a.T).T}
-
-
 class TestLogSumExp:
-    @pytest.mark.parametrize("m", ROW_LENGTHS)
-    def test_row_max_matches_numpy_on_both_sides_of_the_switch(self, m):
-        a = np.random.default_rng(m).standard_normal((37, m))
-        want = np.max(a, axis=-1).tobytes()
-        for layout, b in layouts(a).items():
-            row_max = np.full(37, np.nan)
-            numerics.logsumexp_rows(b, row_max=row_max)
-            assert row_max.tobytes() == want, layout
-
-    @pytest.mark.parametrize("m", ROW_LENGTHS)
-    def test_row_sum_matches_numpy_on_both_sides_of_the_switch(self, m):
-        # the summands of logsumexp_rows: exponentials of a wide range
-        a = np.exp(8.0 * np.random.default_rng(m).standard_normal((37, m)))
-        want = np.sum(a, axis=-1).tobytes()
-        for layout, b in layouts(a).items():
-            assert numerics._row_sum(b.copy()).tobytes() == want, layout
-            out = np.full(37, np.nan)
-            assert numerics._row_sum(b, out=out) is out
-            assert out.tobytes() == want, layout
-
     def test_clipped_rows_match_exact_sums(self):
+        # every row holds an exact 0, as the log-partition rows do; each sum
+        # has at most two terms above the floor's e**-700, so it rounds once
         rows = np.array(
             [
                 [0.0, -750.0, -1e4, -1e300],
                 [-1e300, 0.0, -700.5, -699.0],
-                [-1e300, -1e300, -1e300, -1e300],
-                [3.0, 3.0, -747.0, -1e300],
+                [-1e300, -1e300, -1e300, 0.0],
+                [3.0, 0.0, -747.0, -1e300],
+                [-2.0, -745.0, 0.0, -700.0],
             ]
         )
-        want = [
-            math.log(math.fsum(math.exp(v - max(row)) for v in row)) + max(row)
-            for row in rows.tolist()
-        ]
+        want = np.log([math.fsum(np.exp(row).tolist()) for row in rows])
         got = numerics.logsumexp_rows(rows.copy())
         assert np.all(np.isfinite(got))
-        assert got.tolist() == want
+        assert got.tobytes() == want.tobytes()
 
 
 # -- point-major blocks and the clip gate -------------------------------------
@@ -251,13 +229,13 @@ def mc_like_case(k, m, snr_db, seed):
     return noise2, diff, sq, n0
 
 
-def record_shifted_minima(monkeypatch):
-    """Wrap capacity.logsumexp_rows; return (clip, min of a - row max) per block."""
+def record_minima(monkeypatch):
+    """Wrap capacity.logsumexp_rows; return (clip, min exponent) per block."""
     seen = []
     inner = capacity.logsumexp_rows
 
     def recording(a, out=None, **kw):
-        seen.append((kw["clip"], float(np.min(a - a.max(axis=-1)[:, None]))))
+        seen.append((kw["clip"], float(np.min(a))))
         return inner(a, out=out, **kw)
 
     monkeypatch.setattr(capacity, "logsumexp_rows", recording)
@@ -277,46 +255,49 @@ def row_major_log_partition(noise2, diff, sq, n0):
     return out
 
 
+# the point-major blocks sum each row in another order than the reference
+# and skip its max shift; 2.7e-15 nats is the largest difference seen for
+# 1 to 1024 points
+LAYOUT_TOL = 2e-14
+
+
 class TestLayout:
     @pytest.mark.parametrize("k", [1, 2, 3, 40, 257, 1001])
     @pytest.mark.parametrize("snr_db", LAYOUT_SNR_DBS)
-    def test_point_major_blocks_match_row_major_bits(self, snr_db, k):
-        for m in range(1, 130):
+    def test_blocks_match_the_row_major_reference(self, snr_db, k):
+        for m in range(1, 301):
             noise2, diff, sq, n0 = mc_like_case(k, m, snr_db, seed=k + m)
             got = capacity._log_partition(noise2, diff, sq, n0)
             want = row_major_log_partition(noise2, diff, sq, n0)
-            assert got.tobytes() == want.tobytes(), m
+            assert np.max(np.abs(got - want)) <= LAYOUT_TOL, m
 
     def test_the_clip_is_skipped_only_where_it_cannot_bite(self, monkeypatch):
-        seen = record_shifted_minima(monkeypatch)
+        seen = record_minima(monkeypatch)
         for snr_db in np.arange(-10.0, 40.0, 2.5):
             for m in (2, 4, 16, 64, 200):
                 capacity._log_partition(*mc_like_case(4096, m, snr_db, seed=m))
         skipped = [low for clip, low in seen if not clip]
         taken = [low for clip, low in seen if clip]
-        # both branches run, and a skipped block keeps every shifted exponent
-        # inside the gate's margin, 100 nats above EXP_FLOOR
+        # both branches run, and a skipped block keeps every exponent inside
+        # the gate's margin, 100 nats above EXP_FLOOR
         assert skipped and taken
         assert min(skipped) >= -capacity._CLIP_FREE_NATS
         assert min(taken) < numerics.EXP_FLOOR
 
     def test_the_gate_holds_where_its_bound_is_attained(self, monkeypatch):
-        # diagonal noise N = (3, 3), a point at d = -N that makes the row max
-        # |N|^2/N0, and one at |d| = 5 along N: its shifted exponent is
-        # exactly -(|N| + |d|max)^2/N0, the gate's bound
-        seen = record_shifted_minima(monkeypatch)
-        noise = np.array([3.0, 3.0])
-        diff = np.array([[0.0, 0.0], -noise, 5.0 * noise / math.hypot(*noise)])
+        # with zero noise the exponent of the point at |d| = 5 is exactly
+        # -|d|max^2/N0, the gate's bound -(|N|max + |d|max)^2/N0 at N = 0
+        seen = record_minima(monkeypatch)
+        diff = np.array([[0.0, 0.0], [3.0, -4.0], [-1.0, 2.0]])
         sq = np.sum(diff * diff, axis=1)
-        reach2 = (math.hypot(*noise) + 5.0) ** 2
         for nats in np.linspace(500.5, 699.5, 40):
-            capacity._log_partition(np.tile(2.0 * noise, (4096, 1)), diff, sq, reach2 / nats)
+            capacity._log_partition(np.zeros((4096, 2)), diff, sq, 25.0 / nats)
         skipped = [low for clip, low in seen if not clip]
         assert skipped and len(skipped) < len(seen)
         assert -capacity._CLIP_FREE_NATS <= min(skipped) < -capacity._CLIP_FREE_NATS + 6.0
 
     def test_60_db_box_muller_takes_the_clip(self, monkeypatch):
-        seen = record_shifted_minima(monkeypatch)
+        seen = record_minima(monkeypatch)
         # 200 draws per point for 64 points
         mi_monte_carlo(make_constellation("box_muller", 8), SnrSpec.from_db(60.0), 64 * 200, 2)
         assert seen and all(clip for clip, _ in seen)
