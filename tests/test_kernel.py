@@ -1,6 +1,6 @@
 """The MI kernels: Monte Carlo's point-major log-partition blocks against a
-row-major reference, the exp clip and its gate, node pruning, and the
-separable tensor-rule kernel of the quadrature."""
+row-major reference, their row sums, the exp clip and its gate, node pruning,
+and the separable tensor-rule kernel of the quadrature."""
 
 import math
 import threading
@@ -196,7 +196,29 @@ class TestWorkers:
         assert peak <= budget * min(workers, c.M)
 
 
+# row lengths on both sides of numpy's pairwise-summation switches: its
+# unroll (8) and its block (128)
+ROW_LENGTHS = [1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 64, 65, 127, 128, 129]
+
+
+def layouts(a):
+    """`a` in C order and as the point-major view of a C-order (M, rows) block."""
+    return {"c_order": a.copy(), "point_major": np.ascontiguousarray(a.T).T}
+
+
 class TestLogSumExp:
+    @pytest.mark.parametrize("m", ROW_LENGTHS)
+    def test_row_sum_matches_numpy_on_both_sides_of_the_switch(self, m):
+        # exponents over a wide range, each row with an exact 0; the kernel
+        # sums rows in numpy's own order for the layout it is handed
+        a = -np.abs(8.0 * np.random.default_rng(m).standard_normal((37, m)))
+        a[np.arange(37), np.arange(37) % m] = 0.0
+        for layout, b in layouts(a).items():
+            want = np.log(np.sum(np.exp(b), axis=-1)).tobytes()
+            out = np.full(37, np.nan)
+            assert numerics.logsumexp_rows(b, out=out) is out
+            assert out.tobytes() == want, layout
+
     def test_clipped_rows_match_exact_sums(self):
         # every row holds an exact 0, as the log-partition rows do; each sum
         # has at most two terms above the floor's e**-700, so it rounds once
