@@ -20,11 +20,11 @@ cannot change a row sum, then `exp`, a row sum and `log`. There is no max
 pass: the j = i exponent is exactly 0, so every row sum is at least 1, and
 no exponent exceeds |N|^2/N0, half the squared norm of the draw's
 standard-normal pair. The clip runs only when the bound
--(|N|max + |d|max)^2/N0 on the exponents says it can bite. A value's bits
-are fixed by the draws per point, M, _BLOCK_ELEMENTS and the gemm kernel
-(gemm can round an element of the exponent product differently at another
-block width); they do not depend on the number of threads or the order in
-which the points run.
+-(|d|max^2 + 2|N|max |d|max)/N0 on the exponents says it can bite. A
+value's bits are fixed by the draws per point, M, _BLOCK_ELEMENTS and the
+gemm kernel (gemm can round an element of the exponent product differently
+at another block width); they do not depend on the number of threads or
+the order in which the points run.
 
 The quadrature uses that the tensor rule's nodes z = (z_a, z_b) form a
 grid, and that with d_j = x_i - x_j the term of j at node z factors as
@@ -183,14 +183,15 @@ def _log_partition(noise2, diff, sq, n0, out=None, buf=None):
 def _clip_can_bite(noise2, sq, n0) -> bool:
     """Whether an exponent of `_log_partition` can fall below EXP_FLOOR.
 
-    With N = noise2/2 the exponent of j is (|N|^2 - |d_j + N|^2)/N0, which
-    is at least -(|N| + |d_j|)^2/N0 >= -(|N|max + |d|max)^2/N0, with |N| at
-    most sqrt(2) times its largest coordinate. Below _CLIP_FREE_NATS (100
-    nats inside the floor, far beyond rounding) the clip is a no-op.
+    With N = noise2/2 the exponent of j is -(|d_j|^2 + 2<N, d_j>)/N0, which
+    is at least -(|d_j|^2 + 2|N||d_j|)/N0 >= -(|d|max^2 + 2|N|max |d|max)/N0,
+    with |N| at most sqrt(2) times its largest coordinate. Below
+    _CLIP_FREE_NATS (100 nats inside the floor, far beyond rounding) the
+    clip is a no-op.
     """
     coord = 0.5 * max(float(noise2.max()), -float(noise2.min()))
-    reach = math.sqrt(2.0) * coord + math.sqrt(float(sq.max()))
-    return reach * reach / n0 > _CLIP_FREE_NATS
+    reach = math.sqrt(float(sq.max()))
+    return (reach + 2.0 * math.sqrt(2.0) * coord) * reach / n0 > _CLIP_FREE_NATS
 
 
 def _block_rows(m: int) -> int:

@@ -307,13 +307,14 @@ class TestLayout:
         assert min(taken) < numerics.EXP_FLOOR
 
     def test_the_gate_holds_where_its_bound_is_attained(self, monkeypatch):
-        # with zero noise the exponent of the point at |d| = 5 is exactly
-        # -|d|max^2/N0, the gate's bound -(|N|max + |d|max)^2/N0 at N = 0
+        # every draw is N = (1, 1) and the farthest point d = (3, 3) lies on
+        # the same diagonal, so its exponent -(|d|^2 + 2<N, d>)/N0 = -30/N0
+        # is the gate's bound -(|d|max^2 + 2|N|max |d|max)/N0
         seen = record_minima(monkeypatch)
-        diff = np.array([[0.0, 0.0], [3.0, -4.0], [-1.0, 2.0]])
+        diff = np.array([[0.0, 0.0], [3.0, 3.0], [-1.0, 2.0]])
         sq = np.sum(diff * diff, axis=1)
         for nats in np.linspace(500.5, 699.5, 40):
-            capacity._log_partition(np.zeros((4096, 2)), diff, sq, 25.0 / nats)
+            capacity._log_partition(np.full((4096, 2), 2.0), diff, sq, 30.0 / nats)
         skipped = [low for clip, low in seen if not clip]
         assert skipped and len(skipped) < len(seen)
         assert -capacity._CLIP_FREE_NATS <= min(skipped) < -capacity._CLIP_FREE_NATS + 6.0
