@@ -4,8 +4,9 @@ The table holds 17-digit mi_quadrature (orders 40 and 60) and mi_monte_carlo
 values for {box_muller, dvb_variant, qam} x n in {2, 4, 8} x {0, 10, 20, 30}
 dB. Kernel rewrites must keep quadrature within 1e-11 bits and Monte Carlo
 bit for bit. The Monte Carlo bits were recorded with an OpenBLAS gemm kernel
-that fuses multiply-adds; the quadrature test also holds on kernels without
-FMA (1.3e-13 bits at most under SandyBridge and Prescott).
+that fuses multiply-adds; on kernels without FMA (SandyBridge, Prescott)
+quadrature holds within 1.3e-13 bits and Monte Carlo within 4.4e-16 bits,
+a last-bit move on 2 of the 36 rows, checked in a separate test.
 """
 
 import json
@@ -17,6 +18,8 @@ from apsk_shaper import SnrSpec, make_constellation, mi_monte_carlo, mi_quadratu
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "mi_golden.json").read_text())
 QUAD_TOL_BITS = 1e-11
+# rounding of the gemm kernel only; any change of the estimator moves more
+MC_TOL_BITS = 1e-14
 FAMILIES = ["box_muller", "dvb_variant", "qam"]
 
 
@@ -42,3 +45,10 @@ def test_monte_carlo_matches_golden_table(family):
     for r, c, snr, where in golden_cases(family):
         got = mi_monte_carlo(c, snr, GOLDEN["mc_samples"], GOLDEN["mc_seed"]).value
         assert got == r["mc"], where
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_monte_carlo_matches_golden_table_within_rounding(family):
+    for r, c, snr, where in golden_cases(family):
+        got = mi_monte_carlo(c, snr, GOLDEN["mc_samples"], GOLDEN["mc_seed"]).value
+        assert abs(got - r["mc"]) <= MC_TOL_BITS, where
