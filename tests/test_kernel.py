@@ -149,18 +149,23 @@ class TestWorkers:
             assert mc_result(c, samples) == want, workers
 
     @pytest.mark.parametrize("workers,samples", [(1, 100), (4, 1)])
-    def test_one_worker_starts_no_thread(self, monkeypatch, workers, samples):
+    def test_one_worker_runs_every_stratum_on_one_thread(self, monkeypatch, workers, samples):
         # one stratum (a single draw) also leaves a single worker
-        def no_thread(*args, **kwargs):
-            raise AssertionError("a thread was started")
+        threads = set()
+        inner = capacity._log_partition
+
+        def recording(*args, **kwargs):
+            threads.add(threading.get_ident())
+            return inner(*args, **kwargs)
 
         monkeypatch.setattr(capacity, "_WORKERS", workers)
-        monkeypatch.setattr(threading, "Thread", no_thread)
+        monkeypatch.setattr(capacity, "_log_partition", recording)
         mc_result(make_constellation("qam", 2), samples)
+        assert len(threads) == 1
 
     @pytest.mark.parametrize("failing", [0, 1])
     def test_a_failing_stratum_raises_after_every_thread_joined(self, monkeypatch, failing):
-        # at two workers point 0 runs on the calling thread, point 1 on the other
+        # at two workers points 0 and 1 start on the pool's two threads
         inner = capacity._log_partition
 
         def failing_point(noise2, diff, sq, n0, **kwargs):
@@ -173,6 +178,27 @@ class TestWorkers:
         monkeypatch.setattr(capacity, "_log_partition", failing_point)
         with pytest.raises(RuntimeError, match=f"stratum {failing}"):
             mc_result(make_constellation("qam", 2), 1000)
+        assert threading.active_count() == before
+
+    def test_a_failing_stratum_cancels_the_strata_not_started(self, monkeypatch):
+        # 64 points of 10,000 draws each; point 0 fails at its first block
+        started = set()
+        inner = capacity._log_partition
+
+        def failing_point(noise2, diff, sq, n0, **kwargs):
+            i = int(np.flatnonzero(~diff.any(axis=1))[0])  # diff is zero at j = i
+            started.add(i)
+            if i == 0:
+                raise RuntimeError("stratum 0")
+            return inner(noise2, diff, sq, n0, **kwargs)
+
+        before = threading.active_count()
+        monkeypatch.setattr(capacity, "_WORKERS", 2)
+        monkeypatch.setattr(capacity, "_log_partition", failing_point)
+        c = make_constellation("box_muller", 8)
+        with pytest.raises(RuntimeError, match="stratum 0"):
+            mi_monte_carlo(c, SnrSpec.from_db(10.0), c.M * 10000, 0)
+        assert len(started) < c.M
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
