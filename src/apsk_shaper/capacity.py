@@ -62,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constellations import Constellation
-from .errors import DomainError, EstimatorError
+from .errors import DomainError, EstimatorError, integer, positive
 from .numerics import EXP_FLOOR, LN2, gauss_hermite_2d, logsumexp_rows
 from .symmetry import orbits, product_axes
 
@@ -100,7 +100,7 @@ class SnrSpec:
     snr: float
 
     def __post_init__(self):
-        _as_snr(self.snr)
+        object.__setattr__(self, "snr", _as_snr(self.snr))
 
     @classmethod
     def from_db(cls, snr_db: float) -> "SnrSpec":
@@ -121,19 +121,12 @@ class MiEstimate:
 
 
 def _as_snr(snr) -> float:
-    value = snr.snr if isinstance(snr, SnrSpec) else float(snr)
-    if not np.isfinite(value) or value <= 0:
-        raise DomainError(f"snr must be a positive finite ratio, got {snr!r}")
-    return value
+    return positive("snr", snr.snr if isinstance(snr, SnrSpec) else snr)
 
 
 def _noise_variance(c: Constellation, snr) -> float:
-    """Total 2D noise variance N0 = P/snr, split N0/2 per real axis."""
-    n0 = c.power / _as_snr(snr)
-    # a hand-built Constellation can carry power 0
-    if not np.isfinite(n0) or n0 <= 0:
-        raise DomainError(f"noise variance must be > 0, got {n0!r}")
-    return n0
+    """N0 = P/snr, split N0/2 per real axis; a hand-built Constellation can have P = 0."""
+    return positive("noise variance", c.power / _as_snr(snr))
 
 
 def _log_partition(noise2, diff, sq, n0, out=None, buf=None):
@@ -330,10 +323,7 @@ def mi_quadrature(c: Constellation, snr, order: int = DEFAULT_ORDER) -> MiEstima
     row-wise log-sum-exp over every point this changes the value by
     rounding only (below 1e-13 bits).
     """
-    if not isinstance(order, int) or isinstance(order, bool) or not 2 <= order <= _MAX_ORDER:
-        raise DomainError(
-            f"quadrature order must be an integer in [2, {_MAX_ORDER}], got {order!r}"
-        )
+    order = integer("quadrature order", order, 2, _MAX_ORDER)
     n0 = _noise_variance(c, snr)
     pts = c.points
     rule = gauss_hermite_2d(order)
@@ -401,10 +391,8 @@ def mi_monte_carlo(c: Constellation, snr, samples: int, seed: int) -> MiEstimate
     std_error is the sample standard deviation of the per-draw
     contributions divided by sqrt(samples).
     """
-    if not isinstance(samples, int) or isinstance(samples, bool) or samples < 1:
-        raise DomainError(f"samples must be an integer >= 1, got {samples!r}")
-    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
-        raise DomainError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    samples = integer("samples", samples, 1, 2**63 - 1)  # counts are int64
+    seed = integer("seed", seed, 0, 2**64 - 1)
     n0 = _noise_variance(c, snr)
     pts = c.points
     m = len(pts)
@@ -427,18 +415,20 @@ def mi_monte_carlo(c: Constellation, snr, samples: int, seed: int) -> MiEstimate
         finally:
             spare.put(scratch)
 
-    pool = ThreadPoolExecutor(_WORKERS)
-    try:
-        results = list(pool.map(stratum, range(strata)))
-    finally:  # a failing stratum or Ctrl-C cancels the strata not yet started
-        pool.shutdown(cancel_futures=True)
-
     stratum_means = np.empty(strata)
     moments = (0.0, 0.0, 0.0)  # pooled per-draw count/mean/M2
-    for i, (acc, chunks) in enumerate(results):
-        for k, gm, m2 in chunks:
-            moments = _merge_moments(moments, k, gm, m2)
-        stratum_means[i] = acc / counts[i]
+    # windows of 64 strata per worker, merged as they come, bound the futures
+    window = 64 * _WORKERS
+    pool = ThreadPoolExecutor(_WORKERS)
+    try:
+        for lo in range(0, strata, window):
+            ids = range(lo, min(lo + window, strata))
+            for i, (acc, chunks) in zip(ids, pool.map(stratum, ids)):
+                for k, gm, m2 in chunks:
+                    moments = _merge_moments(moments, k, gm, m2)
+                stratum_means[i] = acc / counts[i]
+    finally:  # a failing stratum or Ctrl-C cancels the strata not yet started
+        pool.shutdown(cancel_futures=True)
     value = float(stratum_means.mean())
     _, _, m2 = moments
     std_error = math.sqrt(m2 / (samples - 1) / samples) if samples > 1 else 0.0

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, integer, positive
 
 BOX_MULLER = "box_muller_apsk"
 DVB_VARIANT = "dvb_variant_apsk"
@@ -79,11 +79,8 @@ class Constellation:
         return self.points.shape[0]
 
 
-def _check_common(n: int, power: float) -> None:
-    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= MAX_N:
-        raise DomainError(f"n must be an integer in [1, {MAX_N}], got {n!r}")
-    if not np.isfinite(power) or power <= 0:
-        raise DomainError(f"power must be > 0, got {power!r}")
+def _check_common(n, power) -> tuple:
+    return integer("n", n, 1, MAX_N), positive("power", power)
 
 
 def _ring_points(radii: np.ndarray, phases: np.ndarray) -> np.ndarray:
@@ -98,7 +95,7 @@ def _apsk(family, n, power, radii, phases, normalize, label):
         points = points * np.sqrt(power / np.mean(np.sum(points**2, axis=1)))
     if label is None:
         label = f"{family}_n{n}" + ("_normalized" if normalize else "")
-    return Constellation(label, family, n, float(power), points)
+    return Constellation(label, family, n, power, points)
 
 
 def box_muller_apsk(
@@ -120,7 +117,7 @@ def box_muller_apsk(
         normalize: rescale so the average power equals P exactly.
         label: optional label; defaults to a descriptive one.
     """
-    _check_common(n, power)
+    n, power = _check_common(n, power)
     k = np.arange(n)
     u = (2 * k + 1) / (2.0 * n)
     radii = np.sqrt(-power * np.log(u))
@@ -139,7 +136,7 @@ def dvb_variant_apsk(
     Ring k has radius sqrt(-P*ln((2k+1)/n)); each ring carries 2n points at
     phases 2*pi*(2l+1)/(4n). Requires even n so that n/2 rings are integral.
     """
-    _check_common(n, power)
+    n, power = _check_common(n, power)
     if n % 2:
         raise DomainError(f"dvb_variant_apsk requires an even n, got {n}")
     k = np.arange(n // 2)
@@ -156,7 +153,7 @@ def square_qam(n: int, power: float = 1.0, label: Optional[str] = None) -> Const
     n = 1 degenerates to the origin (zero power). Points are ordered
     row-major in (i, j).
     """
-    _check_common(n, power)
+    n, power = _check_common(n, power)
     if n == 1:
         points = np.zeros((1, 2))
     else:
@@ -167,7 +164,7 @@ def square_qam(n: int, power: float = 1.0, label: Optional[str] = None) -> Const
         points = np.stack([gx.ravel(), gy.ravel()], axis=1)
     if label is None:
         label = f"{SQUARE_QAM}_n{n}"
-    return Constellation(label, SQUARE_QAM, n, float(power), points)
+    return Constellation(label, SQUARE_QAM, n, power, points)
 
 
 def make_constellation(
@@ -234,14 +231,14 @@ def validate_constellation(c: Constellation) -> None:
     """
     if c.family not in FAMILIES:
         raise DomainError(f"unknown family {c.family!r}")
-    _check_common(c.n, c.power)
-    if c.family == DVB_VARIANT and c.n % 2:
-        raise DomainError(f"family {DVB_VARIANT} requires an even n, got {c.n}")
+    n, power = _check_common(c.n, c.power)
+    if c.family == DVB_VARIANT and n % 2:
+        raise DomainError(f"family {DVB_VARIANT} requires an even n, got {n}")
     pts = c.points
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise DomainError(f"points must have shape (M, 2), got {pts.shape}")
-    if pts.shape[0] != c.n**2:
-        raise DomainError(f"expected {c.n ** 2} points for n={c.n}, found {pts.shape[0]}")
+    if pts.shape[0] != n**2:
+        raise DomainError(f"expected {n ** 2} points for n={n}, found {pts.shape[0]}")
     if not np.all(np.isfinite(pts)):
         raise DomainError("points must be finite")
     order = np.lexsort((pts[:, 1], pts[:, 0]))
@@ -252,19 +249,19 @@ def validate_constellation(c: Constellation) -> None:
     avg = average_power(c)
     if c.family == SQUARE_QAM:
         # the n=1 grid degenerates to the origin and cannot carry power P
-        if c.n == 1:
+        if n == 1:
             if np.any(pts != 0.0):
                 raise DomainError("square_qam with n=1 must be the origin")
-        elif abs(avg - c.power) > _POWER_RTOL * c.power:
+        elif abs(avg - power) > _POWER_RTOL * power:
             raise DomainError(
-                f"square_qam average power {avg!r} must equal the budget {c.power!r}"
+                f"square_qam average power {avg!r} must equal the budget {power!r}"
             )
         return
 
-    if avg > c.power * (1.0 + _POWER_RTOL):
-        raise DomainError(f"average power {avg!r} exceeds the budget {c.power!r}")
+    if avg > power * (1.0 + _POWER_RTOL):
+        raise DomainError(f"average power {avg!r} exceeds the budget {power!r}")
     # ring-major order: n rings of n points, or n/2 rings of 2n points
-    n_rings = c.n if c.family == BOX_MULLER else c.n // 2
+    n_rings = n if c.family == BOX_MULLER else n // 2
     radii = np.sqrt(np.sum(pts**2, axis=1)).reshape(n_rings, -1)
     ring_radii = radii.mean(axis=1)
     if np.any(np.abs(radii - ring_radii[:, None]) > _RING_RTOL * ring_radii[:, None]):

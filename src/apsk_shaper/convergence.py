@@ -8,12 +8,12 @@ characteristic function to the Gaussian one (`point_set_cf`,
 """
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
-from .constellations import average_power, canonical_family, make_constellation
-from .errors import DomainError
+from .constellations import MAX_N, average_power, canonical_family, make_constellation
+from .errors import DomainError, integer, positive
 
 DEFAULT_T_VALUES = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
 
@@ -24,8 +24,7 @@ def lemma_scan(k_max: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     The left side never exceeds the right; the margin is what keeps the
     ring-radius construction inside its power budget.
     """
-    if not isinstance(k_max, int) or isinstance(k_max, bool) or k_max < 1:
-        raise DomainError(f"k_max must be an integer >= 1, got {k_max!r}")
+    k_max = integer("k_max", k_max, 1, 2**63 - 2)  # ks are int64
     ks = np.arange(1, k_max + 1, dtype=np.int64)
     lhs = ks * np.log(ks) - ks
     rhs = np.cumsum(np.log(np.arange(k_max) + 0.5))
@@ -46,8 +45,7 @@ def gaussian_cf(power: float, t_points: np.ndarray) -> np.ndarray:
 
     Real-valued, evaluated at each (t1, t2) row of `t_points`.
     """
-    if not np.isfinite(power) or power <= 0:
-        raise DomainError(f"power must be > 0, got {power!r}")
+    power = positive("power", power)
     t_points = np.asarray(t_points, dtype=np.float64)
     return np.exp(-power * np.sum(t_points**2, axis=1) / 4.0)
 
@@ -79,22 +77,17 @@ class CfConvergenceReport:
 
 
 def cf_convergence_scan(
-    family: str,
-    n_list: Sequence[int],
-    power: float = 1.0,
-    t_grid: Optional[np.ndarray] = None,
+    family: str, n_list: Sequence[int], power: float = 1.0
 ) -> CfConvergenceReport:
-    """Tabulate the CF approximation error for each size in `n_list`.
+    """Tabulate the CF approximation error on `default_t_grid()` per n in `n_list`.
 
     `n_list` must be non-empty and ascending. Deterministic; the error at
     t = 0 is identically zero because both CFs equal 1 there.
     """
-    n_list = tuple(int(n) for n in n_list)
+    n_list = tuple(integer("n", n, 1, MAX_N) for n in n_list)
     if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise DomainError(f"n_list must be non-empty and ascending, got {n_list!r}")
-    grid = default_t_grid() if t_grid is None else np.asarray(t_grid, dtype=np.float64)
-    if grid.ndim != 2 or grid.shape[1] != 2 or not len(grid):
-        raise DomainError("t_grid must be a non-empty array of (t1, t2) rows")
+    grid = default_t_grid()
     gauss = gaussian_cf(power, grid)
     errors = np.empty((len(n_list), len(grid)))
     for i, n in enumerate(n_list):
@@ -118,12 +111,12 @@ class PowerAuditReport:
 
     def rows(self) -> Iterator[Tuple[int, float, float, float]]:
         for n, avg, slack in zip(self.n_values, self.avg_powers, self.slacks):
-            yield int(n), float(avg), self.power, float(slack)
+            yield n, float(avg), self.power, float(slack)
 
 
 def power_audit(family: str, n_values: Sequence[int], power: float = 1.0) -> PowerAuditReport:
     """Measure the power-budget slack P - E|W|^2 for each size in `n_values`."""
-    n_values = tuple(int(n) for n in n_values)
+    n_values = tuple(integer("n", n, 1, MAX_N) for n in n_values)
     if not n_values:
         raise DomainError("n_values must be non-empty")
     avgs = np.asarray(

@@ -12,7 +12,7 @@ import json
 import numpy as np
 
 from .constellations import Constellation, validate_constellation
-from .errors import DomainError
+from .errors import DomainError, positive
 
 _KEYS = ("label", "family", "n", "power", "points")
 
@@ -59,10 +59,6 @@ def loads_constellation(text: str) -> Constellation:
         raise DomainError("label must be a string")
     if not isinstance(family, str):
         raise DomainError("family must be a string")
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise DomainError(f"n must be an integer, got {n!r}")
-    if not isinstance(power, (int, float)) or isinstance(power, bool):
-        raise DomainError(f"power must be a number, got {power!r}")
     if not isinstance(raw_points, list) or not all(
         isinstance(p, list)
         and len(p) == 2
@@ -70,8 +66,11 @@ def loads_constellation(text: str) -> Constellation:
         for p in raw_points
     ):
         raise DomainError("points must be a list of [x, y] number pairs")
-    points = np.asarray(raw_points, dtype=np.float64).reshape(len(raw_points), 2)
-    c = Constellation(label, family, n, float(power), points)
+    try:
+        points = np.asarray(raw_points, dtype=np.float64).reshape(len(raw_points), 2)
+    except OverflowError:  # an integer coordinate too large for a double
+        raise DomainError("points must be finite") from None
+    c = Constellation(label, family, n, positive("power", power), points)
     validate_constellation(c)
     return c
 

@@ -88,6 +88,13 @@ class TestGaussianCapacity:
         with pytest.raises(DomainError):
             gaussian_capacity(0.0)
 
+    @pytest.mark.parametrize("snr", ["2", True, 10**400], ids=["str", "bool", "huge"])
+    def test_rejects_snr_that_is_not_a_finite_real(self, snr):
+        with pytest.raises(DomainError, match="snr must be a finite number"):
+            gaussian_capacity(snr)
+        with pytest.raises(DomainError, match="snr must be a finite number"):
+            SnrSpec(snr)
+
 
 class TestQuadrature:
     def test_single_point_is_zero(self):
@@ -200,6 +207,17 @@ class TestMonteCarlo:
             mi_monte_carlo(c, SnrSpec(1.0), 0, 1)
         with pytest.raises(DomainError):
             mi_monte_carlo(c, SnrSpec(1.0), 10, -1)
+        # samples beyond int64; at one point every sample lands in one count
+        for samples in (2**63, 10**23):
+            with pytest.raises(DomainError, match=r"samples must be an integer in \[1, "):
+                mi_monte_carlo(square_qam(1), SnrSpec(1.0), samples, 0)
+
+    def test_numpy_integers_give_the_same_estimates(self):
+        c, snr = box_muller_apsk(2), SnrSpec.from_db(5.0)
+        assert mi_quadrature(c, snr, np.int64(40)) == mi_quadrature(c, snr, 40)
+        assert mi_monte_carlo(c, snr, np.int64(1000), np.uint64(7)) == mi_monte_carlo(
+            c, snr, 1000, 7
+        )
 
 
 class TestGapMetrics:

@@ -130,6 +130,22 @@ class TestEvaluate:
         assert (code, out) == (2, "")
         assert "snr" in err
 
+    def test_samples_beyond_int64_exits_2(self, capsys):
+        code, out, err = run(capsys, "evaluate", "--family", "qam", "--n", "2",
+                             "--snr-db", "10", "--method", "mc",
+                             "--samples", "100000000000000000000000")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: samples must be an integer in [1, ")
+
+    def test_file_power_too_large_for_a_double_exits_2(self, tmp_path, capsys):
+        doc = json.loads(run(capsys, "generate", "qam", "--n", "2")[1])
+        doc["power"] = 10**400
+        huge = tmp_path / "huge.json"
+        huge.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "evaluate", str(huge), "--snr-db", "10")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: power must be a finite number > 0")
+
     def test_mc_seed_determinism(self, capsys):
         args = ("evaluate", "--family", "qam", "--n", "2", "--snr-db", "10",
                 "--method", "mc", "--samples", "20000", "--seed", "42")

@@ -121,6 +121,9 @@ class TestBoxMuller:
             box_muller_apsk(2, power=0.0)
         with pytest.raises(DomainError):
             box_muller_apsk(2, power=-1.0)
+        for power in ("1", True, 10**400):  # not a finite real number
+            with pytest.raises(DomainError, match="power must be a finite number > 0"):
+                box_muller_apsk(2, power=power)
 
 
 class TestDvbVariant:
@@ -239,6 +242,12 @@ class TestFamilies:
     def test_make_constellation_caps_n_before_allocating(self, family, n):
         with pytest.raises(DomainError, match=rf"\[1, {MAX_N}\], got {n}"):
             make_constellation(family, n)
+
+    @pytest.mark.parametrize("family", ["box_muller", "dvb_variant", "qam"])
+    def test_numpy_integer_n_builds_the_same_points(self, family):
+        c, want = make_constellation(family, np.int64(4)), make_constellation(family, 4)
+        assert type(c.n) is int and c.label == want.label
+        assert c.points.tobytes() == want.points.tobytes()
 
     def test_validate_passes_on_fresh_constellations(self):
         for c in (box_muller_apsk(3), dvb_variant_apsk(4), square_qam(4), square_qam(1)):

@@ -41,6 +41,11 @@ class TestLemma:
         with pytest.raises(DomainError):
             lemma_scan(0)
 
+    def test_accepts_numpy_integers(self):
+        ks, lhs, rhs = lemma_scan(np.int64(10))
+        assert list(ks) == list(range(1, 11))
+        assert lhs.tobytes() == lemma_scan(10)[1].tobytes()
+
     def test_scan_matches_direct_sums(self):
         ks, lhs, rhs = lemma_scan(1000)
         for k in (1, 2, 17, 500, 1000):
@@ -131,8 +136,9 @@ class TestGaussianCf:
         assert not np.iscomplexobj(values)
 
     def test_rejects_bad_power(self):
-        with pytest.raises(DomainError):
-            gaussian_cf(0.0, [(1.0, 0.0)])
+        for power in (0.0, "1", True, 10**400):
+            with pytest.raises(DomainError):
+                gaussian_cf(power, [(1.0, 0.0)])
 
 
 class TestConvergenceScan:
@@ -160,6 +166,10 @@ class TestConvergenceScan:
             cf_convergence_scan("box_muller", [])
         with pytest.raises(DomainError):
             cf_convergence_scan("box_muller", [8, 4])
+        # sizes that are not integers; int() would scan n = 4, 8 and 1
+        for n_list in ([4.5, 8], [4, "8"], [True, 4]):
+            with pytest.raises(DomainError, match="n must be an integer"):
+                cf_convergence_scan("box_muller", n_list)
 
     def test_rows_cover_grid(self):
         report = cf_convergence_scan("box_muller", [4, 8])
@@ -180,6 +190,11 @@ class TestPowerAudit:
         audit = power_audit("box_muller", range(1, 257))
         assert np.all(audit.slacks > 0)
         assert np.all(np.diff(audit.slacks) < 0)
+
+    @pytest.mark.parametrize("n_values", [[2.9], ["3"], [2, True]])
+    def test_rejects_sizes_that_are_not_integers(self, n_values):
+        with pytest.raises(DomainError, match="n must be an integer"):
+            power_audit("box_muller", n_values)
 
     def test_rows(self):
         audit = power_audit("box_muller", [2])

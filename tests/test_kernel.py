@@ -203,23 +203,27 @@ class TestWorkers:
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_temporaries_stay_within_a_budget_per_worker(self, monkeypatch, workers):
-        # each worker holds a 1 MB noise chunk, a 0.5 MB row buffer and a 1 MB
-        # exponent block: about 2.6 MB
-        budget = 3.5e6
-        c = make_constellation("box_muller", 2)
         snr = SnrSpec.from_db(10.0)
         monkeypatch.setattr(capacity, "_WORKERS", workers)
         # the first call imports numpy.random, which numpy loads lazily;
         # that import is not a temporary of the estimator
-        mi_monte_carlo(c, snr, 4000, 0)
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            mi_monte_carlo(c, snr, 10**6, 0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= budget * min(workers, c.M)
+        mi_monte_carlo(make_constellation("box_muller", 2), snr, 4000, 0)
+        # (family, n, samples, budget per worker). At box_muller n=2 each
+        # worker holds a 1 MB noise chunk, a 0.5 MB row buffer and a 1 MB
+        # exponent block: about 2.6 MB. At qam n=32 with one draw per point
+        # the pending strata dominate: about 0.18 MB per worker for a window
+        # of 64, against 1.9-2.0 MB in all for one future per point
+        cases = [("box_muller", 2, 10**6, 3.5e6), ("qam", 32, 32**2, 0.4e6)]
+        for family, n, samples, budget in cases:
+            c = make_constellation(family, n)
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                mi_monte_carlo(c, snr, samples, 0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= budget * min(workers, c.M), (family, n, peak)
 
 
 # row lengths on both sides of numpy's pairwise-summation switches: its

@@ -88,6 +88,26 @@ def test_reader_rejects_bad_documents():
         loads_constellation("not json at all {")
 
 
+HUGE = 10**400  # a 401-digit JSON integer; no double holds it
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [("power", "1"), ("power", True), ("power", HUGE), ("n", 2.0), ("n", True)],
+    ids=["power-str", "power-true", "power-huge", "n-float", "n-true"],
+)
+def test_reader_rejects_a_field_of_the_wrong_type(key, value):
+    doc = _doc(box_muller_apsk(2))
+    doc[key] = value
+    _reject(doc, f"{key} must be")
+
+
+def test_reader_rejects_a_coordinate_too_large_for_a_double():
+    doc = _doc(box_muller_apsk(2))
+    doc["points"][0][0] = HUGE
+    _reject(doc, "finite")
+
+
 def test_reader_rejects_duplicate_points():
     doc = _doc(square_qam(2))
     doc["points"][1] = doc["points"][0]
