@@ -38,7 +38,7 @@ Points whose term is below e**-37/M at every kept node are left out first
 exponent, so S needs no max pass or clip (`_grid_partition`). The rule
 leaves out tensor nodes of weight below 1e-16.
 
-The quadrature takes the outer mean as a loop over (representative point,
+The quadrature takes the outer mean over (representative point,
 multiplicity) pairs against the tensor rule, and reads two structures from
 the points (see `symmetry`). A point set is evaluated at one point per
 orbit of the largest subgroup of the square's symmetries that maps it onto
@@ -46,8 +46,13 @@ itself, weighted by the orbit's size; with no symmetry that is every point
 once. A square grid X x Y first splits into two 1D problems,
 MI = MI(X) + MI(Y), each a point set on the x axis against the same
 kernel: there d_y = 0 for every pair, so the y noise cancels from the
-exponent and B reduces to exp(-|d|^2/N0). Monte Carlo always draws
-for every point: it is the independent check on both shortcuts. Its
+exponent and B reduces to exp(-|d|^2/N0). Both structures depend on the
+points alone, so they are computed on the first call for a Constellation
+and kept until it is freed (`_structure`). The representatives go in
+blocks (`_grid_mi`): their differences, pruning masks, logs and weighted
+sums are formed once per block, and only S once per representative.
+Monte Carlo always draws for every point and reads no cached structure:
+it is the independent check on both shortcuts. Its
 points (strata) run on a pool of one worker thread per available core,
 each drawing from its own Philox stream, and are merged in point order, so
 the value and std_error have the same bits for any number of threads.
@@ -56,6 +61,7 @@ the value and std_error have the same bits for any number of threads.
 import math
 import os
 import queue
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -88,6 +94,10 @@ try:
     _WORKERS = len(os.sched_getaffinity(0))
 except AttributeError:  # no sched_getaffinity on macOS or Windows
     _WORKERS = os.cpu_count() or 1
+
+# the sets and orbits that mi_quadrature takes for each Constellation; an
+# entry dies with its key (see _structure)
+_STRUCTURE = weakref.WeakKeyDictionary()
 
 _MI_SLACK = 1e-9
 _CAPACITY_SLACK = 1e-6
@@ -125,8 +135,14 @@ def _as_snr(snr) -> float:
 
 
 def _noise_variance(c: Constellation, snr) -> float:
-    """N0 = P/snr, split N0/2 per real axis; a hand-built Constellation can have P = 0."""
-    return positive("noise variance", c.power / _as_snr(snr))
+    """N0 = P/snr, split N0/2 per real axis.
+
+    A hand-built Constellation can have any P (0, a str, an int past a
+    double), so P is checked before the division, and N0 after it, as a tiny
+    P over a large snr can underflow to 0.
+    """
+    power = positive("power P of the noise variance P/snr", c.power)
+    return positive("noise variance", power / _as_snr(snr))
 
 
 def _log_partition(noise2, diff, sq, n0, out=None, buf=None):
@@ -240,12 +256,12 @@ def _axis_factors(coef, d, buf):
     return e[:r], e[r:]
 
 
-def _grid_partition(coef, d, buf) -> np.ndarray:
+def _grid_partition(coef, d, buf, out) -> np.ndarray:
     """S[a, b] = sum_j exp(-(|d_j|^2 + 2*sqrt(N0)*(z_a d_jx + z_b d_jy))/N0).
 
-    S = A B^T (see `_axis_factors`), summed over blocks of as many columns
-    as the (2R, k) buffer `buf` holds. S >= 1, as the j = i column is
-    exactly 1 at every node.
+    S = A B^T (see `_axis_factors`), written into the (R, R) array `out`
+    and summed over blocks of as many columns as the (2R, k) buffer `buf`
+    holds. S >= 1, as the j = i column is exactly 1 at every node.
     """
     # a kept column (_kept_columns) has |d_j|/sqrt(N0) <= rho +
     # sqrt(rho^2 + ln M + 37) < 15.3 for rho <= 5.93 (the largest kept node
@@ -253,13 +269,14 @@ def _grid_partition(coef, d, buf) -> np.ndarray:
     # lie within +-2*rho*15.3 = +-182 and B's within [-182 - 15.3^2, rho^2]
     # = [-416, 36]: nothing overflows or turns subnormal at any SNR or
     # power, and no max pass or clip is needed
-    r = len(coef) // 2
-    s = np.zeros((r, r))
     cols = buf.shape[1]
     for lo in range(0, d.shape[1], cols):
         a, b = _axis_factors(coef, d[:, lo : lo + cols], buf)
-        s += a @ b.T
-    return s
+        if lo == 0:
+            np.matmul(a, b.T, out=out)
+        else:
+            out += a @ b.T
+    return out
 
 
 def _grid_mi(pts, reps, mults, z, w, n0) -> float:
@@ -267,7 +284,9 @@ def _grid_mi(pts, reps, mults, z, w, n0) -> float:
 
     The sum over i runs over the representatives `reps`, each standing for
     `mults` points; the expectation is the tensor rule in grid form (z, w),
-    with pruning.
+    with pruning. Representatives go in blocks of nb: the differences, the
+    pruning masks, the log and the weighted sum are taken once per block,
+    and only the product S = A B^T once per representative.
     """
     m, r = len(pts), len(z)
     rho = _kept_radius(z, w)
@@ -275,20 +294,55 @@ def _grid_mi(pts, reps, mults, z, w, n0) -> float:
     coef[:r, 0] = coef[r:, 1] = (-2.0 / math.sqrt(n0)) * z
     coef[r:, 2] = 1.0
     pts_t = np.ascontiguousarray(pts.T)
-    d = np.empty((3, m))
-    # one buffer of at most _BLOCK_ELEMENTS for every block: allocated per
-    # point, a block above malloc's mmap threshold is mapped and unmapped
-    # each time (0.88 s instead of 0.48 s at box_muller n=64, 10 dB)
+    # blocks of nb representatives: the (3, nb, M) differences and the
+    # (nb, R, R) sums each hold at most _BLOCK_ELEMENTS doubles, or one
+    # representative's (bounded by M alone, the sums reach 10 MB near M = 200
+    # at order 256, where R = 80). These and the (2R, k) factor buffer are
+    # made once per call: made per point, a buffer above malloc's mmap
+    # threshold is mapped and unmapped each time (0.88 s instead of 0.48 s
+    # at box_muller n=64, 10 dB)
+    nb = min(len(reps), max(1, min(_BLOCK_ELEMENTS // (3 * m), _BLOCK_ELEMENTS // (r * r))))
+    d = np.empty((3, nb, m))
+    s = np.empty((nb, r, r))
     buf = np.empty((2 * r, min(m, max(1, _BLOCK_ELEMENTS // (2 * r)))))
     total = 0.0
-    for i, mult in zip(reps.tolist(), mults.tolist()):
-        np.subtract(pts_t[:, i : i + 1], pts_t, out=d[:2])
-        sq = d[0] * d[0] + d[1] * d[1]
-        np.divide(sq, -n0, out=d[2])
+    for lo in range(0, len(reps), nb):
+        rows = reps[lo : lo + nb]
+        k = len(rows)
+        dk, sk = d[:, :k], s[:k]
+        np.subtract(pts_t[:, rows, None], pts_t[:, None, :], out=dk[:2])
+        sq = dk[0] * dk[0] + dk[1] * dk[1]
         keep = _kept_columns(sq, rho, m, n0)
-        s = _grid_partition(coef, d if keep.all() else d[:, keep], buf)
-        total += mult * float(np.vdot(w, np.log(s, out=s)))
+        every = keep.all(axis=1).tolist()
+        np.divide(sq, -n0, out=dk[2])
+        for j in range(k):
+            dj = dk[:, j]
+            _grid_partition(coef, dj if every[j] else dj[:, keep[j]], buf, sk[j])
+        np.log(sk, out=sk)
+        total += float(mults[lo : lo + k] @ np.tensordot(sk, w))
     return math.log2(m) - total / (m * LN2)
+
+
+def _structure(c: Constellation) -> list:
+    """[(points, representatives, multiplicities)] of the sets `c` splits into.
+
+    A square grid X x Y gives its two axes embedded on the x axis, any other
+    set itself, each with its D4 orbits (see `symmetry`). Computed on the
+    first call for `c` and kept until `c` is freed: a Constellation hashes by
+    identity (eq=False) and its points are read-only, so an entry cannot go
+    stale. An entry holds c.points, never c, which would keep its own key
+    alive. Two threads that miss at once compute and store the same value.
+    """
+    sets = _STRUCTURE.get(c)
+    if sets is None:
+        axes = product_axes(c.points)
+        parts = [c.points] if axes is None else [_on_x_axis(a) for a in axes]
+        sets = [(p, *orbits(p)) for p in parts]
+        for part in sets:  # every later call reads the same arrays
+            for a in part:
+                a.setflags(write=False)
+        _STRUCTURE[c] = sets
+    return sets
 
 
 def mi_quadrature(c: Constellation, snr, order: int = DEFAULT_ORDER) -> MiEstimate:
@@ -308,6 +362,8 @@ def mi_quadrature(c: Constellation, snr, order: int = DEFAULT_ORDER) -> MiEstima
     (a symmetric axis halves by the mirror x -> -x). On the x axis the y
     noise cancels from every exponent, so the tensor rule gives the 1D
     expectation with the weight of its pruned nodes left out, about 3e-15.
+    This structure depends on the points alone, so it is computed on the
+    first call for a Constellation and reused at every later SNR and order.
 
     For each point evaluated, the inner sums at all tensor nodes come from
     one product of two small matrices, as the exponent separates over the
@@ -321,16 +377,15 @@ def mi_quadrature(c: Constellation, snr, order: int = DEFAULT_ORDER) -> MiEstima
     sqrt(rho^2 + ln M + 37), about 15, so every exponent lies in about
     [-416, 182] and nothing overflows at any SNR or power. Against the
     row-wise log-sum-exp over every point this changes the value by
-    rounding only (below 1e-13 bits).
+    rounding only (below 1e-13 bits). The points evaluated go in blocks
+    that share the differences, the pruning masks, the log and the
+    weighted sum; a block's buffers stay within about 1 MB each.
     """
     order = integer("quadrature order", order, 2, _MAX_ORDER)
     n0 = _noise_variance(c, snr)
-    pts = c.points
     rule = gauss_hermite_2d(order)
-    axes = product_axes(pts)
-    sets = [pts] if axes is None else [_on_x_axis(a) for a in axes]
-    value = sum(_grid_mi(p, *orbits(p), *rule, n0) for p in sets)
-    return MiEstimate(_finish_value(value, len(pts)), "quadrature", 0.0)
+    value = sum(_grid_mi(*part, *rule, n0) for part in _structure(c))
+    return MiEstimate(_finish_value(value, c.M), "quadrature", 0.0)
 
 
 def _merge_moments(state, count, mean, m2):

@@ -18,7 +18,8 @@ alone and never from the family label:
   Thomas, Elements of Information Theory, ch. 9).
 
 Both searches use O(M) temporaries: a grid is recognised from the
-(n, n, 2) reshape and images are matched after a lexsort.
+(n, n, 2) reshape and images are matched after one sort of the points
+and all their images.
 """
 
 import math
@@ -37,6 +38,10 @@ D4 = (
     ("mirror_anti", (1, 0), (-1.0, -1.0)),  # (-y, -x)
 )
 
+# D4 as arrays, to form all seven images at once (see _images)
+_COLS = np.array([cols for _, cols, _ in D4])
+_SIGNS = np.array([signs for _, _, signs in D4])
+
 # an image matches a point within this many ulps of the largest coordinate;
 # the families' mapped points land within 15 (n up to 300, with and without
 # normalize), a phase nudged by 1e-9 misses by about 1e7
@@ -47,28 +52,30 @@ _MATCH_ULPS = 64
 _SORT_BIN = 2.0**-32
 
 
+def _images(a: np.ndarray) -> np.ndarray:
+    """(7, M, 2): the (M, 2) array `a` under each element of D4 in turn."""
+    return a[:, _COLS].transpose(1, 0, 2) * _SIGNS[:, None, :]
+
+
 def _matches(points: np.ndarray) -> dict:
     """{name: perm} for each D4 element g that maps `points` onto themselves.
 
-    perm[i] is the index of the point that g(points[i]) matches.
+    perm[i] is the index of the point that g(points[i]) matches. The points
+    and their seven images are sorted together, by rounded x and then
+    rounded y, and each image is matched to the point at its rank.
     """
     scale = float(np.max(np.abs(points), initial=0.0)) or 1.0
-    unit = scale * _SORT_BIN
-
-    def sort_order(p):
-        key = np.rint(p / unit)
-        return np.lexsort((key[:, 1], key[:, 0]))
-
-    base = sort_order(points)
+    key = np.rint(points / (scale * _SORT_BIN))
+    # rint is odd, so an image's keys are its point's keys moved and negated;
+    # as complex numbers (x + iy, the view of a C-order (..., 2) array) they
+    # sort by x and then by y
+    keys = np.concatenate((key[None], _images(key))).view(np.complex128)[..., 0]
+    order = np.argsort(keys, axis=1, kind="stable")
+    perms = np.empty_like(order[1:])
+    np.put_along_axis(perms, order[1:], np.broadcast_to(order[:1], perms.shape), axis=1)
+    misses = np.max(np.abs(points[perms] - _images(points)), axis=(1, 2), initial=0.0)
     tol = _MATCH_ULPS * np.spacing(scale)
-    found = {}
-    for name, cols, signs in D4:
-        image = points[:, cols] * signs
-        perm = np.empty(len(points), dtype=np.intp)
-        perm[sort_order(image)] = base
-        if np.max(np.abs(points[perm] - image), initial=0.0) <= tol:
-            found[name] = perm
-    return found
+    return {name: perm for (name, _, _), perm, miss in zip(D4, perms, misses) if miss <= tol}
 
 
 def orbits(points: np.ndarray):

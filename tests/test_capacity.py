@@ -1,6 +1,10 @@
 """Capacity and mutual-information estimator tests."""
 
+import gc
 import math
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -76,6 +80,18 @@ class TestNoiseVariance:
             mi_quadrature(silent, SnrSpec(2.0))
         with pytest.raises(DomainError, match="noise variance"):
             mi_monte_carlo(silent, SnrSpec(2.0), 100, 0)
+
+
+    @pytest.mark.parametrize("power", [10**400, "1", True], ids=["huge", "str", "bool"])
+    def test_rejects_power_that_is_not_a_finite_real(self, power):
+        # checked before the division, which would raise OverflowError,
+        # TypeError or take True as 1
+        c = box_muller_apsk(2)
+        bad = Constellation(c.label, c.family, c.n, power, c.points)
+        with pytest.raises(DomainError, match="power P of the noise variance"):
+            mi_quadrature(bad, SnrSpec(2.0))
+        with pytest.raises(DomainError, match="power P of the noise variance"):
+            mi_monte_carlo(bad, SnrSpec(2.0), 100, 0)
 
 
 class TestGaussianCapacity:
@@ -173,6 +189,81 @@ class TestQuadrature:
             a = mi_quadrature(c, SnrSpec.from_db(0.0)).value
             b = mi_quadrature(rotated(c, 0.3), SnrSpec.from_db(0.0)).value
             assert abs(a - b) <= 1e-9
+
+
+def copy_of(c):
+    """A new Constellation with the same fields, so nothing is cached for it."""
+    return Constellation(c.label, c.family, c.n, c.power, c.points.copy())
+
+
+class TestStructureCache:
+    @pytest.mark.parametrize("c,sets", [(box_muller_apsk(4), 1), (square_qam(4), 2)],
+                             ids=["box_muller", "qam"])
+    def test_structure_is_computed_once_per_constellation(self, monkeypatch, c, sets):
+        calls = {"orbits": 0, "product_axes": 0}
+
+        def counting(name):
+            inner = getattr(capacity, name)
+
+            def wrapper(points):
+                calls[name] += 1
+                return inner(points)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(capacity, name, counting(name))
+        c = copy_of(c)
+        grid = [(SnrSpec.from_db(db), order) for db in (0, 10, 20, 30) for order in (40, 60)]
+        values = [mi_quadrature(c, snr, order).value for snr, order in grid]
+        # one product_axes, and orbits for the set or for each of a grid's axes
+        assert calls == {"orbits": sets, "product_axes": 1}
+        # the same bits as a Constellation evaluated for the first time
+        assert values == [mi_quadrature(copy_of(c), snr, order).value for snr, order in grid]
+
+    def test_an_entry_dies_with_its_constellation(self):
+        gc.collect()
+        before = len(capacity._STRUCTURE)
+        c = copy_of(box_muller_apsk(4))
+        mi_quadrature(c, SnrSpec(1.0))
+        assert c in capacity._STRUCTURE and len(capacity._STRUCTURE) == before + 1
+        ref = weakref.ref(c)
+        del c
+        gc.collect()
+        # an entry that held its constellation would keep it alive
+        assert ref() is None
+        assert len(capacity._STRUCTURE) == before
+
+    def test_threads_that_share_a_constellation_get_the_serial_values(self):
+        # a race on a miss only computes the same entry twice
+        grid = [(SnrSpec.from_db(db), order) for db in (0, 20) for order in (8, 40)]
+        shapes = [box_muller_apsk(3), dvb_variant_apsk(2), square_qam(3)]
+        want = [[mi_quadrature(copy_of(c), snr, o).value for snr, o in grid] for c in shapes]
+        shared = [copy_of(c) for c in shapes]
+        got = []
+
+        def work():
+            got.append([[mi_quadrature(c, snr, o).value for snr, o in grid] for c in shared])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [want] * len(threads)
+
+    def test_monte_carlo_does_not_use_the_cache(self, monkeypatch):
+        monkeypatch.setattr(capacity, "orbits", None)
+        monkeypatch.setattr(capacity, "product_axes", None)
+        c = copy_of(square_qam(2))
+        mi_monte_carlo(c, SnrSpec(1.0), 100, 0)
+        assert c not in capacity._STRUCTURE
 
 
 class TestMonteCarlo:

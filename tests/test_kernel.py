@@ -80,7 +80,6 @@ class TestBlocks:
         assert len(blocks) > c.M
 
     def test_quadrature_blocks_and_temporaries_stay_bounded(self, monkeypatch):
-        r = len(numerics.gauss_hermite_2d(40)[0])
         factors = []
         inner = capacity._axis_factors
 
@@ -91,21 +90,28 @@ class TestBlocks:
 
         monkeypatch.setattr(capacity, "_axis_factors", recording)
         lse_blocks = record_blocks(monkeypatch)
-        # the square grid's two 1D problems take the same kernel
-        for family in ("box_muller", "qam"):
+        # the square grid's two 1D problems take the same kernel. At order
+        # 256 (R = 80) the stack of (R, R) sums of a block of representatives
+        # is the larger buffer; box_muller n=15 has 120 representatives of
+        # 225 points
+        cases = [("box_muller", 32, 40), ("qam", 32, 40), ("box_muller", 15, 256),
+                 ("qam", 64, 256)]
+        for family, n, order in cases:
             factors.clear()
-            c = make_constellation(family, 32)
+            r = len(numerics.gauss_hermite_2d(order)[0])
+            c = make_constellation(family, n)
             tracemalloc.start()
             try:
                 tracemalloc.reset_peak()
-                mi_quadrature(c, SnrSpec.from_db(10.0), 40)
+                mi_quadrature(c, SnrSpec.from_db(10.0), order)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert factors and not lse_blocks, family
             assert max(max(f) for f in factors) <= max(capacity._BLOCK_ELEMENTS, r), family
-            # the unblocked kernel held 53 MB of exponents at once at box n=32
-            assert peak <= 4e6, family
+            # the unblocked kernel held 53 MB of exponents at once at box n=32,
+            # and a stack bounded by M alone 7.7 MB at box n=15, order 256
+            assert peak <= 4e6, (family, n, order, peak)
 
     def test_quadrature_factor_blocks_do_not_change_the_value(self, monkeypatch):
         c = make_constellation("box_muller", 8)
@@ -425,8 +431,8 @@ def record_partitions(monkeypatch):
     seen = []
     inner = capacity._grid_partition
 
-    def recording(coef, d, buf):
-        s = inner(coef, d, buf)
+    def recording(coef, d, buf, out):
+        s = inner(coef, d, buf, out)
         seen.append((float(s.min()), bool(np.all(np.isfinite(s)))))
         return s
 

@@ -1,6 +1,8 @@
 """Quadrature over symmetry orbits and product grids against the full loop."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from apsk_shaper import (
     validate_constellation,
 )
 from apsk_shaper import capacity, numerics
+from apsk_shaper import symmetry
 from apsk_shaper.symmetry import D4, _matches, orbits, product_axes
 
 SNR_DBS = (0.0, 10.0, 20.0, 30.0)
@@ -113,6 +116,60 @@ def test_qam_is_a_symmetric_product(n):
     assert symmetry_group(pts) == ALL_D4
     xs, ys = product_axes(pts)
     assert xs.tolist() == ys.tolist() == sorted(set(pts[:, 0].tolist()))
+
+
+def loop_matches(points):
+    """The D4 search one element at a time: a rint and lexsort per image."""
+    scale = float(np.max(np.abs(points), initial=0.0)) or 1.0
+    unit = scale * symmetry._SORT_BIN
+
+    def sort_order(p):
+        key = np.rint(p / unit)
+        return np.lexsort((key[:, 1], key[:, 0]))
+
+    base = sort_order(points)
+    tol = symmetry._MATCH_ULPS * np.spacing(scale)
+    found = {}
+    for name, cols, signs in D4:
+        image = points[:, cols] * signs
+        perm = np.empty(len(points), dtype=np.intp)
+        perm[sort_order(image)] = base
+        if np.max(np.abs(points[perm] - image), initial=0.0) <= tol:
+            found[name] = perm
+    return found
+
+
+def match_cases():
+    """Every family for n = 1-64 with and without normalize, each set's 1D
+    axes, scaled and reversed copies, and random sets closed under a random
+    part of D4, each also with one point nudged."""
+    sets = []
+    for family, ns in (("box_muller", range(1, 65)), ("dvb_variant", range(2, 65, 2)),
+                       ("qam", range(1, 65))):
+        for n in ns:
+            for normalize in (False, True):
+                pts = make_constellation(family, n, normalize=normalize).points
+                axes = product_axes(pts)
+                for p in [pts] + ([] if axes is None else [capacity._on_x_axis(a) for a in axes]):
+                    sets += [p, 3.7 * p, p[::-1]]
+    rng = np.random.default_rng(14)
+    for k in range(150):
+        pts = rng.standard_normal((1 + k % 12, 2))
+        names = [name for name, _, _ in D4 if rng.random() < 0.4]
+        pts = np.unique(np.concatenate([pts] + [apply(name, pts) for name in names]), axis=0)
+        nudged = pts.copy()
+        nudged[rng.integers(len(pts))] *= 1.0 + 1e-9
+        sets += [pts, nudged]
+    return sets
+
+
+def test_one_pass_matches_the_loop_over_the_images():
+    cases = match_cases()
+    assert len(cases) > 2000
+    for points in cases:
+        want, got = loop_matches(points), _matches(points)
+        assert list(got) == list(want)
+        assert all(np.array_equal(got[name], perm) for name, perm in want.items())
 
 
 @pytest.mark.parametrize("c", [box_muller_apsk(32), dvb_variant_apsk(32)], ids=["box", "dvb"])
