@@ -98,6 +98,9 @@ except AttributeError:  # no sched_getaffinity on macOS or Windows
 # the sets and orbits that mi_quadrature takes for each Constellation; an
 # entry dies with its key (see _structure)
 _STRUCTURE = weakref.WeakKeyDictionary()
+# order -> the kept node radius of its rule (see _kept_radius), which
+# depends on the order alone
+_KEPT_RADIUS = {}
 
 _MI_SLACK = 1e-9
 _CAPACITY_SLACK = 1e-6
@@ -228,7 +231,7 @@ def _kept_radius(z, w) -> float:
     return math.sqrt(float(np.max(np.add.outer(z * z, z * z)[w > 0.0])))
 
 
-def _kept_columns(sq, rho, m, n0) -> np.ndarray:
+def _kept_columns(sq, rho, m, n0, out=None, scratch=None) -> np.ndarray:
     """Mask of the points j that the tensor rule keeps for one point x_i.
 
     At a node z with |z| <= rho the term of j is at most
@@ -237,9 +240,15 @@ def _kept_columns(sq, rho, m, n0) -> np.ndarray:
     than e**-_PRUNE_NATS / M to every row. A row sum is at least 1 (the
     j = i term is exactly 1), so all the dropped terms together move its log
     by less than e**-37, about 1e-16. j = i is always kept.
+
+    The mask is written into the boolean array `out` and the margin formed
+    in the float array `scratch`, both shaped like `sq`, when given.
     """
     bound = (math.log(m) + _PRUNE_NATS) * n0
-    return sq - (2.0 * math.sqrt(n0) * rho) * np.sqrt(sq) <= bound
+    margin = np.sqrt(sq, out=scratch)
+    margin *= 2.0 * math.sqrt(n0) * rho
+    np.subtract(sq, margin, out=margin)
+    return np.less_equal(margin, bound, out=out)
 
 
 def _axis_factors(coef, d, buf):
@@ -279,17 +288,17 @@ def _grid_partition(coef, d, buf, out) -> np.ndarray:
     return out
 
 
-def _grid_mi(pts, reps, mults, z, w, n0) -> float:
+def _grid_mi(pts, reps, mults, z, w, rho, n0) -> float:
     """log2(M) - (1/M) sum_i E[log2 sum_j ...] over the M points `pts`.
 
     The sum over i runs over the representatives `reps`, each standing for
     `mults` points; the expectation is the tensor rule in grid form (z, w),
-    with pruning. Representatives go in blocks of nb: the differences, the
-    pruning masks, the log and the weighted sum are taken once per block,
-    and only the product S = A B^T once per representative.
+    with pruning at the rule's kept node radius `rho`. Representatives go in
+    blocks of nb: the differences, the pruning masks, the log and the
+    weighted sum are taken once per block, and only the product S = A B^T
+    once per representative.
     """
     m, r = len(pts), len(z)
-    rho = _kept_radius(z, w)
     coef = np.zeros((2 * r, 3))
     coef[:r, 0] = coef[r:, 1] = (-2.0 / math.sqrt(n0)) * z
     coef[r:, 2] = 1.0
@@ -297,24 +306,33 @@ def _grid_mi(pts, reps, mults, z, w, n0) -> float:
     # blocks of nb representatives: the (3, nb, M) differences and the
     # (nb, R, R) sums each hold at most _BLOCK_ELEMENTS doubles, or one
     # representative's (bounded by M alone, the sums reach 10 MB near M = 200
-    # at order 256, where R = 80). These and the (2R, k) factor buffer are
-    # made once per call: made per point, a buffer above malloc's mmap
-    # threshold is mapped and unmapped each time (0.88 s instead of 0.48 s
-    # at box_muller n=64, 10 dB)
+    # at order 256, where R = 80). These, the (2R, k) factor buffer and the
+    # (nb, M) mask are made once per call: made per point, a buffer above
+    # malloc's mmap threshold is mapped and unmapped each time (0.88 s
+    # instead of 0.48 s at box_muller n=64, 10 dB). The (nb, M) scratch that
+    # |d|^2 and the pruning margin are formed in shares the factor buffer's
+    # memory, which is idle until a block's masks are made
     nb = min(len(reps), max(1, min(_BLOCK_ELEMENTS // (3 * m), _BLOCK_ELEMENTS // (r * r))))
     d = np.empty((3, nb, m))
     s = np.empty((nb, r, r))
-    buf = np.empty((2 * r, min(m, max(1, _BLOCK_ELEMENTS // (2 * r)))))
+    mask = np.empty((nb, m), dtype=bool)
+    cols = min(m, max(1, _BLOCK_ELEMENTS // (2 * r)))
+    work = np.empty(max(2 * r * cols, nb * m))
+    buf = work[: 2 * r * cols].reshape(2 * r, cols)
+    scratch = work[: nb * m].reshape(nb, m)
     total = 0.0
     for lo in range(0, len(reps), nb):
         rows = reps[lo : lo + nb]
         k = len(rows)
         dk, sk = d[:, :k], s[:k]
         np.subtract(pts_t[:, rows, None], pts_t[:, None, :], out=dk[:2])
-        sq = dk[0] * dk[0] + dk[1] * dk[1]
-        keep = _kept_columns(sq, rho, m, n0)
+        sq, tmp = dk[2], scratch[:k]
+        np.multiply(dk[0], dk[0], out=sq)
+        np.multiply(dk[1], dk[1], out=tmp)
+        sq += tmp
+        keep = _kept_columns(sq, rho, m, n0, out=mask[:k], scratch=tmp)
         every = keep.all(axis=1).tolist()
-        np.divide(sq, -n0, out=dk[2])
+        sq /= -n0
         for j in range(k):
             dj = dk[:, j]
             _grid_partition(coef, dj if every[j] else dj[:, keep[j]], buf, sk[j])
@@ -383,8 +401,11 @@ def mi_quadrature(c: Constellation, snr, order: int = DEFAULT_ORDER) -> MiEstima
     """
     order = integer("quadrature order", order, 2, _MAX_ORDER)
     n0 = _noise_variance(c, snr)
-    rule = gauss_hermite_2d(order)
-    value = sum(_grid_mi(*part, *rule, n0) for part in _structure(c))
+    z, w = gauss_hermite_2d(order)
+    rho = _KEPT_RADIUS.get(order)
+    if rho is None:
+        rho = _KEPT_RADIUS[order] = _kept_radius(z, w)
+    value = sum(_grid_mi(*part, z, w, rho, n0) for part in _structure(c))
     return MiEstimate(_finish_value(value, c.M), "quadrature", 0.0)
 
 

@@ -41,6 +41,8 @@ _RING_RTOL = 1e-9
 # 74.5 GiB at n = 100000.
 _MAX_POINT_BYTES = 64 * 2**20
 MAX_N = math.isqrt(_MAX_POINT_BYTES // 16)  # 2048
+# squared pair distances per min_distance block: 1 << 17 doubles, about 1 MB
+_PAIR_BLOCK = 1 << 17
 
 
 def canonical_family(name: str) -> str:
@@ -206,20 +208,31 @@ def papr(c: Constellation) -> float:
 
 
 def min_distance(c: Constellation) -> float:
-    """Minimum pairwise Euclidean distance, exact over all pairs."""
+    """Minimum pairwise Euclidean distance, exact over all pairs.
+
+    Rows i of the pair matrix go in blocks against the columns j > i, with
+    the squared distances of a block formed in two buffers of about
+    _PAIR_BLOCK doubles each (one row at least).
+    """
     pts = c.points
     m = len(pts)
     if m < 2:
         raise DomainError("min_distance requires at least two points")
+    xs, ys = np.ascontiguousarray(pts.T)
+    rows = max(1, min(m - 1, _PAIR_BLOCK // m))
+    d2, dy = np.empty(rows * m), np.empty(rows * m)
     best = np.inf
-    chunk = max(1, 4_000_000 // m)
-    cols = np.arange(m)
-    for s in range(0, m, chunk):
-        block = pts[s : s + chunk]
-        d2 = np.sum((block[:, None, :] - pts[None, :, :]) ** 2, axis=2)
-        rows = np.arange(s, s + len(block))
-        d2[cols[None, :] <= rows[:, None]] = np.inf  # upper triangle only
-        best = min(best, float(d2.min()))
+    for s in range(0, m - 1, rows):
+        e = min(s + rows, m - 1)
+        k, cols = e - s, m - 1 - s
+        # rows i in [s, e) against columns j in [s + 1, m)
+        dk = np.subtract.outer(xs[s:e], xs[s + 1 :], out=d2[: k * cols].reshape(k, cols))
+        yk = np.subtract.outer(ys[s:e], ys[s + 1 :], out=dy[: k * cols].reshape(k, cols))
+        dk *= dk
+        yk *= yk
+        dk += yk
+        np.copyto(dk[:, :k], np.inf, where=np.tri(k, k, -1, dtype=bool))  # pairs j <= i
+        best = min(best, float(dk.min()))
     return float(np.sqrt(best))
 
 

@@ -18,26 +18,79 @@ from .errors import DomainError, integer, positive
 DEFAULT_T_VALUES = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
 
 
+# k values per lemma block: three 2**15-entry arrays, 0.75 MB in all
+_LEMMA_BLOCK = 1 << 15
+# points per CF block: a (257, T) complex buffer, 200 kB on the default grid
+_CF_BLOCK = 256
+
+
+def _lemma_chunks(k_max: int) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """`lemma_scan`'s (k, lhs, rhs) for k in [1, k_max], in blocks of _LEMMA_BLOCK.
+
+    rhs carries across blocks as the first term of each block's cumsum
+    (0.0 before the first, which adds exactly); numpy's cumsum adds in
+    sequence, so every value has the bits of one cumsum over all of
+    [1, k_max].
+    """
+    carry = 0.0
+    for lo in range(0, k_max, _LEMMA_BLOCK):
+        ks = np.arange(lo + 1, min(lo + _LEMMA_BLOCK, k_max) + 1, dtype=np.int64)
+        lhs = ks * np.log(ks) - ks
+        terms = np.log(np.arange(lo, lo + len(ks)) + 0.5)
+        rhs = np.cumsum(np.concatenate(([carry], terms)))[1:]
+        carry = rhs[-1]
+        yield ks, lhs, rhs
+
+
 def lemma_scan(k_max: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lemma table for every k in [1, k_max]: (k, k*ln(k) - k, sum_{j<k} ln(j + 1/2)).
 
     The left side never exceeds the right; the margin is what keeps the
-    ring-radius construction inside its power budget.
+    ring-radius construction inside its power budget. The three arrays
+    returned take 24 bytes per k, as they must; a caller that only checks
+    the bound or reads a few rows can walk `_lemma_chunks` in fixed-size
+    blocks instead, as the `convergence` command does.
     """
     k_max = integer("k_max", k_max, 1, 2**63 - 2)  # ks are int64
-    ks = np.arange(1, k_max + 1, dtype=np.int64)
-    lhs = ks * np.log(ks) - ks
-    rhs = np.cumsum(np.log(np.arange(k_max) + 0.5))
-    return ks, lhs, rhs
+    table = (np.empty(k_max, dtype=np.int64), np.empty(k_max), np.empty(k_max))
+    lo = 0
+    for block in _lemma_chunks(k_max):
+        for whole, part in zip(table, block):
+            whole[lo : lo + len(part)] = part
+        lo += len(block[0])
+    return table
 
 
 def point_set_cf(points: np.ndarray, t_points: np.ndarray) -> np.ndarray:
     """Characteristic function of the uniform distribution on `points`.
 
     (1/M) * sum_w exp(i*<t, w>) evaluated at each row of `t_points`.
+
+    The phases are one gemm (its bits can depend on its shape); their
+    exponentials are formed and summed _CF_BLOCK points at a time, each
+    block's sum starting from the running total, which is the order in which
+    `.mean(axis=0)` adds the rows of the whole (M, T) array. With a single
+    t that mean sums pairwise instead, so it is taken whole, as is an empty
+    set.
     """
     phases = points @ np.asarray(t_points, dtype=np.float64).T
-    return np.exp(1j * phases).mean(axis=0)
+    m, nt = phases.shape
+    if nt < 2 or m == 0:
+        return np.exp(1j * phases).mean(axis=0)
+    rows = min(m, _CF_BLOCK)
+    buf = np.empty((rows + 1, nt), dtype=np.complex128)
+    total = None
+    for lo in range(0, m, rows):
+        block = phases[lo : lo + rows]
+        terms = buf[1 : len(block) + 1]
+        np.multiply(1j, block, out=terms)
+        np.exp(terms, out=terms)
+        if total is None:
+            total = terms.sum(axis=0)
+        else:
+            buf[0] = total
+            total = buf[: len(block) + 1].sum(axis=0)
+    return total / m
 
 
 def gaussian_cf(power: float, t_points: np.ndarray) -> np.ndarray:

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import tracemalloc
 from dataclasses import fields
 
 import pytest
@@ -288,6 +289,18 @@ class TestConvergence:
     def test_qam_family_rejected(self, capsys):
         code, _, _ = run(capsys, "convergence", "--family", "qam")
         assert code == 2
+
+    def test_memory_is_bounded(self, tmp_path, capsys):
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            code, _, _ = run(capsys, "convergence", "--out", str(tmp_path / "conv"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        # the lemma's 1e6-entry arrays took 32 MB when built whole
+        assert peak <= 4e6, peak
 
 
 class TestOutput:

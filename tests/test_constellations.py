@@ -1,6 +1,7 @@
 """Tests for the constellation families and their metrics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from apsk_shaper import (
     square_qam,
     validate_constellation,
 )
+from apsk_shaper import constellations
 from apsk_shaper.constellations import MAX_N
 
 SQRT_LN2 = 0.8325546111576977
@@ -218,6 +220,29 @@ class TestMetrics:
         assert min_distance(broken) == 0.0
         with pytest.raises(DomainError, match="distinct"):
             validate_constellation(broken)
+
+    @pytest.mark.parametrize("m", [2, 3, 57, 58, 300])
+    def test_min_distance_matches_all_pairs_at_once(self, monkeypatch, m):
+        # 58 points fill 10 rows of 580 doubles exactly; 57 and 300 do not
+        monkeypatch.setattr(constellations, "_PAIR_BLOCK", 580)
+        rng = np.random.default_rng(m)
+        pts = rng.standard_normal((m, 2))
+        c = Constellation("random", SQUARE_QAM, 1, 1.0, pts)
+        d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2)
+        d2[np.tril_indices(m)] = np.inf
+        assert min_distance(c) == float(np.sqrt(d2.min()))
+
+    def test_min_distance_memory_is_bounded(self):
+        c = box_muller_apsk(48)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            min_distance(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # all 2304 rows at once held 96 MB of differences and squares
+        assert peak <= 4e6, peak
 
 
 class TestFamilies:

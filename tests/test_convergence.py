@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from apsk_shaper import convergence
 from apsk_shaper import (
     DomainError,
     box_muller_apsk,
@@ -56,6 +57,19 @@ class TestLemma:
     def test_bound_holds_to_1e5(self):
         _, lhs, rhs = lemma_scan(100_000)
         assert np.all(lhs <= rhs + 1e-9 * np.abs(rhs))
+
+    @pytest.mark.parametrize("k_max", [
+        convergence._LEMMA_BLOCK - 1,
+        convergence._LEMMA_BLOCK,
+        convergence._LEMMA_BLOCK + 1,
+        10**6,
+    ])
+    def test_blocks_have_the_bits_of_one_cumsum(self, k_max):
+        ks, lhs, rhs = lemma_scan(k_max)
+        whole = np.arange(1, k_max + 1, dtype=np.int64)
+        assert ks.tobytes() == whole.tobytes()
+        assert lhs.tobytes() == (whole * np.log(whole) - whole).tobytes()
+        assert rhs.tobytes() == np.cumsum(np.log(np.arange(k_max) + 0.5)).tobytes()
 
 
 def _psi_double_sum(family, n, power, t):
@@ -108,6 +122,14 @@ class TestEmpiricalCf:
         grid = default_t_grid()
         values = point_set_cf(box_muller_apsk(7).points, grid)
         assert np.all(np.abs(values) <= 1 + 1e-12)
+
+    @pytest.mark.parametrize("m", [1, 255, 256, 257, 1000])
+    @pytest.mark.parametrize("t_count", [1, 2, 49])
+    def test_blocks_have_the_bits_of_one_mean(self, m, t_count):
+        rng = np.random.default_rng(m + t_count)
+        pts, t = rng.standard_normal((m, 2)), 2.0 * rng.standard_normal((t_count, 2))
+        whole = np.exp(1j * (pts @ t.T)).mean(axis=0)
+        assert point_set_cf(pts, t).tobytes() == whole.tobytes()
 
     def test_hermitian_symmetry(self):
         grid = default_t_grid()

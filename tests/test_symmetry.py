@@ -59,8 +59,9 @@ def every_point(c, snr, order):
     """The quadrature's separable kernel run once over every point."""
     n0 = capacity._noise_variance(c, snr)
     m = c.M
+    z, w = numerics.gauss_hermite_2d(order)
     value = capacity._grid_mi(c.points, np.arange(m), np.ones(m, dtype=int),
-                              *numerics.gauss_hermite_2d(order), n0)
+                              z, w, capacity._kept_radius(z, w), n0)
     return max(value, 0.0)
 
 
