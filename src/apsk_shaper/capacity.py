@@ -35,7 +35,7 @@ So the inner sums at all nodes are one product S = A B^T of two (R, M)
 matrices over the R 1D nodes, not one exponential per node and point.
 Points whose term is below e**-37/M at every kept node are left out first
 (`_kept_columns`); that moves MI by about 1e-16 bits and bounds every
-exponent, so S needs no max pass or clip (`_grid_partition`). The rule
+exponent, so S needs no max pass or clip (`_chunk_sums`). The rule
 leaves out tensor nodes of weight below 1e-16.
 
 The quadrature takes the outer mean over (representative point,
@@ -46,11 +46,12 @@ itself, weighted by the orbit's size; with no symmetry that is every point
 once. A square grid X x Y first splits into two 1D problems,
 MI = MI(X) + MI(Y), each a point set on the x axis against the same
 kernel: there d_y = 0 for every pair, so the y noise cancels from the
-exponent and B reduces to exp(-|d|^2/N0). Both structures depend on the
-points alone, so they are computed on the first call for a Constellation
-and kept until it is freed (`_structure`). The representatives go in
-blocks (`_grid_mi`): their differences, pruning masks, logs and weighted
-sums are formed once per block, and only S once per representative.
+exponent and B reduces to exp(-|d|^2/N0); equal axes are one problem,
+counted twice. Both structures depend on the points alone, so they are
+computed on the first call for a Constellation and kept until it is freed
+(`_structure`). Blocks of representatives (`_grid_mi`) share differences,
+pruning masks, logs and weighted sums, chunks of their kept columns A and
+B, and only S is per representative.
 Monte Carlo always draws for every point and reads no cached structure:
 it is the independent check on both shortcuts. Its
 points (strata) run on a pool of one worker thread per available core,
@@ -58,6 +59,7 @@ each drawing from its own Philox stream, and are merged in point order, so
 the value and std_error have the same bits for any number of threads.
 """
 
+import bisect
 import math
 import os
 import queue
@@ -222,10 +224,6 @@ def _finish_value(value: float, m: int, cause: str = "estimator bug") -> float:
     return max(value, 0.0)
 
 
-def _on_x_axis(v: np.ndarray) -> np.ndarray:
-    return np.column_stack((v, np.zeros_like(v)))
-
-
 def _kept_radius(z, w) -> float:
     """The largest radius of a node of weight > 0 in the grid rule (z, w)."""
     return math.sqrt(float(np.max(np.add.outer(z * z, z * z)[w > 0.0])))
@@ -251,41 +249,46 @@ def _kept_columns(sq, rho, m, n0, out=None, scratch=None) -> np.ndarray:
     return np.less_equal(margin, bound, out=out)
 
 
-def _axis_factors(coef, d, buf):
-    """(A, B), each (R, k), for a block of k columns d = [d_x; d_y; -|d|^2/N0].
+def _chunk_sums(coef, d, ends, lo, buf, s) -> int:
+    """Add the chunk of the stream `d` from column `lo` to the sums S; return its end.
 
-    `coef` is the (2R, 3) matrix [[zs, 0, 0], [0, zs, 1]] with zs =
-    -2*z/sqrt(N0) for the R 1D nodes z, so one matmul forms the exponents
-    of A = exp(zs (x) d_x) and of B = exp(zs (x) d_y - |d|^2/N0) together,
-    in the first k columns of `buf`.
+    `d` holds a block's kept columns [d_x; d_y; -|d|^2/N0], representative
+    j's from ends[j - 1] (0 for j = 0) to ends[j] (a range when each keeps
+    all M). One matmul by `coef` = [[zs, 0, 0], [0, zs, 1]], zs = -2z/sqrt(N0)
+    over the R 1D nodes z, and one exp form A = exp(zs (x) d_x) and
+    B = exp(zs (x) d_y - |d|^2/N0) in the flat buffer `buf`; each
+    representative's columns then set its (R, R) s[j] = A B^T, or add to it
+    if they began in the chunk before (S >= 1: the j = i term is 1). A chunk
+    has at most w = len(buf) // 2R columns and ends where a representative
+    starts, unless that one starts it, so a representative is cut only
+    every w columns and its S has the same bits whatever shares its chunk.
     """
-    e = np.matmul(coef, d, out=buf[:, : d.shape[1]])
+    # kept columns have |d_j|/sqrt(N0) <= rho + sqrt(rho^2 + ln M + 37) < 15.3
+    # (rho <= 5.93 up to order 256, M up to 2048^2): A's exponents lie within
+    # +-182 and B's within [-416, 36], so nothing overflows or turns subnormal
+    j = bisect.bisect_right(ends, lo)  # the representative at lo
+    start = ends[j - 1] if j else 0
+    hi = min(lo + len(buf) // len(coef), d.shape[1])
+    cut = bisect.bisect_right(ends, hi) - 1  # the last one to end by hi
+    if j <= cut and ends[cut] < hi:
+        hi = ends[cut]
+    e = np.matmul(coef, d[:, lo:hi], out=buf[: len(coef) * (hi - lo)].reshape(len(coef), -1))
     np.exp(e, out=e)
-    r = len(coef) // 2
-    return e[:r], e[r:]
-
-
-def _grid_partition(coef, d, buf, out) -> np.ndarray:
-    """S[a, b] = sum_j exp(-(|d_j|^2 + 2*sqrt(N0)*(z_a d_jx + z_b d_jy))/N0).
-
-    S = A B^T (see `_axis_factors`), written into the (R, R) array `out`
-    and summed over blocks of as many columns as the (2R, k) buffer `buf`
-    holds. S >= 1, as the j = i column is exactly 1 at every node.
-    """
-    # a kept column (_kept_columns) has |d_j|/sqrt(N0) <= rho +
-    # sqrt(rho^2 + ln M + 37) < 15.3 for rho <= 5.93 (the largest kept node
-    # radius of any order up to 256) and M up to 2048^2, so A's exponents
-    # lie within +-2*rho*15.3 = +-182 and B's within [-182 - 15.3^2, rho^2]
-    # = [-416, 36]: nothing overflows or turns subnormal at any SNR or
-    # power, and no max pass or clip is needed
-    cols = buf.shape[1]
-    for lo in range(0, d.shape[1], cols):
-        a, b = _axis_factors(coef, d[:, lo : lo + cols], buf)
-        if lo == 0:
-            np.matmul(a, b.T, out=out)
+    a, b = e[: len(e) // 2], e[len(e) // 2 :]
+    if isinstance(ends, range) and start == lo and hi - lo >= ends.step:
+        # t whole representatives: one stacked matmul runs their t gemms
+        t, m = (hi - lo) // ends.step, ends.step
+        a, b = (f.reshape(-1, t, m).transpose(1, 0, 2) for f in (a, b))
+        np.matmul(a, b.transpose(0, 2, 1), out=s[j : j + t])
+        return hi
+    while start < hi:
+        p, q = max(start, lo) - lo, min(ends[j], hi) - lo
+        if start < lo:
+            s[j] += a[:, p:q] @ b[:, p:q].T
         else:
-            out += a @ b.T
-    return out
+            np.matmul(a[:, p:q], b[:, p:q].T, out=s[j])
+        start, j = ends[j], j + 1
+    return hi
 
 
 def _grid_mi(pts, reps, mults, z, w, rho, n0) -> float:
@@ -293,33 +296,29 @@ def _grid_mi(pts, reps, mults, z, w, rho, n0) -> float:
 
     The sum over i runs over the representatives `reps`, each standing for
     `mults` points; the expectation is the tensor rule in grid form (z, w),
-    with pruning at the rule's kept node radius `rho`. Representatives go in
-    blocks of nb: the differences, the pruning masks, the log and the
-    weighted sum are taken once per block, and only the product S = A B^T
-    once per representative.
+    with pruning at the rule's kept node radius `rho`. Blocks of nb
+    representatives share differences, masks, log and weighted sum.
     """
     m, r = len(pts), len(z)
     coef = np.zeros((2 * r, 3))
     coef[:r, 0] = coef[r:, 1] = (-2.0 / math.sqrt(n0)) * z
     coef[r:, 2] = 1.0
     pts_t = np.ascontiguousarray(pts.T)
-    # blocks of nb representatives: the (3, nb, M) differences and the
-    # (nb, R, R) sums each hold at most _BLOCK_ELEMENTS doubles, or one
-    # representative's (bounded by M alone, the sums reach 10 MB near M = 200
-    # at order 256, where R = 80). These, the (2R, k) factor buffer and the
-    # (nb, M) mask are made once per call: made per point, a buffer above
-    # malloc's mmap threshold is mapped and unmapped each time (0.88 s
-    # instead of 0.48 s at box_muller n=64, 10 dB). The (nb, M) scratch that
-    # |d|^2 and the pruning margin are formed in shares the factor buffer's
-    # memory, which is idle until a block's masks are made
+    # the (3, nb, M) differences and (nb, R, R) sums each hold at most
+    # _BLOCK_ELEMENTS doubles or one representative's. They and the 2R w
+    # factors, w = min(nb M, _BLOCK_ELEMENTS // 2R), are one allocation per
+    # call: per point, malloc mapped a buffer each time, and as three, glibc
+    # trimmed the heap after each call and faulted them in again (425 faults
+    # a call at box_muller n=15, order 256). |d|^2 and the pruning margin go
+    # in the factors' memory, idle until the masks are made
     nb = min(len(reps), max(1, min(_BLOCK_ELEMENTS // (3 * m), _BLOCK_ELEMENTS // (r * r))))
-    d = np.empty((3, nb, m))
-    s = np.empty((nb, r, r))
+    cols = min(nb * m, max(1, _BLOCK_ELEMENTS // (2 * r)))
+    flat = np.empty(3 * nb * m + nb * r * r + max(2 * r * cols, nb * m))
+    d = flat[: 3 * nb * m].reshape(3, nb, m)
+    s = flat[3 * nb * m : 3 * nb * m + nb * r * r].reshape(nb, r, r)
+    work = flat[3 * nb * m + nb * r * r :]
+    buf, scratch = work[: 2 * r * cols], work[: nb * m].reshape(nb, m)
     mask = np.empty((nb, m), dtype=bool)
-    cols = min(m, max(1, _BLOCK_ELEMENTS // (2 * r)))
-    work = np.empty(max(2 * r * cols, nb * m))
-    buf = work[: 2 * r * cols].reshape(2 * r, cols)
-    scratch = work[: nb * m].reshape(nb, m)
     total = 0.0
     for lo in range(0, len(reps), nb):
         rows = reps[lo : lo + nb]
@@ -331,34 +330,43 @@ def _grid_mi(pts, reps, mults, z, w, rho, n0) -> float:
         np.multiply(dk[1], dk[1], out=tmp)
         sq += tmp
         keep = _kept_columns(sq, rho, m, n0, out=mask[:k], scratch=tmp)
-        every = keep.all(axis=1).tolist()
         sq /= -n0
-        for j in range(k):
-            dj = dk[:, j]
-            _grid_partition(coef, dj if every[j] else dj[:, keep[j]], buf, sk[j])
+        stream = dk.reshape(3, k * m)
+        if keep.all():
+            ends = range(m, k * m + 1, m)
+        else:
+            stream = np.take(stream, np.flatnonzero(keep), axis=1)
+            ends = np.cumsum(np.count_nonzero(keep, axis=1)).tolist()
+        c = 0
+        while c < stream.shape[1]:
+            c = _chunk_sums(coef, stream, ends, c, buf, sk)
         np.log(sk, out=sk)
-        total += float(mults[lo : lo + k] @ np.tensordot(sk, w))
+        total += float(mults[lo : lo + k] @ (sk.reshape(k, -1) @ w.ravel()))
     return math.log2(m) - total / (m * LN2)
 
 
 def _structure(c: Constellation) -> list:
-    """[(points, representatives, multiplicities)] of the sets `c` splits into.
+    """[(count, points, representatives, multiplicities)] of the sets `c` splits into.
 
-    A square grid X x Y gives its two axes embedded on the x axis, any other
-    set itself, each with its D4 orbits (see `symmetry`). Computed on the
-    first call for `c` and kept until `c` is freed: a Constellation hashes by
-    identity (eq=False) and its points are read-only, so an entry cannot go
-    stale. An entry holds c.points, never c, which would keep its own key
-    alive. Two threads that miss at once compute and store the same value.
+    A square grid X x Y gives its two axes embedded on the x axis (one, with
+    count 2, when they are np.array_equal), any other set itself (count 1),
+    each with its D4 orbits (see `symmetry`). Computed on the first call for
+    `c` and kept until `c` is freed: a Constellation hashes by identity
+    (eq=False) and its points are read-only, so an entry cannot go stale. It
+    holds c.points, never c, which would keep its own key alive. Two threads
+    that miss at once compute and store the same value.
     """
     sets = _STRUCTURE.get(c)
     if sets is None:
         axes = product_axes(c.points)
-        parts = [c.points] if axes is None else [_on_x_axis(a) for a in axes]
-        sets = [(p, *orbits(p)) for p in parts]
-        for part in sets:  # every later call reads the same arrays
-            for a in part:
-                a.setflags(write=False)
+        if axes is None:
+            parts = [(1, c.points)]
+        else:  # equal axes are one problem, counted twice
+            count, axes = (2, axes[:1]) if np.array_equal(*axes) else (1, axes)
+            parts = [(count, np.column_stack((a, np.zeros_like(a)))) for a in axes]
+        sets = [(count, p, *orbits(p)) for count, p in parts]
+        for a in [a for _, *arrays in sets for a in arrays]:  # later calls read these
+            a.setflags(write=False)
         _STRUCTURE[c] = sets
     return sets
 
@@ -374,30 +382,22 @@ def mi_quadrature(c: Constellation, snr, order: int = DEFAULT_ORDER) -> MiEstima
     A point set is evaluated at one point per orbit of its symmetries of
     the square, weighted by the orbit's size; the tensor nodes are
     invariant under those symmetries, so this changes the value by rounding
-    only (below 1.5e-13 bits on the families). A set with no symmetry gets
-    the loop over every point. A square grid X x Y is evaluated as
+    only (below 1.5e-13 bits on the families). A square grid X x Y is
     MI(X) + MI(Y), each axis embedded on the x axis and taken the same way
-    (a symmetric axis halves by the mirror x -> -x). On the x axis the y
-    noise cancels from every exponent, so the tensor rule gives the 1D
-    expectation with the weight of its pruned nodes left out, about 3e-15.
-    This structure depends on the points alone, so it is computed on the
-    first call for a Constellation and reused at every later SNR and order.
+    (equal axes once, doubled: the same bits); there the y noise cancels,
+    so the rule gives the 1D expectation less its pruned nodes' weight,
+    about 3e-15. This structure depends on the points alone, so it is
+    computed on the first call for a Constellation and reused at every
+    later SNR and order.
 
-    For each point evaluated, the inner sums at all tensor nodes come from
-    one product of two small matrices, as the exponent separates over the
-    two noise axes: S[a, b] = sum_j A[a, j] B[b, j] with
-    A = exp(-2 z (x) d_x/sqrt(N0)) and B = exp(-2 z (x) d_y/sqrt(N0) - |d|^2/N0)
-    over the 1D nodes z, d = x_i - x_j. A point j is left out when
-    |d_j|^2 - 2*sqrt(N0)*rho*|d_j| > (ln M + 37)*N0, rho being the largest
-    kept node radius (at most 5.93 up to order 256): its term is then below
-    e**-37/M at every kept node while each S >= 1, so the value moves by
-    about 1e-16 bits. A kept point has |d_j|/sqrt(N0) <= rho +
-    sqrt(rho^2 + ln M + 37), about 15, so every exponent lies in about
-    [-416, 182] and nothing overflows at any SNR or power. Against the
-    row-wise log-sum-exp over every point this changes the value by
-    rounding only (below 1e-13 bits). The points evaluated go in blocks
-    that share the differences, the pruning masks, the log and the
-    weighted sum; a block's buffers stay within about 1 MB each.
+    For each point evaluated, the inner sums at all tensor nodes are one
+    product S = A B^T of two (R, M) matrices over the R 1D nodes, as the
+    exponent separates over the noise axes. Points whose term is below
+    e**-37/M at every kept node are left out (`_kept_columns`): that moves
+    the value by about 1e-16 bits and keeps every exponent within about
+    [-416, 182] at any SNR or power. Against the row-wise log-sum-exp over
+    every point the value moves by rounding only (below 1e-13 bits).
+    Temporary buffers stay within about 1 MB each.
     """
     order = integer("quadrature order", order, 2, _MAX_ORDER)
     n0 = _noise_variance(c, snr)
@@ -405,7 +405,7 @@ def mi_quadrature(c: Constellation, snr, order: int = DEFAULT_ORDER) -> MiEstima
     rho = _KEPT_RADIUS.get(order)
     if rho is None:
         rho = _KEPT_RADIUS[order] = _kept_radius(z, w)
-    value = sum(_grid_mi(*part, z, w, rho, n0) for part in _structure(c))
+    value = sum(count * _grid_mi(*part, z, w, rho, n0) for count, *part in _structure(c))
     return MiEstimate(_finish_value(value, c.M), "quadrature", 0.0)
 
 

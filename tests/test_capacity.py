@@ -197,7 +197,8 @@ def copy_of(c):
 
 
 class TestStructureCache:
-    @pytest.mark.parametrize("c,sets", [(box_muller_apsk(4), 1), (square_qam(4), 2)],
+    # square QAM's two axes are the same points, so its one axis takes orbits
+    @pytest.mark.parametrize("c,sets", [(box_muller_apsk(4), 1), (square_qam(4), 1)],
                              ids=["box_muller", "qam"])
     def test_structure_is_computed_once_per_constellation(self, monkeypatch, c, sets):
         calls = {"orbits": 0, "product_axes": 0}
@@ -216,10 +217,38 @@ class TestStructureCache:
         c = copy_of(c)
         grid = [(SnrSpec.from_db(db), order) for db in (0, 10, 20, 30) for order in (40, 60)]
         values = [mi_quadrature(c, snr, order).value for snr, order in grid]
-        # one product_axes, and orbits for the set or for each of a grid's axes
+        # one product_axes, and orbits for the set or for a grid's one axis
         assert calls == {"orbits": sets, "product_axes": 1}
         # the same bits as a Constellation evaluated for the first time
         assert values == [mi_quadrature(copy_of(c), snr, order).value for snr, order in grid]
+
+    def test_a_grid_with_two_axes_takes_both(self):
+        # X x Y, listed x-slowest, with X != Y: MI(X) + MI(Y), each axis
+        # taken as its own set on the x axis at the grid's power
+        xs, ys = [-1.5, 0.25, 2.0], [-0.5, 0.75, 1.0]
+        pts = np.array([(x, y) for x in xs for y in ys])
+        c = Constellation("grid", "qam", 3, 2.0, pts)
+        sets = capacity._structure(c)
+        assert [count for count, *_ in sets] == [1, 1]
+        assert [p[:, 0].tolist() for _, p, _, _ in sets] == [xs, ys]
+
+        def axis(a):
+            return Constellation("axis", "qam", 3, 2.0, np.column_stack((a, np.zeros(3))))
+
+        for snr in (SnrSpec.from_db(0.0), SnrSpec.from_db(20.0)):
+            for order in (8, 40):
+                parts = [mi_quadrature(axis(a), snr, order).value for a in (xs, ys)]
+                assert mi_quadrature(c, snr, order).value == parts[0] + parts[1]
+
+    def test_a_grid_whose_axes_differ_by_one_ulp_keeps_both(self):
+        xs = square_qam(4).points[::4, 0]
+        ys = xs.copy()
+        ys[-1] = np.nextafter(ys[-1], np.inf)
+        pts = np.array([(x, y) for x in xs for y in ys])
+        c = Constellation("grid", "qam", 4, 1.0, pts)
+        assert [count for count, *_ in capacity._structure(c)] == [1, 1]
+        same = Constellation("grid", "qam", 4, 1.0, np.array([(x, y) for x in xs for y in xs]))
+        assert [count for count, *_ in capacity._structure(same)] == [2]
 
     def test_an_entry_dies_with_its_constellation(self):
         gc.collect()

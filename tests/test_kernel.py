@@ -81,14 +81,15 @@ class TestBlocks:
 
     def test_quadrature_blocks_and_temporaries_stay_bounded(self, monkeypatch):
         factors = []
-        inner = capacity._axis_factors
+        inner = capacity._chunk_sums
 
-        def recording(coef, d, buf):
-            a, b = inner(coef, d, buf)
-            factors.append((a.size, b.size))
-            return a, b
+        def recording(coef, d, ends, lo, buf, s):
+            hi = inner(coef, d, ends, lo, buf, s)
+            size = len(coef) // 2 * (hi - lo)  # A and B are (R, n) each
+            factors.append((size, size))
+            return hi
 
-        monkeypatch.setattr(capacity, "_axis_factors", recording)
+        monkeypatch.setattr(capacity, "_chunk_sums", recording)
         lse_blocks = record_blocks(monkeypatch)
         # the square grid's two 1D problems take the same kernel. At order
         # 256 (R = 80) the stack of (R, R) sums of a block of representatives
@@ -427,16 +428,21 @@ def direct_mi(c, snr, order):
 
 
 def record_partitions(monkeypatch):
-    """Wrap capacity._grid_partition; return (min S, S all finite) per call."""
+    """Wrap capacity._chunk_sums; return (min S, S all finite) per finished S.
+
+    An S is finished by the chunk its representative's columns end in.
+    """
     seen = []
-    inner = capacity._grid_partition
+    inner = capacity._chunk_sums
 
-    def recording(coef, d, buf, out):
-        s = inner(coef, d, buf, out)
-        seen.append((float(s.min()), bool(np.all(np.isfinite(s)))))
-        return s
+    def recording(coef, d, ends, lo, buf, s):
+        hi = inner(coef, d, ends, lo, buf, s)
+        for j, end in enumerate(ends):
+            if lo < end <= hi:
+                seen.append((float(s[j].min()), bool(np.all(np.isfinite(s[j])))))
+        return hi
 
-    monkeypatch.setattr(capacity, "_grid_partition", recording)
+    monkeypatch.setattr(capacity, "_chunk_sums", recording)
     return seen
 
 
@@ -445,6 +451,76 @@ SEPARABLE_CASES = (
     + [("dvb_variant", n) for n in (2, 4, 8, 16)]
     + ["random"]
 )
+
+
+def loop_grid_mi(pts, reps, mults, z, w, rho, n0):
+    """The separable kernel one representative at a time, as it was.
+
+    Blocks of nb representatives share the weighted sum of their logs. Each
+    representative forms its own factors, in chunks of at most
+    _BLOCK_ELEMENTS // (2R) of its kept columns, and sums S = A B^T over
+    them; the kernel's stream of a block's columns must give the same bits.
+    """
+    m, r = len(pts), len(z)
+    budget = capacity._BLOCK_ELEMENTS
+    coef = np.zeros((2 * r, 3))
+    coef[:r, 0] = coef[r:, 1] = (-2.0 / math.sqrt(n0)) * z
+    coef[r:, 2] = 1.0
+    nb = min(len(reps), max(1, min(budget // (3 * m), budget // (r * r))))
+    cols = min(m, max(1, budget // (2 * r)))
+    total = 0.0
+    for lo in range(0, len(reps), nb):
+        rows = reps[lo : lo + nb]
+        sums = np.empty((len(rows), r, r))
+        for s, i in zip(sums, rows.tolist()):
+            dx, dy = pts[i, 0] - pts[:, 0], pts[i, 1] - pts[:, 1]
+            sq = dx * dx + dy * dy
+            keep = capacity._kept_columns(sq, rho, m, n0)
+            d = np.array([dx, dy, sq / -n0])[:, keep]
+            for c in range(0, d.shape[1], cols):
+                e = np.exp(coef @ d[:, c : c + cols])
+                if c == 0:
+                    s[...] = e[:r] @ e[r:].T
+                else:
+                    s += e[:r] @ e[r:].T
+        total += float(mults[lo : lo + len(rows)] @ np.tensordot(np.log(sums), w))
+    return math.log2(m) - total / (m * numerics.LN2)
+
+
+def loop_mi(c, snr, order):
+    """MI through `loop_grid_mi`, a square grid as its two axes in turn."""
+    n0 = capacity._noise_variance(c, snr)
+    z, w = numerics.gauss_hermite_2d(order)
+    rho = capacity._kept_radius(z, w)
+    axes = product_axes(c.points)
+    parts = [c.points] if axes is None else [np.column_stack((a, np.zeros_like(a))) for a in axes]
+    return max(sum(loop_grid_mi(p, *orbits(p), z, w, rho, n0) for p in parts), 0.0)
+
+
+# budgets of 1 (one column per chunk) and 420 (2 to 105 columns, so chunks
+# end inside a representative's kept columns) and the default. 0 dB keeps
+# every column; 30 and 60 dB prune some
+STREAM_BUDGETS = {
+    1: range(2, 5),
+    420: (2, 3, 5, 8, 12, 16),
+    capacity._BLOCK_ELEMENTS: range(2, 25),
+}
+
+
+class TestStream:
+    @pytest.mark.parametrize("budget", list(STREAM_BUDGETS))
+    @pytest.mark.parametrize("family", ["box_muller", "dvb_variant", "qam"])
+    def test_matches_the_per_representative_loop_bit_for_bit(self, monkeypatch, family, budget):
+        monkeypatch.setattr(capacity, "_BLOCK_ELEMENTS", budget)
+        for n in STREAM_BUDGETS[budget]:
+            if family == "dvb_variant" and n % 2:
+                continue
+            c = make_constellation(family, n)
+            for snr_db in (0.0, 30.0, 60.0):
+                snr = SnrSpec.from_db(snr_db)
+                for order in (2, 40, 61, 256):
+                    got = mi_quadrature(c, snr, order).value
+                    assert got == loop_mi(c, snr, order), (n, snr_db, order)
 
 
 class TestSeparableKernel:

@@ -151,7 +151,8 @@ def match_cases():
             for normalize in (False, True):
                 pts = make_constellation(family, n, normalize=normalize).points
                 axes = product_axes(pts)
-                for p in [pts] + ([] if axes is None else [capacity._on_x_axis(a) for a in axes]):
+                axes = [] if axes is None else axes
+                for p in [pts] + [np.column_stack((a, np.zeros_like(a))) for a in axes]:
                     sets += [p, 3.7 * p, p[::-1]]
     rng = np.random.default_rng(14)
     for k in range(150):
