@@ -275,12 +275,6 @@ def _chunk_sums(coef, d, ends, lo, buf, s) -> int:
     e = np.matmul(coef, d[:, lo:hi], out=buf[: len(coef) * (hi - lo)].reshape(len(coef), -1))
     np.exp(e, out=e)
     a, b = e[: len(e) // 2], e[len(e) // 2 :]
-    if isinstance(ends, range) and start == lo and hi - lo >= ends.step:
-        # t whole representatives: one stacked matmul runs their t gemms
-        t, m = (hi - lo) // ends.step, ends.step
-        a, b = (f.reshape(-1, t, m).transpose(1, 0, 2) for f in (a, b))
-        np.matmul(a, b.transpose(0, 2, 1), out=s[j : j + t])
-        return hi
     while start < hi:
         p, q = max(start, lo) - lo, min(ends[j], hi) - lo
         if start < lo:
@@ -304,19 +298,23 @@ def _grid_mi(pts, reps, mults, z, w, rho, n0) -> float:
     coef[:r, 0] = coef[r:, 1] = (-2.0 / math.sqrt(n0)) * z
     coef[r:, 2] = 1.0
     pts_t = np.ascontiguousarray(pts.T)
-    # the (3, nb, M) differences and (nb, R, R) sums each hold at most
-    # _BLOCK_ELEMENTS doubles or one representative's. They and the 2R w
-    # factors, w = min(nb M, _BLOCK_ELEMENTS // 2R), are one allocation per
+    # the 2R w factors, w = min(nb M, _BLOCK_ELEMENTS // 2R), and the
+    # (nb, R, R) sums and (3, nb, M) differences, each at most
+    # _BLOCK_ELEMENTS doubles or one representative's, are one allocation per
     # call: per point, malloc mapped a buffer each time, and as three, glibc
     # trimmed the heap after each call and faulted them in again (425 faults
-    # a call at box_muller n=15, order 256). |d|^2 and the pruning margin go
-    # in the factors' memory, idle until the masks are made
+    # a call at box_muller n=15, order 256). The factors start it on a 64-byte
+    # line: at malloc's 16-byte alignment box_muller n=32 took 29.5 ms, not
+    # 23.3. |d|^2 and the pruning margin go in the factors' memory, idle until
+    # the masks are made. A pruned block gathers its kept columns (a tenth at
+    # 30 dB, box_muller n=16 to 64) and their indices into new arrays
     nb = min(len(reps), max(1, min(_BLOCK_ELEMENTS // (3 * m), _BLOCK_ELEMENTS // (r * r))))
     cols = min(nb * m, max(1, _BLOCK_ELEMENTS // (2 * r)))
-    flat = np.empty(3 * nb * m + nb * r * r + max(2 * r * cols, nb * m))
-    d = flat[: 3 * nb * m].reshape(3, nb, m)
-    s = flat[3 * nb * m : 3 * nb * m + nb * r * r].reshape(nb, r, r)
-    work = flat[3 * nb * m + nb * r * r :]
+    size = max(2 * r * cols, nb * m)
+    flat = np.empty(size + nb * r * r + 3 * nb * m + 7)
+    flat = flat[(-flat.ctypes.data % 64) // 8 :]
+    work, s = flat[:size], flat[size : size + nb * r * r].reshape(nb, r, r)
+    d = flat[size + nb * r * r :][: 3 * nb * m].reshape(3, nb, m)
     buf, scratch = work[: 2 * r * cols], work[: nb * m].reshape(nb, m)
     mask = np.empty((nb, m), dtype=bool)
     total = 0.0
