@@ -33,10 +33,10 @@ grid, and that with d_j = x_i - x_j the term of j at node z factors as
 
 So the inner sums at all nodes are one product S = A B^T of two (R, M)
 matrices over the R 1D nodes, not one exponential per node and point.
-Points whose term is below e**-37/M at every kept node are left out first
-(`_kept_columns`); that moves MI by about 1e-16 bits and bounds every
-exponent, so S needs no max pass or clip (`_chunk_sums`). The rule
-leaves out tensor nodes of weight below 1e-16.
+Points beyond a squared distance of x_i (`_kept_reach`) are left out first:
+their terms are below e**-37/M at every kept node, so that moves MI by
+about 1e-16 bits, and it bounds every exponent, so S needs no max pass or
+clip (`_chunk_sums`). The rule leaves out tensor nodes of weight below 1e-16.
 
 The quadrature takes the outer mean over (representative point,
 multiplicity) pairs against the tensor rule, and reads two structures from
@@ -84,7 +84,7 @@ _BLOCK_ELEMENTS = 1 << 17
 # above -_CLIP_FREE_NATS (see _clip_can_bite)
 _CLIP_FREE_NATS = -EXP_FLOOR - 100.0
 # the tensor rule leaves out point j for transmitted point i when its term
-# is below e**-_PRUNE_NATS / M at every kept node (see _kept_columns)
+# is below e**-_PRUNE_NATS / M at every kept node (see _kept_reach)
 _PRUNE_NATS = 37.0
 # order**2 nodes are built before pruning; this keeps them to 65,536
 _MAX_ORDER = 256
@@ -213,6 +213,20 @@ def _block_rows(m: int) -> int:
     return max(2, _BLOCK_ELEMENTS // m)
 
 
+def _aligned(*shapes) -> list:
+    """Float arrays of the given shapes in one allocation, each on a 64-byte line.
+
+    The offset moves no bit, but at malloc's 16-byte alignment the
+    quadrature at box_muller n=32, 10 dB took 29.5 ms, not 23.3, and 200,000
+    Monte Carlo draws at box_muller n=8, 15 dB up to 48.3 ms, not 39.3.
+    """
+    lines = [-(-math.prod(shape) // 8) * 8 for shape in shapes]  # 8 doubles a line
+    flat = np.empty(sum(lines) + 7)
+    flat = flat[(-flat.ctypes.data % 64) // 8 :]
+    starts = np.cumsum([0] + lines).tolist()
+    return [flat[a : a + math.prod(shape)].reshape(shape) for a, shape in zip(starts, shapes)]
+
+
 def gaussian_capacity(snr) -> float:
     """log2(1 + snr), the Gaussian capacity in bits per 2D use."""
     return math.log2(1.0 + _as_snr(snr))
@@ -229,24 +243,18 @@ def _kept_radius(z, w) -> float:
     return math.sqrt(float(np.max(np.add.outer(z * z, z * z)[w > 0.0])))
 
 
-def _kept_columns(sq, rho, m, n0, out=None, scratch=None) -> np.ndarray:
-    """Mask of the points j that the tensor rule keeps for one point x_i.
+def _kept_reach(rho, m, n0) -> float:
+    """The squared distance up to which the tensor rule keeps a point j for x_i.
 
     At a node z with |z| <= rho the term of j is at most
     exp(-(|d_j|^2 - 2*sqrt(N0)*rho*|d_j|)/N0), d_j = x_i - x_j, so a point
-    with |d_j|^2 - 2*sqrt(N0)*rho*|d_j| > (ln M + _PRUNE_NATS)*N0 adds less
-    than e**-_PRUNE_NATS / M to every row. A row sum is at least 1 (the
-    j = i term is exactly 1), so all the dropped terms together move its log
-    by less than e**-37, about 1e-16. j = i is always kept.
-
-    The mask is written into the boolean array `out` and the margin formed
-    in the float array `scratch`, both shaped like `sq`, when given.
+    with |d_j|^2 - 2*sqrt(N0)*rho*|d_j| > (ln M + _PRUNE_NATS)*N0, that is
+    |d_j|^2 > N0*(rho + sqrt(rho^2 + ln M + _PRUNE_NATS))^2, adds less than
+    e**-_PRUNE_NATS / M to every row. A row sum is at least 1 (the j = i
+    term is exactly 1), so all the dropped terms together move its log by
+    less than e**-37, about 1e-16. j = i is always kept.
     """
-    bound = (math.log(m) + _PRUNE_NATS) * n0
-    margin = np.sqrt(sq, out=scratch)
-    margin *= 2.0 * math.sqrt(n0) * rho
-    np.subtract(sq, margin, out=margin)
-    return np.less_equal(margin, bound, out=out)
+    return n0 * (rho + math.sqrt(rho * rho + math.log(m) + _PRUNE_NATS)) ** 2
 
 
 def _chunk_sums(coef, d, ends, lo, buf, s) -> int:
@@ -263,9 +271,9 @@ def _chunk_sums(coef, d, ends, lo, buf, s) -> int:
     starts, unless that one starts it, so a representative is cut only
     every w columns and its S has the same bits whatever shares its chunk.
     """
-    # kept columns have |d_j|/sqrt(N0) <= rho + sqrt(rho^2 + ln M + 37) < 15.3
-    # (rho <= 5.93 up to order 256, M up to 2048^2): A's exponents lie within
-    # +-182 and B's within [-416, 36], so nothing overflows or turns subnormal
+    # kept columns have |d_j|^2 <= _kept_reach, |d_j|/sqrt(N0) < 15.3 (rho <=
+    # 5.93 up to order 256, M up to 2048^2): A's exponents lie within +-182
+    # and B's within [-416, 36], so nothing overflows or turns subnormal
     j = bisect.bisect_right(ends, lo)  # the representative at lo
     start = ends[j - 1] if j else 0
     hi = min(lo + len(buf) // len(coef), d.shape[1])
@@ -290,7 +298,7 @@ def _grid_mi(pts, reps, mults, z, w, rho, n0) -> float:
 
     The sum over i runs over the representatives `reps`, each standing for
     `mults` points; the expectation is the tensor rule in grid form (z, w),
-    with pruning at the rule's kept node radius `rho`. Blocks of nb
+    pruned (`_kept_reach`) at the rule's kept node radius `rho`. Blocks of nb
     representatives share differences, masks, log and weighted sum.
     """
     m, r = len(pts), len(z)
@@ -298,25 +306,20 @@ def _grid_mi(pts, reps, mults, z, w, rho, n0) -> float:
     coef[:r, 0] = coef[r:, 1] = (-2.0 / math.sqrt(n0)) * z
     coef[r:, 2] = 1.0
     pts_t = np.ascontiguousarray(pts.T)
-    # the 2R w factors, w = min(nb M, _BLOCK_ELEMENTS // 2R), and the
-    # (nb, R, R) sums and (3, nb, M) differences, each at most
-    # _BLOCK_ELEMENTS doubles or one representative's, are one allocation per
-    # call: per point, malloc mapped a buffer each time, and as three, glibc
-    # trimmed the heap after each call and faulted them in again (425 faults
-    # a call at box_muller n=15, order 256). The factors start it on a 64-byte
-    # line: at malloc's 16-byte alignment box_muller n=32 took 29.5 ms, not
-    # 23.3. |d|^2 and the pruning margin go in the factors' memory, idle until
-    # the masks are made. A pruned block gathers its kept columns (a tenth at
-    # 30 dB, box_muller n=16 to 64) and their indices into new arrays
+    # the 2R w factors, w = min(nb M, _BLOCK_ELEMENTS // 2R), the (nb, R, R)
+    # sums and the (3, nb, M) differences, each at most _BLOCK_ELEMENTS doubles
+    # or one representative's, are one allocation per call, each on a 64-byte
+    # line: per point, malloc mapped a buffer each time, and as three, glibc
+    # trimmed the heap after each call and faulted them in again (425 faults a
+    # call at box_muller n=15, order 256). d_y^2 goes in the factors' memory,
+    # idle until |d|^2 is formed. A pruned block gathers its kept columns (a
+    # tenth at 30 dB, box_muller n=16 to 64) and their indices into new arrays
     nb = min(len(reps), max(1, min(_BLOCK_ELEMENTS // (3 * m), _BLOCK_ELEMENTS // (r * r))))
     cols = min(nb * m, max(1, _BLOCK_ELEMENTS // (2 * r)))
-    size = max(2 * r * cols, nb * m)
-    flat = np.empty(size + nb * r * r + 3 * nb * m + 7)
-    flat = flat[(-flat.ctypes.data % 64) // 8 :]
-    work, s = flat[:size], flat[size : size + nb * r * r].reshape(nb, r, r)
-    d = flat[size + nb * r * r :][: 3 * nb * m].reshape(3, nb, m)
+    work, s, d = _aligned((max(2 * r * cols, nb * m),), (nb, r, r), (3, nb, m))
     buf, scratch = work[: 2 * r * cols], work[: nb * m].reshape(nb, m)
     mask = np.empty((nb, m), dtype=bool)
+    reach = _kept_reach(rho, m, n0)
     total = 0.0
     for lo in range(0, len(reps), nb):
         rows = reps[lo : lo + nb]
@@ -327,7 +330,7 @@ def _grid_mi(pts, reps, mults, z, w, rho, n0) -> float:
         np.multiply(dk[0], dk[0], out=sq)
         np.multiply(dk[1], dk[1], out=tmp)
         sq += tmp
-        keep = _kept_columns(sq, rho, m, n0, out=mask[:k], scratch=tmp)
+        keep = np.less_equal(sq, reach, out=mask[:k])
         sq /= -n0
         stream = dk.reshape(3, k * m)
         if keep.all():
@@ -375,7 +378,8 @@ def mi_quadrature(c: Constellation, snr, order: int = DEFAULT_ORDER) -> MiEstima
     `order` nodes per noise axis, 2 to 256, less the tensor nodes of
     negligible weight; the expectation over the noise uses the
     substitution N = sqrt(N0) * z against the weight exp(-z^2)/sqrt(pi) on
-    each axis. Exactly reproducible across runs.
+    each axis. The bits repeat on the same BLAS kernel and thread count (5
+    of 2,400 inputs moved their last bits between 1 and 2 OpenBLAS threads).
 
     A point set is evaluated at one point per orbit of its symmetries of
     the square, weighted by the orbit's size; the tensor nodes are
@@ -391,7 +395,7 @@ def mi_quadrature(c: Constellation, snr, order: int = DEFAULT_ORDER) -> MiEstima
     For each point evaluated, the inner sums at all tensor nodes are one
     product S = A B^T of two (R, M) matrices over the R 1D nodes, as the
     exponent separates over the noise axes. Points whose term is below
-    e**-37/M at every kept node are left out (`_kept_columns`): that moves
+    e**-37/M at every kept node are left out (`_kept_reach`): that moves
     the value by about 1e-16 bits and keeps every exponent within about
     [-416, 182] at any SNR or power. Against the row-wise log-sum-exp over
     every point the value moves by rounding only (below 1e-13 bits).
@@ -480,7 +484,7 @@ def mi_monte_carlo(c: Constellation, snr, samples: int, seed: int) -> MiEstimate
     # memory than sets made by each worker thread
     spare = queue.SimpleQueue()
     for _ in range(min(_WORKERS, strata)):
-        spare.put((np.empty((chunk, 2)), np.empty(chunk), np.empty(rows * m)))
+        spare.put(_aligned((chunk, 2), (chunk,), (rows * m,)))
 
     def stratum(i):
         scratch = spare.get()

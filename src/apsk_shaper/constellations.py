@@ -85,14 +85,18 @@ def _check_common(n, power) -> tuple:
     return integer("n", n, 1, MAX_N), positive("power", power)
 
 
-def _ring_points(radii: np.ndarray, phases: np.ndarray) -> np.ndarray:
+def _ring_layout(family: str, n: int) -> tuple:
+    """(rings, points per ring) of an APSK family: n x n, or n/2 x 2n."""
+    return (n, n) if family == BOX_MULLER else (n // 2, 2 * n)
+
+
+def _apsk(family, n, power, normalize, label):
+    rings, per_ring = _ring_layout(family, n)
+    radii = np.sqrt(-power * np.log((2 * np.arange(rings) + 1) / (2.0 * rings)))
+    phases = 2.0 * np.pi * (2 * np.arange(per_ring) + 1) / (2.0 * per_ring)
     x = radii[:, None] * np.cos(phases)[None, :]
     y = radii[:, None] * np.sin(phases)[None, :]
-    return np.stack([x.ravel(), y.ravel()], axis=1)
-
-
-def _apsk(family, n, power, radii, phases, normalize, label):
-    points = _ring_points(radii, phases)
+    points = np.stack([x.ravel(), y.ravel()], axis=1)
     if normalize:
         points = points * np.sqrt(power / np.mean(np.sum(points**2, axis=1)))
     if label is None:
@@ -120,11 +124,7 @@ def box_muller_apsk(
         label: optional label; defaults to a descriptive one.
     """
     n, power = _check_common(n, power)
-    k = np.arange(n)
-    u = (2 * k + 1) / (2.0 * n)
-    radii = np.sqrt(-power * np.log(u))
-    phases = 2.0 * np.pi * (2 * k + 1) / (2.0 * n)
-    return _apsk(BOX_MULLER, n, power, radii, phases, normalize, label)
+    return _apsk(BOX_MULLER, n, power, normalize, label)
 
 
 def dvb_variant_apsk(
@@ -141,11 +141,7 @@ def dvb_variant_apsk(
     n, power = _check_common(n, power)
     if n % 2:
         raise DomainError(f"dvb_variant_apsk requires an even n, got {n}")
-    k = np.arange(n // 2)
-    u = (2 * k + 1) / float(n)
-    radii = np.sqrt(-power * np.log(u))
-    phases = 2.0 * np.pi * (2 * np.arange(2 * n) + 1) / (4.0 * n)
-    return _apsk(DVB_VARIANT, n, power, radii, phases, normalize, label)
+    return _apsk(DVB_VARIANT, n, power, normalize, label)
 
 
 def square_qam(n: int, power: float = 1.0, label: Optional[str] = None) -> Constellation:
@@ -273,9 +269,8 @@ def validate_constellation(c: Constellation) -> None:
 
     if avg > power * (1.0 + _POWER_RTOL):
         raise DomainError(f"average power {avg!r} exceeds the budget {power!r}")
-    # ring-major order: n rings of n points, or n/2 rings of 2n points
-    n_rings = n if c.family == BOX_MULLER else n // 2
-    radii = np.sqrt(np.sum(pts**2, axis=1)).reshape(n_rings, -1)
+    # ring-major order
+    radii = np.sqrt(np.sum(pts**2, axis=1)).reshape(_ring_layout(c.family, n)[0], -1)
     ring_radii = radii.mean(axis=1)
     if np.any(np.abs(radii - ring_radii[:, None]) > _RING_RTOL * ring_radii[:, None]):
         raise DomainError("every point must lie on its ring radius")

@@ -20,6 +20,7 @@ from apsk_shaper import (
 )
 from apsk_shaper import capacity, numerics
 from apsk_shaper.symmetry import orbits, product_axes
+from quadrature_rule import tensor_rule
 
 
 def random_case(k, m, seed):
@@ -79,13 +80,30 @@ class TestBlocks:
         # 5000 draws per point make more than one block each
         assert len(blocks) > c.M
 
+    def test_mc_scratch_starts_on_cache_lines(self, monkeypatch):
+        offsets = []
+        inner = capacity._mc_stratum
+
+        def recording(pts, i, count, seed, n0, scratch):
+            # off a 64-byte line, box_muller n=8 at 15 dB ran up to 23% slower
+            offsets.append([a.ctypes.data % 64 for a in scratch])
+            return inner(pts, i, count, seed, n0, scratch)
+
+        monkeypatch.setattr(capacity, "_mc_stratum", recording)
+        # chunks of 5, 8 and 5,000 draws: at 5 the noise (10 doubles) and row
+        # (5) buffers end off a line, so packing them would misalign the next
+        for family, n, samples in [("qam", 3, 9 * 5), ("box_muller", 5, 25 * 7 + 3),
+                                   ("box_muller", 8, 64 * 5000)]:
+            mi_monte_carlo(make_constellation(family, n), SnrSpec.from_db(15.0), samples, 4)
+        assert offsets and all(o == [0, 0, 0] for o in offsets)
+
     def test_quadrature_blocks_and_temporaries_stay_bounded(self, monkeypatch):
         factors = []
         inner = capacity._chunk_sums
 
         def recording(coef, d, ends, lo, buf, s):
             # off a 64-byte line, box_muller n=32 ran up to 27% slower
-            assert buf.ctypes.data % 64 == 0
+            assert buf.ctypes.data % 64 == 0 and s.ctypes.data % 64 == 0
             hi = inner(coef, d, ends, lo, buf, s)
             size = len(coef) // 2 * (hi - lo)  # A and B are (R, n) each
             factors.append((size, size))
@@ -366,13 +384,6 @@ class TestLayout:
         assert min(low for _, low in seen) < numerics.EXP_FLOOR
 
 
-def tensor_rule(order):
-    """The kept tensor nodes (K, 2) and weights (K,) of the grid-form rule."""
-    z, w = numerics.gauss_hermite_2d(order)
-    a, b = np.nonzero(w)
-    return np.column_stack((z[a], z[b])), w[a, b]
-
-
 class TestPrunedRule:
     @pytest.mark.parametrize("order", [40, 60])
     def test_dropped_mass_is_negligible(self, order):
@@ -455,6 +466,17 @@ SEPARABLE_CASES = (
 )
 
 
+def margin_mask(sq, rho, m, n0):
+    """The points kept for x_i as a margin per column, as the kernel once did.
+
+    At a node with |z| <= rho a term is at most
+    exp(-(|d|^2 - 2 sqrt(N0) rho |d|)/N0), so j is kept while that margin is
+    within (ln M + 37) N0; `capacity._kept_reach` is its closed form.
+    """
+    margin = np.sqrt(sq) * (2.0 * math.sqrt(n0) * rho)
+    return sq - margin <= (math.log(m) + 37.0) * n0
+
+
 def loop_grid_mi(pts, reps, mults, z, w, rho, n0):
     """The separable kernel one representative at a time, as it was.
 
@@ -477,7 +499,7 @@ def loop_grid_mi(pts, reps, mults, z, w, rho, n0):
         for s, i in zip(sums, rows.tolist()):
             dx, dy = pts[i, 0] - pts[:, 0], pts[i, 1] - pts[:, 1]
             sq = dx * dx + dy * dy
-            keep = capacity._kept_columns(sq, rho, m, n0)
+            keep = margin_mask(sq, rho, m, n0)
             d = np.array([dx, dy, sq / -n0])[:, keep]
             for c in range(0, d.shape[1], cols):
                 e = np.exp(coef @ d[:, c : c + cols])
@@ -543,6 +565,38 @@ class TestSeparableKernel:
         # every node sum is finite and holds the exact 1 of j = i
         assert seen and all(finite and low >= 1.0 for low, finite in seen)
 
+    @pytest.mark.parametrize("family,n", [("box_muller", 3), ("dvb_variant", 4),
+                                          ("box_muller", 6)])
+    def test_the_kernel_keeps_what_the_margin_form_keeps_at_the_reach(self, monkeypatch,
+                                                                     family, n):
+        # a dropped term is below half an ulp of S, so values cannot tell two
+        # masks apart; the kernel's kept columns per representative can
+        kept = []
+        inner = capacity._chunk_sums
+
+        def recording(coef, d, ends, lo, buf, s):
+            if lo == 0:
+                kept.extend(np.diff(ends, prepend=0).tolist())
+            return inner(coef, d, ends, lo, buf, s)
+
+        monkeypatch.setattr(capacity, "_chunk_sums", recording)
+        pts = make_constellation(family, n).points
+        m = len(pts)
+        reps, mults = orbits(pts)
+        sq = np.sum((pts[reps][:, None] - pts[None]) ** 2, axis=-1)
+        for order in (2, 40, 256):
+            z, w = numerics.gauss_hermite_2d(order)
+            rho = capacity._kept_radius(z, w)
+            unit = capacity._kept_reach(rho, m, 1.0)  # the reach at N0 = 1
+            for j in (1, m // 2, m - 1):
+                # N0 that puts |x_0 - x_j| at the reach, then 1e-9 in or out
+                edge = float(np.sum((pts[0] - pts[j]) ** 2)) / unit
+                for n0 in (edge * (1.0 - 1e-9), edge * (1.0 + 1e-9)):
+                    kept.clear()
+                    capacity._grid_mi(pts, reps, mults, z, w, rho, n0)
+                    want = np.count_nonzero(margin_mask(sq, rho, m, n0), axis=1).tolist()
+                    assert kept == want, (order, j, n0)
+
     @pytest.mark.parametrize("name", [("box_muller", 3), ("dvb_variant", 4), "random"],
                              ids=case_id)
     def test_pruned_terms_are_negligible_at_every_kept_node(self, name):
@@ -558,7 +612,9 @@ class TestSeparableKernel:
                 for i in range(m):
                     diff = pts[i] - pts
                     sq = np.sum(diff * diff, axis=1)
-                    keep = capacity._kept_columns(sq, rho, m, n0)
+                    keep = sq <= capacity._kept_reach(rho, m, n0)
+                    # the closed form keeps what the margin per column keeps
+                    assert np.array_equal(keep, margin_mask(sq, rho, m, n0))
                     terms = np.exp(-(sq + 2.0 * math.sqrt(n0) * (nodes @ diff.T)) / n0)
                     bound = math.exp(-37.0) / m * terms.sum(axis=1)
                     assert keep[i]

@@ -23,6 +23,7 @@ from apsk_shaper import (
 from apsk_shaper import capacity, numerics
 from apsk_shaper import symmetry
 from apsk_shaper.symmetry import D4, _matches, orbits, product_axes
+from quadrature_rule import tensor_rule
 
 SNR_DBS = (0.0, 10.0, 20.0, 30.0)
 ORDERS = (40, 60)
@@ -32,13 +33,6 @@ PATH_TOL = 1.5e-13
 ALL_D4 = {"identity", *(name for name, _, _ in D4)}
 D2 = {"identity", "rot180", "mirror_x", "mirror_y"}
 MIRROR_X = {"identity", "mirror_x"}
-
-
-def tensor_rule(order):
-    """The kept tensor nodes (K, 2) and weights (K,) of the grid-form rule."""
-    z, w = numerics.gauss_hermite_2d(order)
-    a, b = np.nonzero(w)
-    return np.column_stack((z[a], z[b])), w[a, b]
 
 
 def full_loop(c, snr, order):
