@@ -33,10 +33,10 @@ grid, and that with d_j = x_i - x_j the term of j at node z factors as
 
 So the inner sums at all nodes are one product S = A B^T of two (R, M)
 matrices over the R 1D nodes, not one exponential per node and point.
-Points beyond a squared distance of x_i (`_kept_reach`) are left out first:
-their terms are below e**-37/M at every kept node, so that moves MI by
-about 1e-16 bits, and it bounds every exponent, so S needs no max pass or
-clip (`_chunk_sums`). The rule leaves out tensor nodes of weight below 1e-16.
+Points whose term is below e**-37/M at every kept node, those beyond one
+squared distance (`_kept_reach`), are left out first; that moves MI by
+about 1e-16 bits and bounds every exponent, so S needs no max pass or clip
+(`_chunk_sums`). The rule leaves out tensor nodes of weight below 1e-16.
 
 The quadrature takes the outer mean over (representative point,
 multiplicity) pairs against the tensor rule, and reads two structures from
@@ -213,18 +213,20 @@ def _block_rows(m: int) -> int:
     return max(2, _BLOCK_ELEMENTS // m)
 
 
-def _aligned(*shapes) -> list:
-    """Float arrays of the given shapes in one allocation, each on a 64-byte line.
+def _aligned(*sizes) -> list:
+    """Flat float arrays of the given sizes in one allocation, each on a 64-byte line.
 
-    The offset moves no bit, but at malloc's 16-byte alignment the
-    quadrature at box_muller n=32, 10 dB took 29.5 ms, not 23.3, and 200,000
-    Monte Carlo draws at box_muller n=8, 15 dB up to 48.3 ms, not 39.3.
+    The offset moves no bit, but at malloc's 16-byte alignment box_muller
+    n=32 at 10 dB took 29.5 ms in the quadrature, not 23.3, and 200,000 Monte
+    Carlo draws at n=8, 15 dB up to 48.3 ms, not 39.3. Reshaping is left to
+    the caller: here, it cost a small quadrature row 5-15 us.
     """
-    lines = [-(-math.prod(shape) // 8) * 8 for shape in shapes]  # 8 doubles a line
-    flat = np.empty(sum(lines) + 7)
-    flat = flat[(-flat.ctypes.data % 64) // 8 :]
-    starts = np.cumsum([0] + lines).tolist()
-    return [flat[a : a + math.prod(shape)].reshape(shape) for a, shape in zip(starts, shapes)]
+    flat = np.empty(sum(sizes) + 8 * len(sizes))
+    at, views = (-flat.ctypes.data % 64) // 8, []
+    for size in sizes:
+        views.append(flat[at : at + size])
+        at += size + -size % 8  # whole lines of 8 doubles
+    return views
 
 
 def gaussian_capacity(snr) -> float:
@@ -246,13 +248,11 @@ def _kept_radius(z, w) -> float:
 def _kept_reach(rho, m, n0) -> float:
     """The squared distance up to which the tensor rule keeps a point j for x_i.
 
-    At a node z with |z| <= rho the term of j is at most
-    exp(-(|d_j|^2 - 2*sqrt(N0)*rho*|d_j|)/N0), d_j = x_i - x_j, so a point
-    with |d_j|^2 - 2*sqrt(N0)*rho*|d_j| > (ln M + _PRUNE_NATS)*N0, that is
-    |d_j|^2 > N0*(rho + sqrt(rho^2 + ln M + _PRUNE_NATS))^2, adds less than
-    e**-_PRUNE_NATS / M to every row. A row sum is at least 1 (the j = i
-    term is exactly 1), so all the dropped terms together move its log by
-    less than e**-37, about 1e-16. j = i is always kept.
+    At a node z with |z| <= rho the term of j, d_j = x_i - x_j, is at most
+    exp(-(|d_j|^2 - 2*sqrt(N0)*rho*|d_j|)/N0): below e**-_PRUNE_NATS / M once
+    |d_j| passes the root sqrt(N0)*(rho + sqrt(rho^2 + ln M + _PRUNE_NATS)).
+    A row sum is at least 1 (the j = i term is exactly 1, and always kept), so
+    all the dropped terms together move its log by less than e**-37 (1e-16).
     """
     return n0 * (rho + math.sqrt(rho * rho + math.log(m) + _PRUNE_NATS)) ** 2
 
@@ -316,7 +316,8 @@ def _grid_mi(pts, reps, mults, z, w, rho, n0) -> float:
     # tenth at 30 dB, box_muller n=16 to 64) and their indices into new arrays
     nb = min(len(reps), max(1, min(_BLOCK_ELEMENTS // (3 * m), _BLOCK_ELEMENTS // (r * r))))
     cols = min(nb * m, max(1, _BLOCK_ELEMENTS // (2 * r)))
-    work, s, d = _aligned((max(2 * r * cols, nb * m),), (nb, r, r), (3, nb, m))
+    work, s, d = _aligned(max(2 * r * cols, nb * m), nb * r * r, 3 * nb * m)
+    s, d = s.reshape(nb, r, r), d.reshape(3, nb, m)
     buf, scratch = work[: 2 * r * cols], work[: nb * m].reshape(nb, m)
     mask = np.empty((nb, m), dtype=bool)
     reach = _kept_reach(rho, m, n0)
@@ -484,7 +485,8 @@ def mi_monte_carlo(c: Constellation, snr, samples: int, seed: int) -> MiEstimate
     # memory than sets made by each worker thread
     spare = queue.SimpleQueue()
     for _ in range(min(_WORKERS, strata)):
-        spare.put(_aligned((chunk, 2), (chunk,), (rows * m,)))
+        noise, row, block = _aligned(2 * chunk, chunk, rows * m)
+        spare.put((noise.reshape(chunk, 2), row, block))
 
     def stratum(i):
         scratch = spare.get()

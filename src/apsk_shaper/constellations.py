@@ -94,9 +94,7 @@ def _apsk(family, n, power, normalize, label):
     rings, per_ring = _ring_layout(family, n)
     radii = np.sqrt(-power * np.log((2 * np.arange(rings) + 1) / (2.0 * rings)))
     phases = 2.0 * np.pi * (2 * np.arange(per_ring) + 1) / (2.0 * per_ring)
-    x = radii[:, None] * np.cos(phases)[None, :]
-    y = radii[:, None] * np.sin(phases)[None, :]
-    points = np.stack([x.ravel(), y.ravel()], axis=1)
+    points = np.stack([np.outer(radii, f(phases)).ravel() for f in (np.cos, np.sin)], axis=1)
     if normalize:
         points = points * np.sqrt(power / np.mean(np.sum(points**2, axis=1)))
     if label is None:
