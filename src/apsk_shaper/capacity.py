@@ -100,9 +100,6 @@ except AttributeError:  # no sched_getaffinity on macOS or Windows
 # the sets and orbits that mi_quadrature takes for each Constellation; an
 # entry dies with its key (see _structure)
 _STRUCTURE = weakref.WeakKeyDictionary()
-# order -> the kept node radius of its rule (see _kept_radius), which
-# depends on the order alone
-_KEPT_RADIUS = {}
 
 _MI_SLACK = 1e-9
 _CAPACITY_SLACK = 1e-6
@@ -142,12 +139,10 @@ def _as_snr(snr) -> float:
 def _noise_variance(c: Constellation, snr) -> float:
     """N0 = P/snr, split N0/2 per real axis.
 
-    A hand-built Constellation can have any P (0, a str, an int past a
-    double), so P is checked before the division, and N0 after it, as a tiny
-    P over a large snr can underflow to 0.
+    The Constellation has checked P; N0 is checked as well, as a tiny P over
+    a large snr can underflow to 0.
     """
-    power = positive("power P of the noise variance P/snr", c.power)
-    return positive("noise variance", power / _as_snr(snr))
+    return positive("noise variance", c.power / _as_snr(snr))
 
 
 def _log_partition(noise2, diff, sq, n0, out=None, buf=None):
@@ -235,14 +230,9 @@ def gaussian_capacity(snr) -> float:
 
 
 def _finish_value(value: float, m: int, cause: str = "estimator bug") -> float:
-    if value > math.log2(m) + _MI_SLACK or value < -_MI_SLACK:
+    if not -_MI_SLACK <= value <= math.log2(m) + _MI_SLACK:  # a NaN fails too
         raise EstimatorError(f"MI estimate {value!r} outside [0, log2({m})]; {cause}")
     return max(value, 0.0)
-
-
-def _kept_radius(z, w) -> float:
-    """The largest radius of a node of weight > 0 in the grid rule (z, w)."""
-    return math.sqrt(float(np.max(np.add.outer(z * z, z * z)[w > 0.0])))
 
 
 def _kept_reach(rho, m, n0) -> float:
@@ -354,9 +344,9 @@ def _structure(c: Constellation) -> list:
     count 2, when they are np.array_equal), any other set itself (count 1),
     each with its D4 orbits (see `symmetry`). Computed on the first call for
     `c` and kept until `c` is freed: a Constellation hashes by identity
-    (eq=False) and its points are read-only, so an entry cannot go stale. It
-    holds c.points, never c, which would keep its own key alive. Two threads
-    that miss at once compute and store the same value.
+    (eq=False) and owns a read-only copy of its points, so an entry cannot go
+    stale. It holds c.points, never c, which would keep its own key alive.
+    Two threads that miss at once compute and store the same value.
     """
     sets = _STRUCTURE.get(c)
     if sets is None:
@@ -404,10 +394,7 @@ def mi_quadrature(c: Constellation, snr, order: int = DEFAULT_ORDER) -> MiEstima
     """
     order = integer("quadrature order", order, 2, _MAX_ORDER)
     n0 = _noise_variance(c, snr)
-    z, w = gauss_hermite_2d(order)
-    rho = _KEPT_RADIUS.get(order)
-    if rho is None:
-        rho = _KEPT_RADIUS[order] = _kept_radius(z, w)
+    z, w, rho = gauss_hermite_2d(order)
     value = sum(count * _grid_mi(*part, z, w, rho, n0) for count, *part in _structure(c))
     return MiEstimate(_finish_value(value, c.M), "quadrature", 0.0)
 

@@ -11,6 +11,7 @@ spaced baseline, rescaled to average power exactly P.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -35,8 +36,9 @@ _FAMILY_ALIASES = {
 _POWER_RTOL = 1e-9
 _RING_RTOL = 1e-9
 
-# the largest n accepted: its (n^2, 2) float64 point array takes 64 MiB and
-# building it peaks near four times that. Past it no estimator is in reach
+# the largest n accepted: its (n^2, 2) float64 point array takes 64 MiB, and
+# building it (with the Constellation's copy) peaks at 136 MiB for the APSK
+# families and 200 MiB for qam by tracemalloc. Past it no estimator is in reach
 # anyway (quadrature costs O(n^4)), and an unchecked n asked numpy for
 # 74.5 GiB at n = 100000.
 _MAX_POINT_BYTES = 64 * 2**20
@@ -59,9 +61,12 @@ def canonical_family(name: str) -> str:
 class Constellation:
     """Immutable labeled point set with its nominal power budget.
 
-    `points` is an (n^2, 2) float64 array in canonical order (ring-major for
-    APSK, grid-major for QAM) and is marked read-only. `power` is the budget
-    P the family was constructed for, not the realized average power.
+    `points` is an (n^2, 2) array in canonical order (ring-major for APSK,
+    grid-major for QAM). `power` is the budget P the family was constructed
+    for, not the realized average power. Construction keeps its own
+    read-only C-order float64 copy of the points and raises DomainError
+    unless they have shape (M, 2), M >= 1, and finite coordinates, and P is
+    a finite real > 0; `validate_constellation` adds the family's invariants.
     """
 
     label: str
@@ -71,14 +76,26 @@ class Constellation:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.ascontiguousarray(np.asarray(self.points, dtype=np.float64))
+        try:
+            pts = np.array(self.points, dtype=np.float64, order="C")  # a copy
+        except (OverflowError, TypeError, ValueError):  # an int past a double, not numbers
+            pts = np.empty(0)  # rejected below
+        if pts.ndim != 2 or pts.shape[1] != 2 or not len(pts) or not np.isfinite(pts).all():
+            raise DomainError("points must be an (M, 2) array of finite numbers, M >= 1")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "power", positive("power", self.power))
 
     @property
     def M(self) -> int:
         """Number of signal points."""
         return self.points.shape[0]
+
+    @cached_property
+    def _powers(self) -> tuple:
+        """(mean, max) of |w|^2 over the points, computed on first use."""
+        p = np.sum(self.points**2, axis=1)
+        return float(np.mean(p)), float(np.max(p))
 
 
 def _check_common(n, power) -> tuple:
@@ -185,12 +202,12 @@ def make_constellation(
 
 def average_power(c: Constellation) -> float:
     """Mean of |w|^2 over the signal points."""
-    return float(np.mean(np.sum(c.points**2, axis=1)))
+    return c._powers[0]
 
 
 def peak_power(c: Constellation) -> float:
     """Max of |w|^2 over the signal points."""
-    return float(np.max(np.sum(c.points**2, axis=1)))
+    return c._powers[1]
 
 
 def papr(c: Constellation) -> float:
@@ -231,23 +248,20 @@ def min_distance(c: Constellation) -> float:
 
 
 def validate_constellation(c: Constellation) -> None:
-    """Check every structural invariant; raise DomainError on violation.
+    """Check the family's invariants; raise DomainError on violation.
 
+    On top of construction's checks: a known family, n in [1, MAX_N] (even
+    for dvb_variant), n^2 distinct points, and the family's power and rings.
     Used by the file reader and available to callers that build
     Constellation values by hand.
     """
     if c.family not in FAMILIES:
         raise DomainError(f"unknown family {c.family!r}")
-    n, power = _check_common(c.n, c.power)
+    n, power, pts = integer("n", c.n, 1, MAX_N), c.power, c.points
     if c.family == DVB_VARIANT and n % 2:
         raise DomainError(f"family {DVB_VARIANT} requires an even n, got {n}")
-    pts = c.points
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise DomainError(f"points must have shape (M, 2), got {pts.shape}")
     if pts.shape[0] != n**2:
         raise DomainError(f"expected {n ** 2} points for n={n}, found {pts.shape[0]}")
-    if not np.all(np.isfinite(pts)):
-        raise DomainError("points must be finite")
     order = np.lexsort((pts[:, 1], pts[:, 0]))
     srt = pts[order]
     if len(srt) > 1 and np.any(np.all(srt[1:] == srt[:-1], axis=1)):

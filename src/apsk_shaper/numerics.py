@@ -2,6 +2,7 @@
 pass because every row it gets holds an exact 0, and the tensor
 Gauss-Hermite rule of the quadrature."""
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -49,9 +50,10 @@ def gauss_hermite_2d(order: int):
     """Tensor-product Gauss-Hermite rule for two axes, in grid form.
 
     Nodes/weights for the physicists' weight exp(-z^2) per axis, computed by
-    numpy's orthogonal-polynomial method and cached. Returns (z, w): the R
-    1D nodes that some kept tensor node uses, shape (R,), and the (R, R)
-    weight grid, w[a, b] being the weight of the node (z[a], z[b]). Weights
+    numpy's orthogonal-polynomial method and cached. Returns (z, w, rho):
+    the R 1D nodes that some kept tensor node uses, shape (R,), the (R, R)
+    weight grid, w[a, b] being the weight of the node (z[a], z[b]), and
+    rho, the largest radius |(z[a], z[b])| of a kept node. Weights
     are normalized so the full rule of order**2 nodes sums to 1, i.e. the
     rule approximates E[f(Z)] for Z with density exp(-|z|^2)/pi. Nodes whose
     weight is below MIN_NODE_WEIGHT are dropped (weight 0 in the grid) and
@@ -66,4 +68,5 @@ def gauss_hermite_2d(order: int):
     z, weights = z[used], weights[np.ix_(used, used)]
     z.setflags(write=False)
     weights.setflags(write=False)
-    return z, weights
+    rho = math.sqrt(float(np.max(np.add.outer(z * z, z * z)[weights > 0.0])))
+    return z, weights, rho

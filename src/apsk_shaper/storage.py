@@ -9,10 +9,8 @@ invariants and rejects files that violate any of them.
 
 import json
 
-import numpy as np
-
 from .constellations import Constellation, validate_constellation
-from .errors import DomainError, positive
+from .errors import DomainError
 
 _KEYS = ("label", "family", "n", "power", "points")
 
@@ -66,11 +64,7 @@ def loads_constellation(text: str) -> Constellation:
         for p in raw_points
     ):
         raise DomainError("points must be a list of [x, y] number pairs")
-    try:
-        points = np.asarray(raw_points, dtype=np.float64).reshape(len(raw_points), 2)
-    except OverflowError:  # an integer coordinate too large for a double
-        raise DomainError("points must be finite") from None
-    c = Constellation(label, family, n, positive("power", power), points)
+    c = Constellation(label, family, n, power, raw_points)
     validate_constellation(c)
     return c
 

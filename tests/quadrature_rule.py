@@ -7,6 +7,6 @@ from apsk_shaper import numerics
 
 def tensor_rule(order):
     """The kept tensor nodes (K, 2) and weights (K,) of the grid-form rule."""
-    z, w = numerics.gauss_hermite_2d(order)
+    z, w, _ = numerics.gauss_hermite_2d(order)
     a, b = np.nonzero(w)
     return np.column_stack((z[a], z[b])), w[a, b]

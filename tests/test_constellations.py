@@ -45,6 +45,57 @@ def closed_form_avg_box(n, power):
     return -(power / n) * np.log((2 * k + 1) / (2.0 * n)).sum()
 
 
+class TestConstruction:
+    SQUARE = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+
+    def build(self, points=SQUARE, power=1.0):
+        return Constellation("hand-built", SQUARE_QAM, 2, power, points)
+
+    @pytest.mark.parametrize("shape", [(4, 3), (0, 2), (4,)], ids=str)
+    def test_rejects_points_not_of_shape_m_by_2(self, shape):
+        with pytest.raises(DomainError, match=r"\(M, 2\) array of finite numbers, M >= 1"):
+            self.build(np.ones(shape))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)
+    def test_rejects_coordinates_that_are_not_finite(self, value):
+        pts = self.SQUARE.copy()
+        pts[2, 1] = value
+        with pytest.raises(DomainError, match="finite numbers"):
+            self.build(pts)
+
+    @pytest.mark.parametrize("points", [[[0.0, 1.0], [2.0]], [["x", 0.0]], [[10**400, 0]]],
+                             ids=["ragged", "str", "huge"])
+    def test_rejects_points_that_are_not_numbers(self, points):
+        with pytest.raises(DomainError, match="finite numbers"):
+            self.build(points)
+
+    @pytest.mark.parametrize("power", [0.0, 10**400, "1", True],
+                             ids=["zero", "huge", "str", "bool"])
+    def test_rejects_power_that_is_not_a_finite_real(self, power):
+        # else the division P/snr would raise OverflowError or TypeError, or
+        # take True as 1
+        with pytest.raises(DomainError, match="power must be a finite number > 0"):
+            self.build(power=power)
+
+    def test_stores_power_as_a_float(self):
+        c = self.build(power=np.float32(2.0))
+        assert type(c.power) is float and c.power == 2.0
+
+    def test_owns_a_read_only_c_order_float64_copy(self):
+        given = np.asfortranarray(np.arange(32).reshape(16, 2))  # int64, F order
+        c = self.build(given)
+        assert c.points.dtype == np.float64 and c.points.flags.c_contiguous
+        assert not c.points.flags.writeable and given.flags.writeable
+        given[3] = 99  # an edit to the caller's array does not reach c
+        assert np.array_equal(c.points, np.arange(32).reshape(16, 2))
+
+    def test_power_figures_are_those_of_the_points(self):
+        c = box_muller_apsk(5, 3.0)
+        sq = np.sum(c.points**2, axis=1)
+        assert average_power(c) == float(np.mean(sq))
+        assert peak_power(c) == float(np.max(sq))
+
+
 class TestBoxMuller:
     def test_single_point(self):
         c = box_muller_apsk(1)

@@ -401,6 +401,12 @@ class TestPrunedRule:
         assert {(-z2, z1) for z1, z2 in kept} == kept
         assert {(z1, -z2) for z1, z2 in kept} == kept
 
+    @pytest.mark.parametrize("order", [2, 40, 256])
+    def test_rho_is_the_largest_kept_radius(self, order):
+        nodes, _ = tensor_rule(order)
+        rho = numerics.gauss_hermite_2d(order)[2]
+        assert rho == math.sqrt(float(np.max(np.sum(nodes**2, axis=1))))
+
 
 # -- the separable tensor-rule kernel -----------------------------------------
 
@@ -514,8 +520,7 @@ def loop_grid_mi(pts, reps, mults, z, w, rho, n0):
 def loop_mi(c, snr, order):
     """MI through `loop_grid_mi`, a square grid as its two axes in turn."""
     n0 = capacity._noise_variance(c, snr)
-    z, w = numerics.gauss_hermite_2d(order)
-    rho = capacity._kept_radius(z, w)
+    z, w, rho = numerics.gauss_hermite_2d(order)
     axes = product_axes(c.points)
     parts = [c.points] if axes is None else [np.column_stack((a, np.zeros_like(a))) for a in axes]
     return max(sum(loop_grid_mi(p, *orbits(p), z, w, rho, n0) for p in parts), 0.0)
@@ -585,8 +590,7 @@ class TestSeparableKernel:
         reps, mults = orbits(pts)
         sq = np.sum((pts[reps][:, None] - pts[None]) ** 2, axis=-1)
         for order in (2, 40, 256):
-            z, w = numerics.gauss_hermite_2d(order)
-            rho = capacity._kept_radius(z, w)
+            z, w, rho = numerics.gauss_hermite_2d(order)
             unit = capacity._kept_reach(rho, m, 1.0)  # the reach at N0 = 1
             for j in (1, m // 2, m - 1):
                 # N0 that puts |x_0 - x_j| at the reach, then 1e-9 in or out
@@ -604,8 +608,7 @@ class TestSeparableKernel:
         pts, m = c.points, c.M
         pruned = 0
         for order in (2, 40, 256):
-            z, w = numerics.gauss_hermite_2d(order)
-            rho = capacity._kept_radius(z, w)
+            rho = numerics.gauss_hermite_2d(order)[2]
             nodes, _ = tensor_rule(order)
             for snr_db in (0.0, 10.0, 20.0, 30.0, 60.0):
                 n0 = capacity._noise_variance(c, SnrSpec.from_db(snr_db))

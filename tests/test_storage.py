@@ -4,27 +4,41 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apsk_shaper import (
+    DVB_VARIANT,
+    FAMILIES,
     DomainError,
     box_muller_apsk,
     dumps_constellation,
-    dvb_variant_apsk,
     loads_constellation,
+    make_constellation,
     read_constellation,
     square_qam,
     write_constellation,
 )
 
 
-def test_round_trip_exact():
-    for c in (box_muller_apsk(3, 2.0), dvb_variant_apsk(4), square_qam(4, 0.5)):
-        back = loads_constellation(dumps_constellation(c))
-        assert back.label == c.label
-        assert back.family == c.family
-        assert back.n == c.n
-        assert back.power == c.power
-        assert np.array_equal(back.points, c.points)
+@st.composite
+def constellations(draw):
+    """Any constellation the builders make: family, n, power, normalize, label."""
+    family = draw(st.sampled_from(FAMILIES))
+    n = draw(st.integers(1, 24))
+    if family == DVB_VARIANT:
+        n += n % 2
+    power = draw(st.floats(1e-6, 1e6))
+    label = draw(st.none() | st.text(max_size=12))
+    return make_constellation(family, n, power, draw(st.booleans()), label)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(c=constellations())
+def test_round_trip_exact(c):
+    back = loads_constellation(dumps_constellation(c))
+    assert (back.label, back.family, back.n, back.power) == (c.label, c.family, c.n, c.power)
+    assert np.array_equal(back.points, c.points)
 
 
 def test_writer_is_canonical_and_idempotent(tmp_path):
