@@ -14,12 +14,15 @@ Gauss-Hermite rule (`mi_quadrature`) and a seeded stratified Monte Carlo
 Monte Carlo forms its inner sums for one transmitted point x_i at a time
 in `_log_partition`. It walks the noise rows in blocks of about
 _BLOCK_ELEMENTS exponents, small enough to stay in cache, each laid out
-point-major (one contiguous row of exponents per point j), and reduces each
-block with `numerics.logsumexp_rows`: exponents clipped at a floor that
-cannot change a row sum, then `exp`, a row sum and `log`. There is no max
-pass: the j = i exponent is exactly 0, so every row sum is at least 1, and
-no exponent exceeds |N|^2/N0, half the squared norm of the draw's
-standard-normal pair. The clip runs only when the bound
+point-major (one contiguous row of exponents per point j). A block's
+exponents are one product, [d_x, d_y, |d|^2] (M, 3) times the block's
+doubled noise over a row of ones (3, n), scaled by -1/N0; |d|^2 enters as
+the last term of gemm's multiply-add chain, with the bits of a separate
+add. Each block is reduced with `numerics.logsumexp_rows`: exponents
+clipped at a floor that cannot change a row sum, then `exp`, a row sum and
+`log`. There is no max pass: the j = i exponent is exactly 0, so every row
+sum is at least 1, and no exponent exceeds |N|^2/N0, half the squared norm
+of the draw's standard-normal pair. The clip runs only when the bound
 -(|d|max^2 + 2|N|max |d|max)/N0 on the exponents says it can bite. A
 value's bits are fixed by the draws per point, M, _BLOCK_ELEMENTS and the
 gemm kernel (gemm can round an element of the exponent product differently
@@ -153,16 +156,25 @@ def _log_partition(noise2, diff, sq, n0, out=None, buf=None):
     `noise2` is (K, 2) doubled noise, `diff` is (M, 2) of x_i - x_j for one
     transmitted point x_i and `sq` is (M,) of |x_i - x_j|^2; the result has
     shape (K,) and is written into `out` when given. Rows are formed and
-    reduced in blocks of n = max(2, _BLOCK_ELEMENTS // M) rows, in the
-    first n*M elements of the flat buffer `buf` when given (it needs
-    min(K, n)*M elements). A block is formed point-major, as the C-order
-    (M, n) product diff @ noise2.T, and reduced through its (n, M) view, so
-    every step runs over contiguous columns. A one-row matmul goes through
-    gemv, which rounds differently from gemm, so no block has one row
-    unless K is 1: a one-row tail starts a row early and recomputes that
-    row. The bits of a row can depend on n, since gemm may round an element
-    of the product differently at another width; they are fixed by K, M,
-    _BLOCK_ELEMENTS and the gemm kernel.
+    reduced in blocks of n = max(2, _BLOCK_ELEMENTS // M) rows. `buf`, when
+    given, is a pair of flat buffers (block, operand) of at least
+    min(K, n)*M and 3*min(K, n) elements. A block's exponents are one
+    product, formed point-major as the C-order (M, n) product
+    [d_x, d_y, |d|^2] @ [2N_x; 2N_y; 1] and then scaled by -1/N0, and
+    reduced through its (n, M) view, so every step runs over contiguous
+    columns. The (3, n) operand is the block's noise rows, copied in, over
+    a row of ones. gemm's multiply-add chain adds |d|^2 last, as the
+    separate broadcast add after a two-term product did, so the bits are
+    the same. The scale stays a pass of its own: folded into the (M, 3)
+    operand, -1/N0 moved a tenth of the rows, by up to 5.3e-15 nats (qam,
+    box_muller and dvb_variant n=2 to 16, 0-30 dB). Against that add,
+    which took as long as the product at M >= 32, a block costs a copy of
+    2n doubles and a third term. A one-row matmul goes through gemv, which
+    rounds differently from gemm, so no block has one row unless K is 1: a
+    one-row tail starts a row early and recomputes that row. The bits of a
+    row can depend on n, since gemm may round an element of the product
+    differently at another width; they are fixed by K, M, _BLOCK_ELEMENTS
+    and the gemm kernel.
 
     No max is subtracted: the j = i exponent is exactly 0 (diff and sq are
     0 there), which is what `logsumexp_rows` needs, and no exponent exceeds
@@ -172,19 +184,24 @@ def _log_partition(noise2, diff, sq, n0, out=None, buf=None):
     """
     k, m = len(noise2), len(diff)
     rows = _block_rows(m)
+    width = min(rows, k)
     if out is None:
         out = np.empty(k)
-    # one buffer for every block: allocated afresh, at alternating sizes, a
-    # block is mapped and unmapped by malloc each time (0.5 s of page
-    # faults in 1.8 s at box_muller n=24)
+    # one pair of buffers for every block: allocated afresh, at alternating
+    # sizes, a block is mapped and unmapped by malloc each time (0.5 s of
+    # page faults in 1.8 s at box_muller n=24)
     if buf is None:
-        buf = np.empty(min(rows, k) * m)
+        buf = _aligned(width * m, 3 * width)
+    block, operand = buf
+    rhs = operand[: 3 * width].reshape(3, width)
+    rhs[2] = 1.0
+    lhs = np.column_stack((diff, sq))
     clip = _clip_can_bite(noise2, sq, n0)
     for s in range(0, k, rows):
         lo, hi = max(0, min(s, k - 2)), min(s + rows, k)
         n = hi - lo
-        expo = np.matmul(diff, noise2[lo:hi].T, out=buf[: n * m].reshape(m, n))
-        expo += sq[:, None]
+        rhs[:2, :n] = noise2[lo:hi].T
+        expo = np.matmul(lhs, rhs[:, :n], out=block[: n * m].reshape(m, n))
         expo *= -1.0 / n0
         logsumexp_rows(expo.T, out=out[lo:hi], clip=clip)
     return out
@@ -413,17 +430,18 @@ def _mc_stratum(pts, i, count, seed, n0, scratch):
 
     Returns (sum of the per-draw contributions, [(k, mean, M2) per chunk of
     at most _MC_CHUNK_ROWS draws]). `scratch` is a set of (noise, row,
-    block) buffers that no other stratum is using, sized for the largest
-    chunk.
+    block, operand) buffers that no other stratum is using, sized for the
+    largest chunk; the last two are `_log_partition`'s `buf`.
     """
     bitgen = np.random.Philox(key=seed)
     bitgen.advance(i * _MC_STREAM_STRIDE)
     rng = np.random.Generator(bitgen)
     diff = pts[i] - pts
-    sq = np.sum(diff * diff, axis=1)
+    dx, dy = diff.T
+    sq = dx * dx + dy * dy
     scale = 2.0 * math.sqrt(n0 / 2.0)
     log_m = math.log(len(pts))
-    noise, rows, buf = scratch
+    noise, rows, *buf = scratch
     acc = 0.0
     chunks = []
     left = count
@@ -467,13 +485,13 @@ def mi_monte_carlo(c: Constellation, snr, samples: int, seed: int) -> MiEstimate
     strata = min(samples, m)  # the points that receive a draw come first
     chunk = min(int(counts[0]), _MC_CHUNK_ROWS)  # the largest chunk
     rows = min(_block_rows(m), chunk)
-    # one (noise, row, block) set per thread the pool can start, lent to one
-    # stratum at a time; made here, they cost about 0.7 MB less peak resident
-    # memory than sets made by each worker thread
+    # one (noise, row, block, operand) set per thread the pool can start,
+    # lent to one stratum at a time; made here, they cost about 0.7 MB less
+    # peak resident memory than sets made by each worker thread
     spare = queue.SimpleQueue()
     for _ in range(min(_WORKERS, strata)):
-        noise, row, block = _aligned(2 * chunk, chunk, rows * m)
-        spare.put((noise.reshape(chunk, 2), row, block))
+        noise, *rest = _aligned(2 * chunk, chunk, rows * m, 3 * rows)
+        spare.put((noise.reshape(chunk, 2), *rest))
 
     def stratum(i):
         scratch = spare.get()

@@ -37,10 +37,10 @@ _POWER_RTOL = 1e-9
 _RING_RTOL = 1e-9
 
 # the largest n accepted: its (n^2, 2) float64 point array takes 64 MiB, and
-# building it (with the Constellation's copy) peaks at 136 MiB for the APSK
-# families and 200 MiB for qam by tracemalloc. Past it no estimator is in reach
-# anyway (quadrature costs O(n^4)), and an unchecked n asked numpy for
-# 74.5 GiB at n = 100000.
+# building it (filled in place, then the Constellation's copy and its 8 MiB
+# finiteness mask) peaks at 136 MiB for every family, normalized or not, by
+# tracemalloc. Past it no estimator is in reach anyway (quadrature costs
+# O(n^4)), and an unchecked n asked numpy for 74.5 GiB at n = 100000.
 _MAX_POINT_BYTES = 64 * 2**20
 MAX_N = math.isqrt(_MAX_POINT_BYTES // 16)  # 2048
 # squared pair distances per min_distance block: 1 << 17 doubles, about 1 MB
@@ -94,8 +94,14 @@ class Constellation:
     @cached_property
     def _powers(self) -> tuple:
         """(mean, max) of |w|^2 over the points, computed on first use."""
-        p = np.sum(self.points**2, axis=1)
+        p = _squared_norms(self.points)
         return float(np.mean(p)), float(np.max(p))
+
+
+def _squared_norms(pts) -> np.ndarray:
+    """|w|^2 per row of an (M, 2) array: x*x + y*y, the bits of a row sum."""
+    x, y = pts.T
+    return x * x + y * y
 
 
 def _check_common(n, power) -> tuple:
@@ -111,9 +117,12 @@ def _apsk(family, n, power, normalize, label):
     rings, per_ring = _ring_layout(family, n)
     radii = np.sqrt(-power * np.log((2 * np.arange(rings) + 1) / (2.0 * rings)))
     phases = 2.0 * np.pi * (2 * np.arange(per_ring) + 1) / (2.0 * per_ring)
-    points = np.stack([np.outer(radii, f(phases)).ravel() for f in (np.cos, np.sin)], axis=1)
+    grid = np.empty((rings, per_ring, 2))  # filled in place, one array
+    for axis, f in enumerate((np.cos, np.sin)):
+        np.multiply.outer(radii, f(phases), out=grid[..., axis])
+    points = grid.reshape(-1, 2)
     if normalize:
-        points = points * np.sqrt(power / np.mean(np.sum(points**2, axis=1)))
+        points *= np.sqrt(power / np.mean(_squared_norms(points)))
     if label is None:
         label = f"{family}_n{n}" + ("_normalized" if normalize else "")
     return Constellation(label, family, n, power, points)
@@ -173,8 +182,9 @@ def square_qam(n: int, power: float = 1.0, label: Optional[str] = None) -> Const
         # mean of x^2+y^2 over the unscaled grid is 2*(n^2-1)/3
         d = np.sqrt(3.0 * power / (2.0 * (n * n - 1)))
         coords = (2 * np.arange(n) - n + 1) * d
-        gx, gy = np.meshgrid(coords, coords, indexing="ij")
-        points = np.stack([gx.ravel(), gy.ravel()], axis=1)
+        grid = np.empty((n, n, 2))  # filled in place, one array
+        grid[..., 0], grid[..., 1] = coords[:, None], coords
+        points = grid.reshape(-1, 2)
     if label is None:
         label = f"{SQUARE_QAM}_n{n}"
     return Constellation(label, SQUARE_QAM, n, power, points)
@@ -282,7 +292,7 @@ def validate_constellation(c: Constellation) -> None:
     if avg > power * (1.0 + _POWER_RTOL):
         raise DomainError(f"average power {avg!r} exceeds the budget {power!r}")
     # ring-major order
-    radii = np.sqrt(np.sum(pts**2, axis=1)).reshape(_ring_layout(c.family, n)[0], -1)
+    radii = np.sqrt(_squared_norms(pts)).reshape(_ring_layout(c.family, n)[0], -1)
     ring_radii = radii.mean(axis=1)
     if np.any(np.abs(radii - ring_radii[:, None]) > _RING_RTOL * ring_radii[:, None]):
         raise DomainError("every point must lie on its ring radius")

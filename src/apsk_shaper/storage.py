@@ -21,7 +21,8 @@ def _f17(x: float) -> str:
 
 def dumps_constellation(c: Constellation) -> str:
     """Render the canonical JSON text (deterministic bytes)."""
-    rows = ",\n".join(f"    [{_f17(x)}, {_f17(y)}]" for x, y in c.points)
+    # Python floats through one format per row: the bytes of _f17 per value
+    rows = ",\n".join("    [%.17g, %.17g]" % (x, y) for x, y in c.points.tolist())
     return (
         "{\n"
         f'  "label": {json.dumps(c.label)},\n'

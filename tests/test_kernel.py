@@ -90,12 +90,14 @@ class TestBlocks:
             return inner(pts, i, count, seed, n0, scratch)
 
         monkeypatch.setattr(capacity, "_mc_stratum", recording)
-        # chunks of 5, 8 and 5,000 draws: at 5 the noise (10 doubles) and row
-        # (5) buffers end off a line, so packing them would misalign the next
+        # chunks of 5, 8 and 5,000 draws: at 5 the noise (10 doubles), row (5)
+        # and block (45) buffers end off a line, so packing them would
+        # misalign the next. The (noise, row, block, operand) set is four
+        # buffers, the operand (3 rows of the block's width) last
         for family, n, samples in [("qam", 3, 9 * 5), ("box_muller", 5, 25 * 7 + 3),
                                    ("box_muller", 8, 64 * 5000)]:
             mi_monte_carlo(make_constellation(family, n), SnrSpec.from_db(15.0), samples, 4)
-        assert offsets and all(o == [0, 0, 0] for o in offsets)
+        assert offsets and all(o == [0, 0, 0, 0] for o in offsets)
 
     def test_quadrature_blocks_and_temporaries_stay_bounded(self, monkeypatch):
         factors = []
@@ -236,11 +238,16 @@ class TestWorkers:
         # that import is not a temporary of the estimator
         mi_monte_carlo(make_constellation("box_muller", 2), snr, 4000, 0)
         # (family, n, samples, budget per worker). At box_muller n=2 each
-        # worker holds a 1 MB noise chunk, a 0.5 MB row buffer and a 1 MB
-        # exponent block: about 2.6 MB. At qam n=32 with one draw per point
-        # the pending strata dominate: about 0.18 MB per worker for a window
-        # of 64, against 1.9-2.0 MB in all for one future per point
-        cases = [("box_muller", 2, 10**6, 3.5e6), ("qam", 32, 32**2, 0.4e6)]
+        # worker holds a 1 MB noise chunk, a 0.5 MB row buffer, a 1 MB
+        # exponent block and its 0.8 MB (3, 32768) operand: about 3.4 MB.
+        # qam n=2 draws 25,000 per point: a 0.8 MB block, a 0.6 MB operand,
+        # 0.6 MB of noise and rows, about 2.0 MB. At box_muller n=8 the 1 MB
+        # block of 2,048 rows dominates: about 1.3 MB. At qam n=32 with one
+        # draw per point the pending strata dominate: about 0.18 MB per
+        # worker for a window of 64, against 1.9-2.0 MB in all for one
+        # future per point
+        cases = [("box_muller", 2, 10**6, 3.5e6), ("qam", 2, 10**5, 2.2e6),
+                 ("box_muller", 8, 2 * 10**5, 1.4e6), ("qam", 32, 32**2, 0.4e6)]
         for family, n, samples, budget in cases:
             c = make_constellation(family, n)
             tracemalloc.start()
