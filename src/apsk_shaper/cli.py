@@ -21,7 +21,7 @@ from .constellations import (
     canonical_family,
     make_constellation,
 )
-from .convergence import _lemma_chunks, cf_convergence_scan, power_audit
+from .convergence import cf_convergence_scan, lemma_audit, power_audit
 from .errors import (
     EXIT_CONTRACT,
     EXIT_ESTIMATOR,
@@ -189,15 +189,8 @@ def cmd_convergence(args) -> int:
     family = canonical_family(args.family)
     if family not in (BOX_MULLER, DVB_VARIANT):
         raise DomainError("convergence audits apply to the APSK families only")
-    # the lemma in blocks: the bound is checked at every k, and only the
-    # rows of _LEMMA_KS are kept
-    lemma_rows, lemma_ok = [], True
-    for ks, lhs, rhs in _lemma_chunks(max(_LEMMA_KS)):
-        lemma_ok &= bool(np.all(lhs <= rhs + _LEMMA_RTOL * np.abs(rhs)))
-        for k in _LEMMA_KS:
-            if ks[0] <= k <= ks[-1]:
-                i = k - ks[0]
-                lemma_rows.append((k, lhs[i], rhs[i], rhs[i] - lhs[i]))
+    # the bound is checked at every k, and only the rows of _LEMMA_KS are kept
+    lemma_rows, lemma_ok = lemma_audit(max(_LEMMA_KS), _LEMMA_KS, _LEMMA_RTOL)
     audits = [
         power_audit(BOX_MULLER, range(1, _AUDIT_MAX_N + 1), args.power),
         power_audit(DVB_VARIANT, range(2, _AUDIT_MAX_N + 1, 2), args.power),

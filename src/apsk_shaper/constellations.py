@@ -37,10 +37,10 @@ _POWER_RTOL = 1e-9
 _RING_RTOL = 1e-9
 
 # the largest n accepted: its (n^2, 2) float64 point array takes 64 MiB, and
-# building it (filled in place, then the Constellation's copy and its 8 MiB
-# finiteness mask) peaks at 136 MiB for every family, normalized or not, by
-# tracemalloc. Past it no estimator is in reach anyway (quadrature costs
-# O(n^4)), and an unchecked n asked numpy for 74.5 GiB at n = 100000.
+# building it (filled in place, then the Constellation's copy) peaks at
+# 128 MiB for every family, normalized or not, by tracemalloc. Past it no
+# estimator is in reach anyway (quadrature costs O(n^4)), and an unchecked n
+# asked numpy for 74.5 GiB at n = 100000.
 _MAX_POINT_BYTES = 64 * 2**20
 MAX_N = math.isqrt(_MAX_POINT_BYTES // 16)  # 2048
 # squared pair distances per min_distance block: 1 << 17 doubles, about 1 MB
@@ -80,7 +80,10 @@ class Constellation:
             pts = np.array(self.points, dtype=np.float64, order="C")  # a copy
         except (OverflowError, TypeError, ValueError):  # an int past a double, not numbers
             pts = np.empty(0)  # rejected below
-        if pts.ndim != 2 or pts.shape[1] != 2 or not len(pts) or not np.isfinite(pts).all():
+        # NaN and +-inf reach the min or the max, so no (M, 2) mask is needed
+        if pts.ndim != 2 or pts.shape[1] != 2 or not len(pts) or not (
+            np.isfinite(pts.min()) and np.isfinite(pts.max())
+        ):
             raise DomainError("points must be an (M, 2) array of finite numbers, M >= 1")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)

@@ -1,14 +1,14 @@
 """Numerical audits of the limit behaviour behind the constellation design.
 
 Three families of checks live here: the log-integral bound that guarantees
-the power budget is respected for every size (`lemma_scan`), the budget slack
-itself (`power_audit`), and the convergence of the constellation's
-characteristic function to the Gaussian one (`point_set_cf`,
+the power budget is respected for every size (`lemma_scan`, `lemma_audit`),
+the budget slack itself (`power_audit`), and the convergence of the
+constellation's characteristic function to the Gaussian one (`point_set_cf`,
 `gaussian_cf`, `cf_convergence_scan`).
 """
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -18,28 +18,41 @@ from .errors import DomainError, integer, positive
 DEFAULT_T_VALUES = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
 
 
-# k values per lemma block: three 2**15-entry arrays, 0.75 MB in all
+# k values per lemma block. The walk fills four float64 buffers of about this
+# many doubles (k, lhs, the terms and their cumsum), and `lemma_audit` one
+# more and a bool mask, all reused for the whole call: 1.3 MB in all
 _LEMMA_BLOCK = 1 << 15
-# points per CF block: a (257, T) complex buffer, 200 kB on the default grid
+# points per CF block: their phases go to a reused (256, T) float64 buffer and
+# their exponentials to a (257, T) complex one, 300 kB on the default grid
 _CF_BLOCK = 256
 
 
 def _lemma_chunks(k_max: int) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """`lemma_scan`'s (k, lhs, rhs) for k in [1, k_max], in blocks of _LEMMA_BLOCK.
 
-    rhs carries across blocks as the first term of each block's cumsum
-    (0.0 before the first, which adds exactly); numpy's cumsum adds in
-    sequence, so every value has the bits of one cumsum over all of
-    [1, k_max].
+    Every block is written into the same buffers, so a caller reads one
+    before it asks for the next. k is a double, exact to 2**53, and each
+    term j + 1/2 is taken as k - 1/2, the same double. rhs carries across
+    blocks as the first term of each block's cumsum (0.0 before the first,
+    which adds exactly); numpy's cumsum adds in sequence, so every value has
+    the bits of one cumsum over all of [1, k_max].
     """
-    carry = 0.0
-    for lo in range(0, k_max, _LEMMA_BLOCK):
-        ks = np.arange(lo + 1, min(lo + _LEMMA_BLOCK, k_max) + 1, dtype=np.int64)
-        lhs = ks * np.log(ks) - ks
-        terms = np.log(np.arange(lo, lo + len(ks)) + 0.5)
-        rhs = np.cumsum(np.concatenate(([carry], terms)))[1:]
-        carry = rhs[-1]
-        yield ks, lhs, rhs
+    size = min(k_max, _LEMMA_BLOCK)
+    k = np.arange(1.0, size + 1.0)
+    # sums[-1] is the carry: 0.0, then the last sum of each (full) block
+    lhs, terms, sums = np.empty(size), np.empty(size + 1), np.zeros(size + 1)
+    for lo in range(0, k_max, size):
+        n = min(size, k_max - lo)
+        kb, lb, tb, sb = k[:n], lhs[:n], terms[: n + 1], sums[: n + 1]
+        np.log(kb, out=lb)
+        np.multiply(kb, lb, out=lb)
+        np.subtract(lb, kb, out=lb)
+        tb[0] = sums[-1]
+        np.subtract(kb, 0.5, out=tb[1:])
+        np.log(tb[1:], out=tb[1:])
+        np.cumsum(tb, out=sb)
+        yield kb, lb, sb[1:]
+        k += size
 
 
 def lemma_scan(k_max: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -47,41 +60,78 @@ def lemma_scan(k_max: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     The left side never exceeds the right; the margin is what keeps the
     ring-radius construction inside its power budget. The three arrays
-    returned take 24 bytes per k, as they must; a caller that only checks
-    the bound or reads a few rows can walk `_lemma_chunks` in fixed-size
-    blocks instead, as the `convergence` command does.
+    returned take 24 bytes per k, as they must; to check the bound and keep
+    a few rows, `lemma_audit` walks the same values in fixed-size blocks.
     """
     k_max = integer("k_max", k_max, 1, 2**63 - 2)  # ks are int64
-    table = (np.empty(k_max, dtype=np.int64), np.empty(k_max), np.empty(k_max))
+    ks, lhs, rhs = np.arange(1, k_max + 1, dtype=np.int64), np.empty(k_max), np.empty(k_max)
     lo = 0
-    for block in _lemma_chunks(k_max):
-        for whole, part in zip(table, block):
-            whole[lo : lo + len(part)] = part
-        lo += len(block[0])
-    return table
+    for k, lb, rb in _lemma_chunks(k_max):
+        lhs[lo : lo + len(k)], rhs[lo : lo + len(k)] = lb, rb
+        lo += len(k)
+    return ks, lhs, rhs
+
+
+def lemma_audit(
+    k_max: int, keep: Sequence[int], rtol: float
+) -> Tuple[List[Tuple[int, float, float, float]], bool]:
+    """Check lhs <= rhs + rtol*|rhs| at every k in [1, k_max], keeping a few rows.
+
+    Returns (rows, ok): one (k, lhs, rhs, rhs - lhs) row of `lemma_scan`'s
+    values per k of the ascending `keep`, and whether the bound held at
+    every k. The check runs in one block-sized buffer reused for the whole
+    walk, so memory stays fixed for any k_max.
+    """
+    k_max = integer("k_max", k_max, 1, 2**53)  # k is an exact double
+    size = min(k_max, _LEMMA_BLOCK)
+    bound, holds = np.empty(size), np.empty(size, dtype=bool)
+    rows, ok, lo = [], True, 0
+    for k, lhs, rhs in _lemma_chunks(k_max):
+        n = len(k)
+        np.abs(rhs, out=bound[:n])
+        np.multiply(rtol, bound[:n], out=bound[:n])
+        np.add(rhs, bound[:n], out=bound[:n])
+        ok &= bool(np.less_equal(lhs, bound[:n], out=holds[:n]).all())
+        for kk in keep:
+            if lo < kk <= lo + n:
+                i = kk - lo - 1
+                rows.append((kk, lhs[i], rhs[i], rhs[i] - lhs[i]))
+        lo += n
+    return rows, ok
 
 
 def point_set_cf(points: np.ndarray, t_points: np.ndarray) -> np.ndarray:
     """Characteristic function of the uniform distribution on `points`.
 
-    (1/M) * sum_w exp(i*<t, w>) evaluated at each row of `t_points`.
+    (1/M) * sum_w exp(i*<t, w>) evaluated at each row of `t_points`; an
+    empty set has none, and raises DomainError.
 
-    The phases are one gemm (its bits can depend on its shape); their
-    exponentials are formed and summed _CF_BLOCK points at a time, each
-    block's sum starting from the running total, which is the order in which
-    `.mean(axis=0)` adds the rows of the whole (M, T) array. With a single
-    t that mean sums pairwise instead, so it is taken whole, as is an empty
-    set.
+    The phases and their exponentials are formed _CF_BLOCK points at a
+    time, in two buffers reused for the whole call, each block's sum starting
+    from the running total, which is the order in which `.mean(axis=0)` adds
+    the rows of the whole (M, T) array. Each block's phases are its own gemm,
+    which rounds as the rows of one gemm over all M points do; a one-row tail
+    would go through gemv and round differently, so it is taken as the last
+    row of a two-row product. With a single t that mean sums pairwise
+    instead, so it is taken whole.
     """
-    phases = points @ np.asarray(t_points, dtype=np.float64).T
-    m, nt = phases.shape
-    if nt < 2 or m == 0:
-        return np.exp(1j * phases).mean(axis=0)
+    points = np.asarray(points, dtype=np.float64)
+    t_cols = np.asarray(t_points, dtype=np.float64).T
+    m, nt = len(points), t_cols.shape[1]
+    if m == 0:
+        raise DomainError("the CF of an empty point set is undefined")
+    if nt < 2:
+        return np.exp(1j * (points @ t_cols)).mean(axis=0)
     rows = min(m, _CF_BLOCK)
+    phases = np.empty((rows, nt))
     buf = np.empty((rows + 1, nt), dtype=np.complex128)
     total = None
     for lo in range(0, m, rows):
-        block = phases[lo : lo + rows]
+        hi = min(lo + rows, m)
+        if lo and hi - lo == 1:
+            block = np.matmul(points[lo - 1 : hi], t_cols, out=phases[:2])[1:]
+        else:
+            block = np.matmul(points[lo:hi], t_cols, out=phases[: hi - lo])
         terms = buf[1 : len(block) + 1]
         np.multiply(1j, block, out=terms)
         np.exp(terms, out=terms)

@@ -367,6 +367,21 @@ class TestFamilies:
                 tracemalloc.stop()
         assert peaks["qam"] <= peaks["box_muller"], peaks
 
+    @pytest.mark.parametrize("family", ["box_muller", "dvb_variant", "qam"])
+    def test_build_peaks_at_two_point_arrays(self, family):
+        # the points as filled and the Constellation's copy; a finiteness
+        # mask over every coordinate added 512 KiB here (8 MiB at MAX_N)
+        n = 512
+        make_constellation(family, 2)  # first-call imports are not the build's
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            make_constellation(family, n, normalize=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 16 * n * n + 2**17, peak
+
     def test_points_are_read_only(self):
         c = box_muller_apsk(2)
         with pytest.raises(ValueError):

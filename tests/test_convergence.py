@@ -72,6 +72,28 @@ class TestLemma:
         assert rhs.tobytes() == np.cumsum(np.log(np.arange(k_max) + 0.5)).tobytes()
 
 
+class TestLemmaAudit:
+    @pytest.mark.parametrize("k_max", [1, convergence._LEMMA_BLOCK + 1, 100_000])
+    def test_rows_have_the_bits_of_the_scan(self, k_max):
+        _, lhs, rhs = lemma_scan(k_max)
+        keep = sorted({1, max(1, k_max // 2), min(convergence._LEMMA_BLOCK, k_max), k_max})
+        rows, ok = convergence.lemma_audit(k_max, keep, 1e-9)
+        assert ok
+        assert [row[0] for row in rows] == keep
+        for k, left, right, margin in rows:
+            assert (left, right) == (lhs[k - 1], rhs[k - 1])
+            assert margin == rhs[k - 1] - lhs[k - 1]
+
+    def test_reports_a_failed_bound(self):
+        # rhs - |rhs| < lhs at k = 1, where both sides are negative
+        rows, ok = convergence.lemma_audit(10, [], -1.0)
+        assert (rows, ok) == ([], False)
+
+    def test_rejects_zero(self):
+        with pytest.raises(DomainError):
+            convergence.lemma_audit(0, [1], 1e-9)
+
+
 def _psi_double_sum(family, n, power, t):
     """Independent CF oracle: evaluate the generator-grid double sum directly."""
     t1, t2 = t
@@ -123,13 +145,19 @@ class TestEmpiricalCf:
         values = point_set_cf(box_muller_apsk(7).points, grid)
         assert np.all(np.abs(values) <= 1 + 1e-12)
 
-    @pytest.mark.parametrize("m", [1, 255, 256, 257, 1000])
+    # a one-row tail (257, 513 points) takes its phases from a two-row gemm (2)
+    @pytest.mark.parametrize("m", [1, 2, 255, 256, 257, 513, 1000])
     @pytest.mark.parametrize("t_count", [1, 2, 49])
     def test_blocks_have_the_bits_of_one_mean(self, m, t_count):
         rng = np.random.default_rng(m + t_count)
         pts, t = rng.standard_normal((m, 2)), 2.0 * rng.standard_normal((t_count, 2))
         whole = np.exp(1j * (pts @ t.T)).mean(axis=0)
         assert point_set_cf(pts, t).tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("t_count", [1, 49])
+    def test_rejects_an_empty_set(self, t_count):
+        with pytest.raises(DomainError, match="empty point set"):
+            point_set_cf(np.empty((0, 2)), np.ones((t_count, 2)))
 
     def test_hermitian_symmetry(self):
         grid = default_t_grid()
