@@ -50,14 +50,14 @@ once. A square grid X x Y first splits into two 1D problems,
 MI = MI(X) + MI(Y), each a point set on the x axis against the same
 kernel: there d_y = 0 for every pair, so the y noise cancels from the
 exponent and B reduces to exp(-|d|^2/N0); equal axes are one problem,
-counted twice. Both structures depend on the points alone, so they are
-computed on the first call for a Constellation and kept until it is freed
-(`_structure`). Blocks of representatives (`_grid_mi`) share differences,
-pruning masks, logs and weighted sums, chunks of their kept columns A and
-B, and only S is per representative.
-Monte Carlo always draws for every point and reads no cached structure:
-it is the independent check on both shortcuts. Its
-points (strata) run on a pool of one worker thread per available core,
+counted twice. Both structures depend on the points alone: `symmetry.parts`
+splits the set, and the Constellation caches that split on first use
+(`Constellation._parts`, beside its powers) until it is freed. Blocks of
+representatives (`_grid_mi`) share differences, pruning masks, logs and
+weighted sums, chunks of their kept columns A and B, and only S is per
+representative. Monte Carlo always draws for every point and never reads
+the split: it is the independent check on both shortcuts. Its points
+(strata) run on a pool of one worker thread per available core,
 each drawing from its own Philox stream, and are merged in point order, so
 the value and std_error have the same bits for any number of threads.
 """
@@ -66,7 +66,6 @@ import bisect
 import math
 import os
 import queue
-import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -75,7 +74,6 @@ import numpy as np
 from .constellations import Constellation
 from .errors import DomainError, EstimatorError, integer, positive
 from .numerics import EXP_FLOOR, LN2, gauss_hermite_2d, logsumexp_rows
-from .symmetry import orbits, product_axes
 
 DEFAULT_ORDER = 40
 
@@ -99,10 +97,6 @@ try:
     _WORKERS = len(os.sched_getaffinity(0))
 except AttributeError:  # no sched_getaffinity on macOS or Windows
     _WORKERS = os.cpu_count() or 1
-
-# the sets and orbits that mi_quadrature takes for each Constellation; an
-# entry dies with its key (see _structure)
-_STRUCTURE = weakref.WeakKeyDictionary()
 
 _MI_SLACK = 1e-9
 _CAPACITY_SLACK = 1e-6
@@ -354,32 +348,6 @@ def _grid_mi(pts, reps, mults, z, w, rho, n0) -> float:
     return math.log2(m) - total / (m * LN2)
 
 
-def _structure(c: Constellation) -> list:
-    """[(count, points, representatives, multiplicities)] of the sets `c` splits into.
-
-    A square grid X x Y gives its two axes embedded on the x axis (one, with
-    count 2, when they are np.array_equal), any other set itself (count 1),
-    each with its D4 orbits (see `symmetry`). Computed on the first call for
-    `c` and kept until `c` is freed: a Constellation hashes by identity
-    (eq=False) and owns a read-only copy of its points, so an entry cannot go
-    stale. It holds c.points, never c, which would keep its own key alive.
-    Two threads that miss at once compute and store the same value.
-    """
-    sets = _STRUCTURE.get(c)
-    if sets is None:
-        axes = product_axes(c.points)
-        if axes is None:
-            parts = [(1, c.points)]
-        else:  # equal axes are one problem, counted twice
-            count, axes = (2, axes[:1]) if np.array_equal(*axes) else (1, axes)
-            parts = [(count, np.column_stack((a, np.zeros_like(a)))) for a in axes]
-        sets = [(count, p, *orbits(p)) for count, p in parts]
-        for a in [a for _, *arrays in sets for a in arrays]:  # later calls read these
-            a.setflags(write=False)
-        _STRUCTURE[c] = sets
-    return sets
-
-
 def mi_quadrature(c: Constellation, snr, order: int = DEFAULT_ORDER) -> MiEstimate:
     """Deterministic MI estimate via a tensor Gauss-Hermite rule.
 
@@ -396,9 +364,9 @@ def mi_quadrature(c: Constellation, snr, order: int = DEFAULT_ORDER) -> MiEstima
     MI(X) + MI(Y), each axis embedded on the x axis and taken the same way
     (equal axes once, doubled: the same bits); there the y noise cancels,
     so the rule gives the 1D expectation less its pruned nodes' weight,
-    about 3e-15. This structure depends on the points alone, so it is
-    computed on the first call for a Constellation and reused at every
-    later SNR and order.
+    about 3e-15. This split (`symmetry.parts`) depends on the points alone,
+    so the Constellation computes it on the first call and keeps it
+    (`Constellation._parts`) for every later SNR and order.
 
     For each point evaluated, the inner sums at all tensor nodes are one
     product S = A B^T of two (R, M) matrices over the R 1D nodes, as the
@@ -412,7 +380,7 @@ def mi_quadrature(c: Constellation, snr, order: int = DEFAULT_ORDER) -> MiEstima
     order = integer("quadrature order", order, 2, _MAX_ORDER)
     n0 = _noise_variance(c, snr)
     z, w, rho = gauss_hermite_2d(order)
-    value = sum(count * _grid_mi(*part, z, w, rho, n0) for count, *part in _structure(c))
+    value = sum(count * _grid_mi(*part, z, w, rho, n0) for count, *part in c._parts)
     return MiEstimate(_finish_value(value, c.M), "quadrature", 0.0)
 
 

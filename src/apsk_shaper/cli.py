@@ -22,16 +22,8 @@ from .constellations import (
     make_constellation,
 )
 from .convergence import cf_convergence_scan, lemma_audit, power_audit
-from .errors import (
-    EXIT_CONTRACT,
-    EXIT_ESTIMATOR,
-    EXIT_OK,
-    EXIT_USAGE,
-    ContractError,
-    DomainError,
-    EstimatorError,
-)
-from .storage import dumps_constellation, read_constellation
+from .errors import EXIT_CODES, EXIT_OK, ContractError, DomainError
+from .storage import dumps_constellation, read_constellation, read_text, write_text
 from .sweeps import evaluate_row, render_csv, render_table, sweep_rows
 
 SEED_ENV_VAR = "APSK_SHAPER_SEED"
@@ -106,13 +98,8 @@ _CONFIG_PARSERS = {
 
 def _load_config(path):
     """Parse the flat key = value config format; unknown keys are rejected."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise DomainError(f"cannot read config {path}: {exc}") from None
     cfg = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(read_text(path, "config ").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -142,14 +129,10 @@ def _seed(args) -> int:
 
 def _emit(path, text):
     """Write `text` to the file `path`, or to stdout when no path is given."""
-    if not path:
+    if path:
+        write_text(path, text)
+    else:
         sys.stdout.write(text)
-        return
-    try:
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise DomainError(f"cannot write {path}: {exc}") from None
 
 
 def cmd_generate(args) -> int:
@@ -290,15 +273,9 @@ def main(argv=None) -> int:
         return args.handler(args)
     except SystemExit as exc:  # argparse already printed its diagnostic
         return int(exc.code or 0)
-    except DomainError as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except EstimatorError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ESTIMATOR
-    except ContractError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONTRACT
+        return EXIT_CODES[type(exc)]
 
 
 if __name__ == "__main__":

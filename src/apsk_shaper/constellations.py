@@ -16,6 +16,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import symmetry
 from .errors import DomainError, integer, positive
 
 BOX_MULLER = "box_muller_apsk"
@@ -100,6 +101,11 @@ class Constellation:
         p = _squared_norms(self.points)
         return float(np.mean(p)), float(np.max(p))
 
+    @cached_property
+    def _parts(self) -> list:
+        """`symmetry.parts` of the (read-only) points, computed on first use."""
+        return symmetry.parts(self.points)
+
 
 def _squared_norms(pts) -> np.ndarray:
     """|w|^2 per row of an (M, 2) array: x*x + y*y, the bits of a row sum."""
@@ -118,14 +124,20 @@ def _ring_layout(family: str, n: int) -> tuple:
 
 def _apsk(family, n, power, normalize, label):
     rings, per_ring = _ring_layout(family, n)
-    radii = np.sqrt(-power * np.log((2 * np.arange(rings) + 1) / (2.0 * rings)))
-    phases = 2.0 * np.pi * (2 * np.arange(per_ring) + 1) / (2.0 * per_ring)
-    grid = np.empty((rings, per_ring, 2))  # filled in place, one array
-    for axis, f in enumerate((np.cos, np.sin)):
-        np.multiply.outer(radii, f(phases), out=grid[..., axis])
-    points = grid.reshape(-1, 2)
+    with np.errstate(over="ignore"):  # overflows are rejected below
+        radii = np.sqrt(-power * np.log((2 * np.arange(rings) + 1) / (2.0 * rings)))
+        phases = 2.0 * np.pi * (2 * np.arange(per_ring) + 1) / (2.0 * per_ring)
+        grid = np.empty((rings, per_ring, 2))  # filled in place, one array
+        for axis, f in enumerate((np.cos, np.sin)):
+            np.multiply.outer(radii, f(phases), out=grid[..., axis])
+        points = grid.reshape(-1, 2)
+        mean = np.mean(_squared_norms(points)) if normalize else 1.0
+    # a squared radius that rounded to 0 or overflowed, or a mean that
+    # overflowed (P/inf would scale every point to 0)
+    if not (radii.min() > 0.0 and radii.max() < math.inf and 0.0 < mean < math.inf):
+        raise DomainError(f"power {power!r} takes the squared radii outside the double range")
     if normalize:
-        points *= np.sqrt(power / np.mean(_squared_norms(points)))
+        points *= np.sqrt(power / mean)
     if label is None:
         label = f"{family}_n{n}" + ("_normalized" if normalize else "")
     return Constellation(label, family, n, power, points)

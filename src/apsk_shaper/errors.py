@@ -46,6 +46,5 @@ def positive(name: str, value) -> float:
 
 
 EXIT_OK = 0
-EXIT_USAGE = 2
-EXIT_ESTIMATOR = 3
-EXIT_CONTRACT = 4
+# the CLI's exit code per error type: usage or validation, estimator, contract
+EXIT_CODES = {DomainError: 2, EstimatorError: 3, ContractError: 4}

@@ -36,9 +36,26 @@ def dumps_constellation(c: Constellation) -> str:
     )
 
 
+def read_text(path, what: str = "") -> str:
+    """The UTF-8 file `path` as text; DomainError "cannot read <what><path>: ..." if not."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeError) as exc:
+        raise DomainError(f"cannot read {what}{path}: {exc}") from None
+
+
+def write_text(path, text: str) -> None:
+    """Write ASCII `text` to the file `path`; DomainError "cannot write <path>: ..." if not."""
+    try:
+        with open(path, "w", encoding="ascii", newline="\n") as fh:
+            fh.write(text)
+    except (OSError, UnicodeError) as exc:
+        raise DomainError(f"cannot write {path}: {exc}") from None
+
+
 def write_constellation(c: Constellation, path) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(dumps_constellation(c))
+    write_text(path, dumps_constellation(c))
 
 
 def loads_constellation(text: str) -> Constellation:
@@ -71,9 +88,4 @@ def loads_constellation(text: str) -> Constellation:
 
 
 def read_constellation(path) -> Constellation:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise DomainError(f"cannot read {path}: {exc}") from None
-    return loads_constellation(text)
+    return loads_constellation(read_text(path))

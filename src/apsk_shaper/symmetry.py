@@ -19,7 +19,9 @@ alone and never from the family label:
 
 Both searches use O(M) temporaries: a grid is recognised from the
 (n, n, 2) reshape and images are matched after one sort of the points
-and all their images.
+and all their images. `parts` combines them into the split the quadrature
+evaluates, which each `Constellation` computes once and caches with the
+instance (`Constellation._parts`).
 """
 
 import math
@@ -107,3 +109,23 @@ def product_axes(points: np.ndarray):
         if np.all(g[:, :, 0] == xs[:, None]) and np.all(g[:, :, 1] == ys[None, :]):
             return xs, ys
     return None
+
+
+def parts(points: np.ndarray) -> list:
+    """[(count, points, representatives, multiplicities)] of the sets `points` splits into.
+
+    A square grid X x Y gives its two axes embedded on the x axis (one, with
+    count 2, when they are np.array_equal), any other set a read-only view
+    of itself (count 1), each with its D4 orbits. Every array is read-only,
+    as `Constellation` caches the list.
+    """
+    axes = product_axes(points)
+    if axes is None:
+        sets = [(1, points.view())]
+    else:  # equal axes are one problem, counted twice
+        count, axes = (2, axes[:1]) if np.array_equal(*axes) else (1, axes)
+        sets = [(count, np.column_stack((a, np.zeros_like(a)))) for a in axes]
+    sets = [(count, p, *orbits(p)) for count, p in sets]
+    for a in [a for _, *arrays in sets for a in arrays]:
+        a.setflags(write=False)
+    return sets

@@ -23,7 +23,7 @@ from apsk_shaper import (
     mi_quadrature,
     square_qam,
 )
-from apsk_shaper import capacity
+from apsk_shaper import capacity, symmetry
 
 LOG2_11 = 3.4594316186372973
 GAPDB_HALF_BIT_AT_0DB = 3.82775685337863  # 10*log10(1/(2**0.5 - 1))
@@ -199,7 +199,7 @@ class TestStructureCache:
         calls = {"orbits": 0, "product_axes": 0}
 
         def counting(name):
-            inner = getattr(capacity, name)
+            inner = getattr(symmetry, name)
 
             def wrapper(points):
                 calls[name] += 1
@@ -208,7 +208,7 @@ class TestStructureCache:
             return wrapper
 
         for name in calls:
-            monkeypatch.setattr(capacity, name, counting(name))
+            monkeypatch.setattr(symmetry, name, counting(name))
         c = copy_of(c)
         grid = [(SnrSpec.from_db(db), order) for db in (0, 10, 20, 30) for order in (40, 60)]
         values = [mi_quadrature(c, snr, order).value for snr, order in grid]
@@ -223,7 +223,7 @@ class TestStructureCache:
         xs, ys = [-1.5, 0.25, 2.0], [-0.5, 0.75, 1.0]
         pts = np.array([(x, y) for x in xs for y in ys])
         c = Constellation("grid", "qam", 3, 2.0, pts)
-        sets = capacity._structure(c)
+        sets = c._parts
         assert [count for count, *_ in sets] == [1, 1]
         assert [p[:, 0].tolist() for _, p, _, _ in sets] == [xs, ys]
 
@@ -241,13 +241,13 @@ class TestStructureCache:
         ys[-1] = np.nextafter(ys[-1], np.inf)
         pts = np.array([(x, y) for x in xs for y in ys])
         c = Constellation("grid", "qam", 4, 1.0, pts)
-        assert [count for count, *_ in capacity._structure(c)] == [1, 1]
+        assert [count for count, *_ in c._parts] == [1, 1]
         same = Constellation("grid", "qam", 4, 1.0, np.array([(x, y) for x in xs for y in xs]))
-        assert [count for count, *_ in capacity._structure(same)] == [2]
+        assert [count for count, *_ in same._parts] == [2]
 
     def test_an_edit_to_the_callers_array_does_not_reach_the_entry(self):
         # built from a view of a writable array, the set owns a copy: the
-        # cached orbits and the value stay those of the points it was given
+        # cached split and the value stay those of the points it was given
         big = np.zeros((20, 2))
         big[:16] = box_muller_apsk(4).points
         c = Constellation("view", "box_muller_apsk", 4, 1.0, big[:16])
@@ -256,19 +256,17 @@ class TestStructureCache:
         big[3] *= 2.0
         assert mi_quadrature(c, snr).value == first
         assert big.flags.writeable
+        assert not any(a.flags.writeable for _, *arrays in c._parts for a in arrays)
 
     def test_an_entry_dies_with_its_constellation(self):
-        gc.collect()
-        before = len(capacity._STRUCTURE)
         c = copy_of(box_muller_apsk(4))
         mi_quadrature(c, SnrSpec(1.0))
-        assert c in capacity._STRUCTURE and len(capacity._STRUCTURE) == before + 1
-        ref = weakref.ref(c)
-        del c
+        (_, pts, reps, _), = vars(c)["_parts"]
+        refs = [weakref.ref(c), weakref.ref(reps)]
+        del c, pts, reps
         gc.collect()
-        # an entry that held its constellation would keep it alive
-        assert ref() is None
-        assert len(capacity._STRUCTURE) == before
+        # nothing outside the constellation keeps it or its split alive
+        assert [r() for r in refs] == [None, None]
 
     def test_threads_that_share_a_constellation_get_the_serial_values(self):
         # a race on a miss only computes the same entry twice
@@ -295,11 +293,11 @@ class TestStructureCache:
         assert got == [want] * len(threads)
 
     def test_monte_carlo_does_not_use_the_cache(self, monkeypatch):
-        monkeypatch.setattr(capacity, "orbits", None)
-        monkeypatch.setattr(capacity, "product_axes", None)
+        monkeypatch.setattr(symmetry, "orbits", None)
+        monkeypatch.setattr(symmetry, "product_axes", None)
         c = copy_of(square_qam(2))
         mi_monte_carlo(c, SnrSpec(1.0), 100, 0)
-        assert c not in capacity._STRUCTURE
+        assert "_parts" not in vars(c)
 
 
 class TestMonteCarlo:

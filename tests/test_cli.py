@@ -8,7 +8,7 @@ from dataclasses import fields
 
 import pytest
 
-from apsk_shaper import CSV_COLUMNS, SweepRow, capacity
+from apsk_shaper import CSV_COLUMNS, SweepRow, capacity, cli
 from apsk_shaper.cli import main
 from apsk_shaper.constellations import MAX_N
 
@@ -39,6 +39,15 @@ class TestGenerate:
         assert run(capsys, "generate", "dvb_variant", "--n", "4", "--out", str(a))[0] == 0
         assert run(capsys, "generate", "dvb_variant", "--n", "4", "--out", str(b))[0] == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_normalize_past_the_double_range_exits_2(self, tmp_path, capsys):
+        # four [0, 0] points were written with exit 0
+        out = tmp_path / "c.json"
+        code, _, err = run(capsys, "generate", "box_muller", "--n", "2", "--power", "1e308",
+                           "--normalize", "--out", str(out))
+        assert code == 2
+        assert "outside the double range" in err
+        assert not out.exists()
 
     def test_odd_dvb_exits_2(self, capsys):
         code, _, err = run(capsys, "generate", "dvb_variant", "--n", "3")
@@ -89,6 +98,20 @@ class TestEvaluate:
         code, _, err = run(capsys, "evaluate", str(bad), "--snr-db", "10")
         assert code == 2
         assert "distinct" in err
+
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff" + run(capsys, "generate", "qam", "--n", "2")[1].encode())
+        code, out, err = run(capsys, "evaluate", str(bad), "--snr-db", "10")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read {bad}: 'utf-8' codec")
+
+    def test_normalize_past_the_double_range_exits_2(self, capsys):
+        # the set once collapsed to the origin and printed avg_power 0
+        code, out, err = run(capsys, "evaluate", "--family", "box_muller", "--n", "2",
+                             "--power", "1e308", "--normalize", "--snr-db", "10")
+        assert (code, out) == (2, "")
+        assert "outside the double range" in err
 
     def test_file_and_family_conflict(self, tmp_path, capsys):
         out = tmp_path / "c.json"
@@ -227,6 +250,13 @@ class TestSweep:
         assert (code, out) == (2, "")
         assert "invalid choice" in err
 
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"families = qam\n# \xff\n")
+        code, out, err = run(capsys, "sweep", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read config {cfg}: 'utf-8' codec")
+
     def test_malformed_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("families box_muller\n")
@@ -276,6 +306,12 @@ class TestConvergence:
         code, out, _ = run(capsys, "convergence")
         assert code == 0
         assert "# lemma" in out and "# power_audit" in out and "# cf_error" in out
+
+    def test_failed_contract_exits_4(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "lemma_audit", lambda *args: ([], False))
+        code, _, err = run(capsys, "convergence", "--n", "4,8")
+        assert code == 4
+        assert err == "error: contracted inequalities failed: lemma\n"
 
     def test_byte_determinism(self, tmp_path, capsys):
         pa, pb = str(tmp_path / "a"), str(tmp_path / "b")

@@ -337,6 +337,25 @@ class TestFamilies:
         assert type(c.n) is int and c.label == want.label
         assert c.points.tobytes() == want.points.tobytes()
 
+    @pytest.mark.parametrize("family", ["box_muller", "dvb_variant"])
+    @pytest.mark.parametrize("n,power,normalize", [
+        (2, 1e308, True),  # the mean of the squared norms overflows: P/inf scaled to 0
+        (8, 1e307, True),
+        (8, 1e308, False),  # the outer ring's squared radius overflows
+        (8, 5e-324, False),  # the inner ring's squared radius rounds to 0
+        (8, 5e-324, True),
+    ])
+    def test_power_outside_the_double_range_is_rejected(self, family, n, power, normalize):
+        # no RuntimeWarning either: the suite turns one into an error
+        with pytest.raises(DomainError, match="outside the double range"):
+            make_constellation(family, n, power, normalize)
+
+    @pytest.mark.parametrize("family", ["box_muller", "dvb_variant"])
+    def test_power_near_the_double_range_still_builds(self, family):
+        c = make_constellation(family, 2, 1e307, normalize=True)
+        assert average_power(c) == pytest.approx(1e307, rel=1e-12)
+        validate_constellation(c)
+
     def test_validate_passes_on_fresh_constellations(self):
         for c in (box_muller_apsk(3), dvb_variant_apsk(4), square_qam(4), square_qam(1)):
             validate_constellation(c)

@@ -1,6 +1,7 @@
 """Constellation file format: canonical writer, validating reader."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -160,3 +161,17 @@ def test_reader_accepts_normalized_apsk():
 def test_read_missing_file():
     with pytest.raises(DomainError):
         read_constellation("/nonexistent/path.json")
+
+
+def test_read_non_utf8_file(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_bytes(b"\xff" + dumps_constellation(square_qam(2)).encode())
+    with pytest.raises(DomainError, match=re.escape(f"cannot read {path}: 'utf-8' codec")):
+        read_constellation(path)
+
+
+def test_write_into_a_missing_directory(tmp_path):
+    path = tmp_path / "missing" / "c.json"
+    with pytest.raises(DomainError, match=re.escape(f"cannot write {path}")):
+        write_constellation(square_qam(2), path)
+    assert not path.parent.exists()

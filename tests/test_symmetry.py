@@ -213,6 +213,19 @@ def test_qam_rotated_45_degrees_takes_the_orbit_path(n):
             assert abs(got - full_loop(rotated, snr, order)) <= PATH_TOL, (snr_db, order)
 
 
+@pytest.mark.parametrize("family,n,counts", [
+    ("box_muller", 4, [1]), ("qam", 4, [2]), ("dvb_variant", 4, [1]),
+])
+def test_parts_are_read_only_and_leave_the_callers_array_writable(family, n, counts):
+    pts = make_constellation(family, n).points.copy()
+    sets = symmetry.parts(pts)
+    assert [count for count, *_ in sets] == counts
+    assert not any(a.flags.writeable for _, *arrays in sets for a in arrays)
+    assert pts.flags.writeable
+    for _, p, reps, mults in sets:
+        assert [reps.tolist(), mults.tolist()] == [a.tolist() for a in orbits(p)]
+
+
 # -- properties ---------------------------------------------------------------
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
