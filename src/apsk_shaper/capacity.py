@@ -12,9 +12,10 @@ Gauss-Hermite rule (`mi_quadrature`) and a seeded stratified Monte Carlo
 (`mi_monte_carlo`) that serves as its cross-check.
 
 Monte Carlo forms its inner sums for one transmitted point x_i at a time
-in `_log_partition`. It walks the noise rows in blocks of about
-_BLOCK_ELEMENTS exponents, small enough to stay in cache, each laid out
-point-major (one contiguous row of exponents per point j). A block's
+(a stratum, `_mc_stratum`). It walks the point's noise rows in blocks of
+about _BLOCK_ELEMENTS exponents, small enough to stay in cache, drawing
+each block's rows just before `_log_partition` forms its exponents, laid
+out point-major (one contiguous row of exponents per point j). A block's
 exponents are one product, [d_x, d_y, |d|^2] (M, 3) times the block's
 doubled noise over a row of ones (3, n), scaled by -1/N0; |d|^2 enters as
 the last term of gemm's multiply-add chain, with the bits of a separate
@@ -56,17 +57,26 @@ splits the set, and the Constellation caches that split on first use
 representatives (`_grid_mi`) share differences, pruning masks, logs and
 weighted sums, chunks of their kept columns A and B, and only S is per
 representative. Monte Carlo always draws for every point and never reads
-the split: it is the independent check on both shortcuts. Its points
-(strata) run on a pool of one worker thread per available core,
-each drawing from its own Philox stream, and are merged in point order, so
-the value and std_error have the same bits for any number of threads.
+the split: it is the independent check on both shortcuts. Its strata run
+on the calling thread and on helper threads, one thread per available core
+in all, each drawing from its own Philox stream, and are merged in point
+order, so the value and std_error have the same bits for any number of
+threads. The helpers are one module-level pool, made on the first call
+that needs one (never at import) and shared by every later call; a forked
+child drops it and makes its own.
+
+Every thread keeps one workspace (`_Workspace`), the flat buffers that a
+Monte Carlo stratum or a quadrature call takes its scratch from, on 64-byte
+lines. It grows to the largest request up to 4 MB and is kept across
+calls, so a run of calls does not fault the same pages in again.
 """
 
 import bisect
+import itertools
 import math
 import os
-import queue
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,9 +100,11 @@ _PRUNE_NATS = 37.0
 # order**2 nodes are built before pruning; this keeps them to 65,536
 _MAX_ORDER = 256
 _MC_CHUNK_ROWS = 65536
+# doubles of scratch a thread keeps between calls (4 MB); see _Workspace
+_WORKSPACE_DOUBLES = 1 << 19
 # counter advance separating per-point Philox streams
 _MC_STREAM_STRIDE = 1 << 64
-# worker threads for the Monte Carlo strata
+# threads for the Monte Carlo strata: the caller and _WORKERS - 1 helpers
 try:
     _WORKERS = len(os.sched_getaffinity(0))
 except AttributeError:  # no sched_getaffinity on macOS or Windows
@@ -142,76 +154,50 @@ def _noise_variance(c: Constellation, snr) -> float:
     return positive("noise variance", c.power / _as_snr(snr))
 
 
-def _log_partition(noise2, diff, sq, n0, out=None, buf=None):
-    """log sum_j exp(-(|x_i-x_j|^2 + <2*noise, x_i-x_j>)/N0) per noise row.
+def _log_partition(lhs, rhs, n0, clip, block, out):
+    """log sum_j exp(-(|x_i-x_j|^2 + <2*noise, x_i-x_j>)/N0) per row of one block.
 
-    Monte Carlo's kernel; the quadrature takes `_grid_mi` instead.
+    Monte Carlo's kernel; the quadrature takes `_grid_mi` instead, and
+    `_mc_stratum` walks a chunk's noise rows in blocks through it.
 
-    `noise2` is (K, 2) doubled noise, `diff` is (M, 2) of x_i - x_j for one
-    transmitted point x_i and `sq` is (M,) of |x_i - x_j|^2; the result has
-    shape (K,) and is written into `out` when given. Rows are formed and
-    reduced in blocks of n = max(2, _BLOCK_ELEMENTS // M) rows. `buf`, when
-    given, is a pair of flat buffers (block, operand) of at least
-    min(K, n)*M and 3*min(K, n) elements. A block's exponents are one
-    product, formed point-major as the C-order (M, n) product
-    [d_x, d_y, |d|^2] @ [2N_x; 2N_y; 1] and then scaled by -1/N0, and
-    reduced through its (n, M) view, so every step runs over contiguous
-    columns. The (3, n) operand is the block's noise rows, copied in, over
-    a row of ones. gemm's multiply-add chain adds |d|^2 last, as the
-    separate broadcast add after a two-term product did, so the bits are
-    the same. The scale stays a pass of its own: folded into the (M, 3)
-    operand, -1/N0 moved a tenth of the rows, by up to 5.3e-15 nats (qam,
-    box_muller and dvb_variant n=2 to 16, 0-30 dB). Against that add,
-    which took as long as the product at M >= 32, a block costs a copy of
-    2n doubles and a third term. A one-row matmul goes through gemv, which
-    rounds differently from gemm, so no block has one row unless K is 1: a
-    one-row tail starts a row early and recomputes that row. The bits of a
-    row can depend on n, since gemm may round an element of the product
-    differently at another width; they are fixed by K, M, _BLOCK_ELEMENTS
-    and the gemm kernel.
+    `lhs` is the (M, 3) [d_x, d_y, |d|^2] of d = x_i - x_j for one
+    transmitted point x_i, and `rhs` the (3, n) operand: the block's n
+    doubled noise rows, transposed, over a row of ones. The exponents are
+    one product, formed point-major as the C-order (M, n) lhs @ rhs in the
+    flat buffer `block` and then scaled by -1/N0, and reduced through its
+    (n, M) view into `out`, so every step runs over contiguous columns.
+    gemm's multiply-add chain adds |d|^2 last, as the separate broadcast
+    add after a two-term product did, so the bits are the same. The scale
+    stays a pass of its own: folded into the (M, 3) operand, -1/N0 moved a
+    tenth of the rows, by up to 5.3e-15 nats (qam, box_muller and
+    dvb_variant n=2 to 16, 0-30 dB). `clip` is `_clip_can_bite` of the
+    block. A one-row matmul goes through gemv, which rounds differently from
+    gemm, and gemm may round an element differently at another width, so a
+    row's bits depend on the block it was formed in.
 
-    No max is subtracted: the j = i exponent is exactly 0 (diff and sq are
+    No max is subtracted: the j = i exponent is exactly 0 (d and |d|^2 are
     0 there), which is what `logsumexp_rows` needs, and no exponent exceeds
-    |N|^2/N0 with N = noise2/2. For Monte Carlo's draws that is |z|^2/2 for
+    |N|^2/N0 for the noise N. For Monte Carlo's draws that is |z|^2/2 for
     a standard-normal pair z, which reaches `exp`'s overflow at 709 only
     with a coordinate beyond 26 sigma.
     """
-    k, m = len(noise2), len(diff)
-    rows = _block_rows(m)
-    width = min(rows, k)
-    if out is None:
-        out = np.empty(k)
-    # one pair of buffers for every block: allocated afresh, at alternating
-    # sizes, a block is mapped and unmapped by malloc each time (0.5 s of
-    # page faults in 1.8 s at box_muller n=24)
-    if buf is None:
-        buf = _aligned(width * m, 3 * width)
-    block, operand = buf
-    rhs = operand[: 3 * width].reshape(3, width)
-    rhs[2] = 1.0
-    lhs = np.column_stack((diff, sq))
-    clip = _clip_can_bite(noise2, sq, n0)
-    for s in range(0, k, rows):
-        lo, hi = max(0, min(s, k - 2)), min(s + rows, k)
-        n = hi - lo
-        rhs[:2, :n] = noise2[lo:hi].T
-        expo = np.matmul(lhs, rhs[:, :n], out=block[: n * m].reshape(m, n))
-        expo *= -1.0 / n0
-        logsumexp_rows(expo.T, out=out[lo:hi], clip=clip)
-    return out
+    m, n = len(lhs), rhs.shape[1]
+    expo = np.matmul(lhs, rhs, out=block[: m * n].reshape(m, n))
+    expo *= -1.0 / n0
+    return logsumexp_rows(expo.T, out=out, clip=clip)
 
 
-def _clip_can_bite(noise2, sq, n0) -> bool:
+def _clip_can_bite(noise2, reach, n0) -> bool:
     """Whether an exponent of `_log_partition` can fall below EXP_FLOOR.
 
-    With N = noise2/2 the exponent of j is -(|d_j|^2 + 2<N, d_j>)/N0, which
-    is at least -(|d_j|^2 + 2|N||d_j|)/N0 >= -(|d|max^2 + 2|N|max |d|max)/N0,
-    with |N| at most sqrt(2) times its largest coordinate. Below
-    _CLIP_FREE_NATS (100 nats inside the floor, far beyond rounding) the
-    clip is a no-op.
+    `noise2` holds a block's doubled noise coordinates, in any layout. With
+    N = noise2/2 the exponent of j is -(|d_j|^2 + 2<N, d_j>)/N0, which
+    is at least -(|d_j|^2 + 2|N||d_j|)/N0 >= -(reach^2 + 2|N|max reach)/N0
+    for reach = |d|max, with |N| at most sqrt(2) times its largest
+    coordinate. Below _CLIP_FREE_NATS (100 nats inside the floor, far beyond
+    rounding) the clip is a no-op.
     """
     coord = 0.5 * max(float(noise2.max()), -float(noise2.min()))
-    reach = math.sqrt(float(sq.max()))
     return (reach + 2.0 * math.sqrt(2.0) * coord) * reach / n0 > _CLIP_FREE_NATS
 
 
@@ -219,20 +205,43 @@ def _block_rows(m: int) -> int:
     return max(2, _BLOCK_ELEMENTS // m)
 
 
-def _aligned(*sizes) -> list:
-    """Flat float arrays of the given sizes in one allocation, each on a 64-byte line.
+class _Workspace(threading.local):
+    """Flat float buffers that one thread keeps from call to call.
 
-    The offset moves no bit, but at malloc's 16-byte alignment box_muller
-    n=32 at 10 dB took 29.5 ms in the quadrature, not 23.3, and 200,000 Monte
-    Carlo draws at n=8, 15 dB up to 48.3 ms, not 39.3. Reshaping is left to
-    the caller: here, it cost a small quadrature row 5-15 us.
+    Each thread sees its own buffer. It grows to the largest request up to
+    _WORKSPACE_DOUBLES (4 MB) and is kept for the thread's next call: made
+    afresh per call, glibc trimmed the heap after each call and the next one
+    faulted the same pages in again (1,640 minor faults per Monte Carlo
+    call at qam n=2, 72 per quadrature row at box_muller n=16). A larger
+    request gets a buffer for that call alone.
     """
-    flat = np.empty(sum(sizes) + 8 * len(sizes))
-    at, views = (-flat.ctypes.data % 64) // 8, []
-    for size in sizes:
-        views.append(flat[at : at + size])
-        at += size + -size % 8  # whole lines of 8 doubles
-    return views
+
+    flat = np.empty(0)
+
+    def take(self, *sizes) -> list:
+        """Flat views of the given sizes, disjoint, each on a 64-byte line.
+
+        They are the thread's to use until its next `take`, which may hand
+        out the same memory again. The offset moves no bit, but at malloc's
+        16-byte alignment box_muller n=32 at 10 dB took 29.5 ms in the
+        quadrature, not 23.3, and 200,000 Monte Carlo draws at n=8, 15 dB up
+        to 48.3 ms, not 39.3. Reshaping is left to the caller: here, it cost
+        a small quadrature row 5-15 us.
+        """
+        need = sum(size + -size % 8 for size in sizes) + 7
+        flat = self.flat
+        if len(flat) < need:
+            flat = np.empty(need)
+            if need <= _WORKSPACE_DOUBLES:
+                self.flat = flat
+        at, views = (-flat.ctypes.data % 64) // 8, []
+        for size in sizes:
+            views.append(flat[at : at + size])
+            at += size + -size % 8  # whole lines of 8 doubles
+        return views
+
+
+_WORKSPACE = _Workspace()
 
 
 def gaussian_capacity(snr) -> float:
@@ -309,15 +318,16 @@ def _grid_mi(pts, reps, mults, z, w, rho, n0) -> float:
     pts_t = np.ascontiguousarray(pts.T)
     # the 2R w factors, w = min(nb M, _BLOCK_ELEMENTS // 2R), the (nb, R, R)
     # sums and the (3, nb, M) differences, each at most _BLOCK_ELEMENTS doubles
-    # or one representative's, are one allocation per call, each on a 64-byte
-    # line: per point, malloc mapped a buffer each time, and as three, glibc
-    # trimmed the heap after each call and faulted them in again (425 faults a
-    # call at box_muller n=15, order 256). d_y^2 goes in the factors' memory,
-    # idle until |d|^2 is formed. A pruned block gathers its kept columns (a
-    # tenth at 30 dB, box_muller n=16 to 64) and their indices into new arrays
+    # or one representative's, come from the thread's workspace: made per
+    # point, malloc mapped a buffer each time, and made per call, they were
+    # trimmed from the heap after each call and faulted in again (425 faults
+    # a call at box_muller n=15, order 256). d_y^2 goes in the factors'
+    # memory, idle until |d|^2 is formed. A pruned block gathers its kept
+    # columns (a tenth at 30 dB, box_muller n=16 to 64) and their indices
+    # into new arrays
     nb = min(len(reps), max(1, min(_BLOCK_ELEMENTS // (3 * m), _BLOCK_ELEMENTS // (r * r))))
     cols = min(nb * m, max(1, _BLOCK_ELEMENTS // (2 * r)))
-    work, s, d = _aligned(max(2 * r * cols, nb * m), nb * r * r, 3 * nb * m)
+    work, s, d = _WORKSPACE.take(max(2 * r * cols, nb * m), nb * r * r, 3 * nb * m)
     s, d = s.reshape(nb, r, r), d.reshape(3, nb, m)
     buf, scratch = work[: 2 * r * cols], work[: nb * m].reshape(nb, m)
     mask = np.empty((nb, m), dtype=bool)
@@ -393,40 +403,131 @@ def _merge_moments(state, count, mean, m2):
     return n, mean_out, m2_out
 
 
-def _mc_stratum(pts, i, count, seed, n0, scratch):
+def _mc_stratum(pts, i, count, seed, n0, chunks) -> float:
     """`count` draws for transmitted point i from its own Philox stream.
 
-    Returns (sum of the per-draw contributions, [(k, mean, M2) per chunk of
-    at most _MC_CHUNK_ROWS draws]). `scratch` is a set of (noise, row,
-    block, operand) buffers that no other stratum is using, sized for the
-    largest chunk; the last two are `_log_partition`'s `buf`.
+    Returns the sum of the per-draw contributions and writes (draws, mean,
+    M2) of each chunk of at most _MC_CHUNK_ROWS draws into the rows of
+    `chunks`. A chunk's draws go through `_log_partition` in blocks of n =
+    _block_rows(M) rows. Each block's rows are drawn into the front of the
+    thread's block buffer and copied, transposed, into the operand before
+    its product overwrites that memory; the stream is consumed in row order,
+    as one draw per chunk consumed it. A one-row matmul goes through gemv,
+    which rounds differently from gemm, so no block has one row unless the
+    chunk has: a one-row tail starts a row early, at the last row of the
+    block before, still in the operand, and forms that row again. The bits
+    of a row can depend on n, since gemm may round an element of the product
+    differently at another width; they are fixed by the chunk's draws, M,
+    _BLOCK_ELEMENTS and the gemm kernel.
     """
     bitgen = np.random.Philox(key=seed)
     bitgen.advance(i * _MC_STREAM_STRIDE)
     rng = np.random.Generator(bitgen)
+    m = len(pts)
     diff = pts[i] - pts
     dx, dy = diff.T
     sq = dx * dx + dy * dy
+    lhs = np.column_stack((diff, sq))
+    reach = math.sqrt(float(sq.max()))
     scale = 2.0 * math.sqrt(n0 / 2.0)
-    log_m = math.log(len(pts))
-    noise, rows, *buf = scratch
+    log_m = math.log(m)
+    step = _block_rows(m)
+    chunk = min(count, _MC_CHUNK_ROWS)
+    # a block of n rows holds their 2n doubles of noise, then n*M exponents
+    rows, block, operand = _WORKSPACE.take(chunk, min(step, chunk) * max(m, 2),
+                                           3 * min(step, chunk))
     acc = 0.0
-    chunks = []
-    left = count
-    while left > 0:
-        k = min(left, _MC_CHUNK_ROWS)
-        noise2 = rng.standard_normal(out=noise[:k])
-        noise2 *= scale
-        g = _log_partition(noise2, diff, sq, n0, out=rows[:k], buf=buf)
+    for c, first in enumerate(range(0, count, _MC_CHUNK_ROWS)):
+        k = min(count - first, _MC_CHUNK_ROWS)
+        width = min(step, k)
+        rhs = operand[: 3 * width].reshape(3, width)
+        rhs[2] = 1.0
+        g = rows[:k]
+        for s in range(0, k, step):
+            lo, hi = max(0, min(s, k - 2)), min(s + step, k)
+            if lo < s:  # a one-row tail: its row before ended a full block
+                rhs[:2, 0] = rhs[:2, width - 1]
+            noise2 = rng.standard_normal(out=block[: 2 * (hi - s)].reshape(-1, 2))
+            noise2 *= scale
+            rhs[:2, s - lo : hi - lo] = noise2.T
+            clip = _clip_can_bite(rhs[:2, : hi - lo], reach, n0)
+            _log_partition(lhs, rhs[:, : hi - lo], n0, clip, block, g[lo:hi])
         np.subtract(log_m, g, out=g)
         g /= LN2
         acc += float(g.sum())
         gm = float(g.mean())
         g -= gm
         g *= g
-        chunks.append((k, gm, float(g.sum())))
-        left -= k
-    return acc, chunks
+        chunks[c] = k, gm, float(g.sum())
+    return acc
+
+
+_pool = None  # (helper count, ThreadPoolExecutor), made on first use
+_pool_lock = threading.Lock()
+
+
+def _helpers(count: int) -> ThreadPoolExecutor:
+    """The module's pool of `count` helper threads, made on first use.
+
+    A pool of another size (a changed _WORKERS) is replaced; its idle
+    threads exit once nothing refers to it.
+    """
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool[0] != count:
+            _pool = (count, ThreadPoolExecutor(count, thread_name_prefix="apsk-mc"))
+        return _pool[1]
+
+
+def _forget_pool():
+    """In a forked child: drop the parent's pool, whose threads did not fork."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # not on Windows
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _run_strata(strata: int, run) -> None:
+    """run(i) for i in range(strata) on the calling thread and the pool's helpers.
+
+    Every worker takes the next stratum from one shared index, so with one
+    worker no pool is used. Once the caller runs out of strata it cancels
+    the helper tasks that have not started, which may sit behind another
+    call's in the queue, and waits only for those that have. A stratum that
+    raises, or a Ctrl-C, stops every worker before its next stratum; once
+    the running strata have finished the call raises that error (the lowest
+    failing stratum's, if several fail).
+    """
+    index = itertools.count()  # next() on it is atomic under the GIL
+    stop = threading.Event()
+    failed = []
+
+    def work():
+        while not stop.is_set():
+            i = next(index)
+            if i >= strata:
+                return
+            try:
+                run(i)
+            except BaseException as exc:  # the caller raises it
+                failed.append((i, exc))
+                stop.set()
+
+    tasks = []
+    if min(_WORKERS, strata) > 1:
+        pool = _helpers(_WORKERS - 1)
+        tasks = [pool.submit(work) for _ in range(min(_WORKERS, strata) - 1)]
+    try:
+        work()
+    finally:
+        stop.set()
+        for task in tasks:
+            task.cancel()
+        wait(tasks)
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
 
 
 def mi_monte_carlo(c: Constellation, snr, samples: int, seed: int) -> MiEstimate:
@@ -437,10 +538,13 @@ def mi_monte_carlo(c: Constellation, snr, samples: int, seed: int) -> MiEstimate
     Each point draws from its own Philox stream, offset from `seed` by a
     fixed counter stride, so the result is independent of evaluation order
     and bitwise reproducible for identical inputs. The points (strata) run
-    on a pool of one worker thread per available core and are merged in
-    point order, so the bits do not depend on the thread count. The value
-    is the mean of the stratum means over the points that receive a draw;
-    std_error is the sample standard deviation of the per-draw
+    on the calling thread and a module-level pool of helper threads, one
+    thread per available core in all, made on the first call and shared by
+    every later one; each thread reuses its own scratch across strata and
+    calls. The strata are merged in point order, so the bits do not depend
+    on the thread count or on other calls running at the same time. The
+    value is the mean of the stratum means over the points that receive a
+    draw; std_error is the sample standard deviation of the per-draw
     contributions divided by sqrt(samples).
     """
     samples = integer("samples", samples, 1, 2**63 - 1)  # counts are int64
@@ -451,38 +555,22 @@ def mi_monte_carlo(c: Constellation, snr, samples: int, seed: int) -> MiEstimate
     counts = np.full(m, samples // m, dtype=np.int64)
     counts[: samples % m] += 1
     strata = min(samples, m)  # the points that receive a draw come first
-    chunk = min(int(counts[0]), _MC_CHUNK_ROWS)  # the largest chunk
-    rows = min(_block_rows(m), chunk)
-    # one (noise, row, block, operand) set per thread the pool can start,
-    # lent to one stratum at a time; made here, they cost about 0.7 MB less
-    # peak resident memory than sets made by each worker thread
-    spare = queue.SimpleQueue()
-    for _ in range(min(_WORKERS, strata)):
-        noise, *rest = _aligned(2 * chunk, chunk, rows * m, 3 * rows)
-        spare.put((noise.reshape(chunk, 2), *rest))
+    # (draws, mean, M2) of every chunk, in point order, and each stratum's sum
+    per_stratum = -(-counts[:strata] // _MC_CHUNK_ROWS)
+    ends = np.cumsum(per_stratum)
+    chunks = np.empty((int(ends[-1]), 3))
+    sums = np.empty(strata)
 
     def stratum(i):
-        scratch = spare.get()
-        try:
-            return _mc_stratum(pts, i, int(counts[i]), seed, n0, scratch)
-        finally:
-            spare.put(scratch)
+        rows = chunks[ends[i] - per_stratum[i] : ends[i]]
+        sums[i] = _mc_stratum(pts, i, int(counts[i]), seed, n0, rows)
 
-    stratum_means = np.empty(strata)
+    _run_strata(strata, stratum)
     moments = (0.0, 0.0, 0.0)  # pooled per-draw count/mean/M2
-    # windows of 64 strata per worker, merged as they come, bound the futures
-    window = 64 * _WORKERS
-    pool = ThreadPoolExecutor(_WORKERS)
-    try:
-        for lo in range(0, strata, window):
-            ids = range(lo, min(lo + window, strata))
-            for i, (acc, chunks) in zip(ids, pool.map(stratum, ids)):
-                for k, gm, m2 in chunks:
-                    moments = _merge_moments(moments, k, gm, m2)
-                stratum_means[i] = acc / counts[i]
-    finally:  # a failing stratum or Ctrl-C cancels the strata not yet started
-        pool.shutdown(cancel_futures=True)
-    value = float(stratum_means.mean())
+    for lo in range(0, len(chunks), 256):  # a short list at a time
+        for k, gm, m2 in chunks[lo : lo + 256].tolist():
+            moments = _merge_moments(moments, k, gm, m2)
+    value = float((sums / counts[:strata]).mean())
     _, _, m2 = moments
     std_error = math.sqrt(m2 / (samples - 1) / samples) if samples > 1 else 0.0
     # sampling noise, not a bug, when too few draws put the mean outside

@@ -66,8 +66,10 @@ class Constellation:
     grid-major for QAM). `power` is the budget P the family was constructed
     for, not the realized average power. Construction keeps its own
     read-only C-order float64 copy of the points and raises DomainError
-    unless they have shape (M, 2), M >= 1, and finite coordinates, and P is
-    a finite real > 0; `validate_constellation` adds the family's invariants.
+    unless they have shape (M, 2), M >= 1, and finite coordinates small
+    enough that every squared distance between two points is a double
+    (8 c^2 finite for the largest magnitude c), and P is a finite real > 0;
+    `validate_constellation` adds the family's invariants.
     """
 
     label: str
@@ -81,11 +83,19 @@ class Constellation:
             pts = np.array(self.points, dtype=np.float64, order="C")  # a copy
         except (OverflowError, TypeError, ValueError):  # an int past a double, not numbers
             pts = np.empty(0)  # rejected below
+        shaped = pts.ndim == 2 and pts.shape[1] == 2 and len(pts)
+        lo, hi = (float(pts.min()), float(pts.max())) if shaped else (math.nan, math.nan)
         # NaN and +-inf reach the min or the max, so no (M, 2) mask is needed
-        if pts.ndim != 2 or pts.shape[1] != 2 or not len(pts) or not (
-            np.isfinite(pts.min()) and np.isfinite(pts.max())
-        ):
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise DomainError("points must be an (M, 2) array of finite numbers, M >= 1")
+        # |x_i - x_j|^2 <= 8 c^2 for the largest coordinate magnitude c; the
+        # estimators form it, and past the double range MI came out NaN
+        big = max(-lo, hi)
+        if not 8.0 * big * big < math.inf:
+            raise DomainError(
+                f"coordinates up to {big:.4g} in magnitude put the squared distances"
+                " between points outside the double range"
+            )
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "power", positive("power", self.power))

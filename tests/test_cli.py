@@ -113,6 +113,17 @@ class TestEvaluate:
         assert (code, out) == (2, "")
         assert "outside the double range" in err
 
+    @pytest.mark.parametrize("method", [[], ["--method", "mc", "--samples", "1000"]],
+                             ids=["quadrature", "mc"])
+    def test_power_whose_squared_distances_overflow_exits_2(self, capsys, method):
+        # without --normalize the squared radii stay doubles, but not the
+        # squared distances: MI came out NaN, "estimator bug", exit 3
+        code, out, err = run(capsys, "evaluate", "--family", "box_muller", "--n", "2",
+                             "--power", "1e308", "--snr-db", "10", *method)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: coordinates up to 1.177e+154")
+        assert "outside the double range" in err
+
     def test_file_and_family_conflict(self, tmp_path, capsys):
         out = tmp_path / "c.json"
         run(capsys, "generate", "qam", "--n", "2", "--out", str(out))

@@ -14,6 +14,7 @@ from apsk_shaper import (
     SQUARE_QAM,
     Constellation,
     DomainError,
+    SnrSpec,
     average_power,
     box_muller_apsk,
     canonical_family,
@@ -21,6 +22,7 @@ from apsk_shaper import (
     dvb_variant_apsk,
     loads_constellation,
     make_constellation,
+    mi_quadrature,
     min_distance,
     papr,
     peak_power,
@@ -64,6 +66,32 @@ class TestConstruction:
         pts[2, 1] = value
         with pytest.raises(DomainError, match="finite numbers"):
             self.build(pts)
+
+    @pytest.mark.parametrize("big", [1e154, -1e154, 1e200, 1.7e308])
+    def test_rejects_coordinates_whose_squared_distances_overflow(self, big):
+        # |x_i - x_j|^2 reaches 8 big^2 at most; MI of such a set came out NaN
+        # (an estimator error, exit 3) after overflow warnings
+        pts = self.SQUARE.copy()
+        pts[1, 1] = big
+        with pytest.raises(DomainError, match="squared distances between points outside"):
+            self.build(pts)
+
+    def test_accepts_coordinates_up_to_the_distance_bound(self):
+        # 8 big^2 just below the largest double: every squared distance and
+        # the quadrature stay finite
+        big = 4.7e153
+        pts = np.array([[big, big], [-big, -big], [big, -big], [-big, big]])
+        c = self.build(pts, power=4.0 * big * big)
+        assert np.all(c.points == pts)
+        assert average_power(c) == pytest.approx(2.0 * big * big, rel=1e-15)
+        assert min_distance(c) == 2.0 * big
+        assert 0.0 < mi_quadrature(c, SnrSpec.from_db(10.0)).value <= 2.0
+
+    def test_apsk_past_the_distance_bound_is_rejected(self):
+        # box_muller n=2 at P = 1e308 keeps its squared radii (1.4e308) but
+        # not the squared distance across the centre
+        with pytest.raises(DomainError, match="squared distances between points outside"):
+            make_constellation("box_muller", 2, 1e308)
 
     @pytest.mark.parametrize("points", [[[0.0, 1.0], [2.0]], [["x", 0.0]], [[10**400, 0]]],
                              ids=["ragged", "str", "huge"])

@@ -3,8 +3,14 @@ row-major reference, their row sums, the exp clip and its gate, node pruning,
 and the separable tensor-rule kernel of the quadrature."""
 
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
 import threading
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +26,7 @@ from apsk_shaper import (
 )
 from apsk_shaper import capacity, numerics
 from apsk_shaper.symmetry import orbits, product_axes
-from quadrature_rule import tensor_rule
+from quadrature_rule import log_partition, tensor_rule
 
 
 def random_case(k, m, seed):
@@ -43,21 +49,47 @@ def record_blocks(monkeypatch):
     return blocks
 
 
+def stratum_rows(monkeypatch, pts, count):
+    """Run `count` draws of point 0 through `_mc_stratum` in one chunk.
+
+    Returns the bytes of every row's log-partition, as the blocks left it
+    (a one-row tail's block writes the row before it again), and of the
+    stratum's sum and chunk moments.
+    """
+    rows, base = np.full(count, np.nan), []
+    inner = capacity._log_partition
+
+    def recording(lhs, rhs, n0, clip, block, out):
+        got = inner(lhs, rhs, n0, clip, block, out)
+        if not base:
+            base.append(out.ctypes.data)  # the chunk's row 0
+        lo = (out.ctypes.data - base[0]) // out.itemsize
+        rows[lo : lo + len(out)] = out
+        return got
+
+    monkeypatch.setattr(capacity, "_log_partition", recording)
+    chunks = np.empty((1, 3))
+    acc = capacity._mc_stratum(pts, 0, count, 3, 0.7, chunks)
+    monkeypatch.setattr(capacity, "_log_partition", inner)
+    assert not np.isnan(rows).any()
+    return rows.tobytes(), np.array([acc]).tobytes() + chunks.tobytes()
+
+
 class TestBlocks:
     @pytest.mark.parametrize("k", [1, 2, 1001])
     @pytest.mark.parametrize("m", [2, 7, 64])
     def test_block_size_does_not_change_bits(self, monkeypatch, k, m):
-        noise2, diff, sq = random_case(k, m, seed=k * m)
-        want = capacity._log_partition(noise2, diff, sq, 0.7)
+        # k draws for one of m random points, walked in blocks by the stratum
+        pts = np.random.default_rng(k * m).standard_normal((m, 2))
+        want = stratum_rows(monkeypatch, pts, k)
         # budgets of 1 and 3 give two-row blocks, so k = 1001 ends in a
         # one-row tail; M - 1 gives one row per budget and blocks of two.
         # gemm rounds these narrow blocks as it does the default one; at some
         # other widths (300 or 655 rows) it can move a row's last bit
-        # (see _log_partition)
+        # (see _mc_stratum)
         for budget in (1, 3, m - 1):
             monkeypatch.setattr(capacity, "_BLOCK_ELEMENTS", budget)
-            got = capacity._log_partition(noise2, diff, sq, 0.7)
-            assert got.tobytes() == want.tobytes(), budget
+            assert stratum_rows(monkeypatch, pts, k) == want, budget
 
     @pytest.mark.parametrize(
         "family,n,samples", [("qam", 4, 16 * 41 + 3), ("box_muller", 8, 64 * 9 + 1)]
@@ -82,22 +114,45 @@ class TestBlocks:
 
     def test_mc_scratch_starts_on_cache_lines(self, monkeypatch):
         offsets = []
-        inner = capacity._mc_stratum
+        inner = capacity._Workspace.take
 
-        def recording(pts, i, count, seed, n0, scratch):
+        def recording(self, *sizes):
             # off a 64-byte line, box_muller n=8 at 15 dB ran up to 23% slower
-            offsets.append([a.ctypes.data % 64 for a in scratch])
-            return inner(pts, i, count, seed, n0, scratch)
+            views = inner(self, *sizes)
+            offsets.append([a.ctypes.data % 64 for a in views])
+            return views
 
-        monkeypatch.setattr(capacity, "_mc_stratum", recording)
-        # chunks of 5, 8 and 5,000 draws: at 5 the noise (10 doubles), row (5)
-        # and block (45) buffers end off a line, so packing them would
-        # misalign the next. The (noise, row, block, operand) set is four
-        # buffers, the operand (3 rows of the block's width) last
+        monkeypatch.setattr(capacity._Workspace, "take", recording)
+        # chunks of 5, 8 and 5,000 draws: at 5 the row (5 doubles) and block
+        # (45, its first 10 the noise) buffers end off a line, so packing
+        # them would misalign the next. A stratum takes the (row, block,
+        # operand) set, the operand (3 rows of the block's width) last; each
+        # starts a block's rows at its first element
         for family, n, samples in [("qam", 3, 9 * 5), ("box_muller", 5, 25 * 7 + 3),
                                    ("box_muller", 8, 64 * 5000)]:
             mi_monte_carlo(make_constellation(family, n), SnrSpec.from_db(15.0), samples, 4)
-        assert offsets and all(o == [0, 0, 0, 0] for o in offsets)
+        assert offsets and all(o == [0, 0, 0] for o in offsets)
+
+    def test_a_workspace_is_kept_up_to_its_cap(self):
+        space, cap = capacity._Workspace(), capacity._WORKSPACE_DOUBLES
+        small = space.take(5, 9)
+        kept = space.flat
+        # a request that fits reuses the buffer; a larger one under the cap
+        # replaces it, and one past the cap is made for that call alone
+        assert np.shares_memory(space.take(24)[0], kept)
+        assert all(np.shares_memory(v, kept) for v in small)
+        grown = space.take(cap // 2)[0]
+        assert space.flat is not kept and np.shares_memory(grown, space.flat)
+        kept = space.flat
+        huge = space.take(cap)[0]
+        assert space.flat is kept and not np.shares_memory(huge, kept)
+        assert len(huge) == cap and huge.ctypes.data % 64 == 0
+        # another thread starts from an empty buffer of its own
+        other = []
+        worker = threading.Thread(target=lambda: other.append(len(space.flat)))
+        worker.start()
+        worker.join()
+        assert other == [0]
 
     def test_quadrature_blocks_and_temporaries_stay_bounded(self, monkeypatch):
         factors = []
@@ -151,6 +206,37 @@ def mc_result(c, samples, seed=5):
     return got.value, got.std_error
 
 
+def track_strata(monkeypatch, fails, error=RuntimeError):
+    """Wrap capacity._mc_stratum; a stratum i with fails(i) raises `error`.
+
+    It raises once another stratum has started, and every other stratum
+    sleeps 50 ms first, so one is still running when the failing one raises.
+    fails(i) runs on the stratum's thread. Returns (the strata started,
+    [the number running]).
+    """
+    lock, other = threading.Lock(), threading.Event()
+    started, running = [], [0]
+    inner = capacity._mc_stratum
+
+    def tracked(pts, i, *args):
+        with lock:
+            started.append(i)
+            running[0] += 1
+        try:
+            if fails(i):
+                other.wait(timeout=10)
+                raise error(f"stratum {i}")
+            other.set()
+            time.sleep(0.05)
+            return inner(pts, i, *args)
+        finally:
+            with lock:
+                running[0] -= 1
+
+    monkeypatch.setattr(capacity, "_mc_stratum", tracked)
+    return started, running
+
+
 class TestWorkers:
     @pytest.mark.parametrize(
         "family,n",
@@ -179,77 +265,151 @@ class TestWorkers:
 
     @pytest.mark.parametrize("workers,samples", [(1, 100), (4, 1)])
     def test_one_worker_runs_every_stratum_on_one_thread(self, monkeypatch, workers, samples):
-        # one stratum (a single draw) also leaves a single worker
+        # one stratum (a single draw) also leaves a single worker: the caller
         threads = set()
         inner = capacity._log_partition
 
-        def recording(*args, **kwargs):
+        def recording(*args):
             threads.add(threading.get_ident())
-            return inner(*args, **kwargs)
+            return inner(*args)
 
         monkeypatch.setattr(capacity, "_WORKERS", workers)
         monkeypatch.setattr(capacity, "_log_partition", recording)
         mc_result(make_constellation("qam", 2), samples)
-        assert len(threads) == 1
+        assert threads == {threading.get_ident()}
 
-    @pytest.mark.parametrize("failing", [0, 1])
-    def test_a_failing_stratum_raises_after_every_thread_joined(self, monkeypatch, failing):
-        # at two workers points 0 and 1 start on the pool's two threads
-        inner = capacity._log_partition
-
-        def failing_point(noise2, diff, sq, n0, **kwargs):
-            if not diff[failing].any():  # diff = x_i - x_j is zero at j = i
-                raise RuntimeError(f"stratum {failing}")
-            return inner(noise2, diff, sq, n0, **kwargs)
-
-        before = threading.active_count()
+    @pytest.mark.parametrize("where", ["caller", "helper"])
+    def test_a_failing_stratum_raises_once_no_stratum_runs(self, monkeypatch, where):
+        # at two workers a point fails on the calling thread or on the
+        # helper while the other thread's point sleeps; the call waits for
+        # that one and starts no other
+        caller = threading.get_ident()
+        on_caller = where == "caller"
         monkeypatch.setattr(capacity, "_WORKERS", 2)
-        monkeypatch.setattr(capacity, "_log_partition", failing_point)
-        with pytest.raises(RuntimeError, match=f"stratum {failing}"):
+        started, running = track_strata(
+            monkeypatch, lambda i: (threading.get_ident() == caller) == on_caller)
+        with pytest.raises(RuntimeError, match="stratum"):
             mc_result(make_constellation("qam", 2), 1000)
-        assert threading.active_count() == before
+        assert running == [0] and len(started) == 2
+        time.sleep(0.1)
+        assert running == [0] and len(started) == 2
 
     def test_a_failing_stratum_cancels_the_strata_not_started(self, monkeypatch):
-        # 64 points of 10,000 draws each; point 0 fails at its first block
-        started = set()
-        inner = capacity._log_partition
-
-        def failing_point(noise2, diff, sq, n0, **kwargs):
-            i = int(np.flatnonzero(~diff.any(axis=1))[0])  # diff is zero at j = i
-            started.add(i)
-            if i == 0:
-                raise RuntimeError("stratum 0")
-            return inner(noise2, diff, sq, n0, **kwargs)
-
-        before = threading.active_count()
+        # 64 points of 10,000 draws each; point 0 fails
         monkeypatch.setattr(capacity, "_WORKERS", 2)
-        monkeypatch.setattr(capacity, "_log_partition", failing_point)
+        started, running = track_strata(monkeypatch, lambda i: i == 0)
         c = make_constellation("box_muller", 8)
         with pytest.raises(RuntimeError, match="stratum 0"):
             mi_monte_carlo(c, SnrSpec.from_db(10.0), c.M * 10000, 0)
-        assert len(started) < c.M
-        assert threading.active_count() == before
+        assert running == [0] and len(started) < c.M
+
+    def test_a_ctrl_c_stops_the_helpers(self, monkeypatch):
+        # Ctrl-C lands in the caller's stratum while the helper's runs
+        caller = threading.get_ident()
+        monkeypatch.setattr(capacity, "_WORKERS", 2)
+        started, running = track_strata(
+            monkeypatch, lambda i: threading.get_ident() == caller, KeyboardInterrupt)
+        c = make_constellation("box_muller", 4)
+        with pytest.raises(KeyboardInterrupt):
+            mi_monte_carlo(c, SnrSpec.from_db(10.0), c.M * 100, 0)
+        assert running == [0] and len(started) == 2
+
+    def test_a_second_call_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(capacity, "_WORKERS", 3)
+        c = make_constellation("qam", 4)
+        want = mc_result(c, 16 * 200)
+        before = set(threading.enumerate())
+        seen = set()
+        inner = capacity._mc_stratum
+
+        def recording(*args):
+            seen.add(threading.current_thread())
+            time.sleep(0.002)  # lets the helpers take strata
+            return inner(*args)
+
+        monkeypatch.setattr(capacity, "_mc_stratum", recording)
+        assert mc_result(c, 16 * 200) == want
+        # an earlier test's pool of another size may still be winding down,
+        # so threads can end meanwhile, but none starts
+        assert len(seen) > 1 and seen <= before
+        assert set(threading.enumerate()) <= before
+
+    def test_no_thread_starts_at_import(self):
+        code = ("import threading; from apsk_shaper import capacity; "
+                "print(threading.active_count(), capacity._pool)")
+        src = str(Path(capacity.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=60, check=True).stdout
+        assert out.split() == ["1", "None"]
+
+    def test_threads_that_call_at_once_get_the_serial_bits(self, monkeypatch):
+        # the calls share the pool's helpers; each still merges its own
+        # strata in point order
+        monkeypatch.setattr(capacity, "_WORKERS", 3)
+        cases = [(make_constellation("qam", 2), 4 * 3001),
+                 (make_constellation("box_muller", 4), 16 * 500),
+                 (make_constellation("dvb_variant", 4), 16 * 77 + 5)]
+        want = [mc_result(c, samples) for c, samples in cases]
+        got = {}
+
+        def work(k):
+            got[k] = [mc_result(c, samples) for c, samples in cases]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == {k: want for k in range(4)}
+
+    # a fork from a process with threads warns on Python 3.12 and later
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
+    def test_a_forked_child_gets_the_parents_bits(self, monkeypatch):
+        # the parent's pool has a helper thread, which a fork does not copy
+        monkeypatch.setattr(capacity, "_WORKERS", 2)
+        c = make_constellation("qam", 2)
+        want = mc_result(c, 4 * 3001)
+        ctx = multiprocessing.get_context("fork")
+        reader, writer = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=lambda: writer.send(mc_result(c, 4 * 3001)))
+        child.start()
+        child.join(timeout=30)
+        if child.is_alive():
+            child.kill()
+            child.join()
+            pytest.fail("the forked child hung in mi_monte_carlo")
+        assert child.exitcode == 0
+        assert reader.poll(1) and reader.recv() == want
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_temporaries_stay_within_a_budget_per_worker(self, monkeypatch, workers):
         snr = SnrSpec.from_db(10.0)
         monkeypatch.setattr(capacity, "_WORKERS", workers)
-        # the first call imports numpy.random, which numpy loads lazily;
-        # that import is not a temporary of the estimator
+        # the first call imports numpy.random, which numpy loads lazily, and
+        # starts the pool's threads; neither is a temporary of the estimator
         mi_monte_carlo(make_constellation("box_muller", 2), snr, 4000, 0)
-        # (family, n, samples, budget per worker). At box_muller n=2 each
-        # worker holds a 1 MB noise chunk, a 0.5 MB row buffer, a 1 MB
-        # exponent block and its 0.8 MB (3, 32768) operand: about 3.4 MB.
-        # qam n=2 draws 25,000 per point: a 0.8 MB block, a 0.6 MB operand,
-        # 0.6 MB of noise and rows, about 2.0 MB. At box_muller n=8 the 1 MB
-        # block of 2,048 rows dominates: about 1.3 MB. At qam n=32 with one
-        # draw per point the pending strata dominate: about 0.18 MB per
-        # worker for a window of 64, against 1.9-2.0 MB in all for one
-        # future per point
-        cases = [("box_muller", 2, 10**6, 3.5e6), ("qam", 2, 10**5, 2.2e6),
-                 ("box_muller", 8, 2 * 10**5, 1.4e6), ("qam", 32, 32**2, 0.4e6)]
+        # (family, n, samples, budget per worker), each from cold workspaces.
+        # At box_muller n=2 each worker holds a 0.5 MB row buffer, a 1 MB
+        # exponent block (its front the block's noise) and its 0.8 MB
+        # (3, 32768) operand: about 2.4 MB (3.4 MB with a noise buffer for
+        # the whole chunk). qam n=2 draws 25,000 per point: a 0.8 MB block, a
+        # 0.6 MB operand and 0.2 MB of rows, about 1.6 MB. At box_muller n=8
+        # the 1 MB block of 2,048 rows dominates: about 1.15 MB. At qam n=32
+        # with one draw per point each stratum's (M, 3) operand and
+        # differences dominate, with the call's per-point sums and moments:
+        # about 0.12 MB (0.19 MB with a window of 64 pending strata per worker)
+        cases = [("box_muller", 2, 10**6, 2.5e6), ("qam", 2, 10**5, 1.7e6),
+                 ("box_muller", 8, 2 * 10**5, 1.25e6), ("qam", 32, 32**2, 0.2e6)]
         for family, n, samples, budget in cases:
             c = make_constellation(family, n)
+            monkeypatch.setattr(capacity, "_WORKSPACE", capacity._Workspace())
             tracemalloc.start()
             try:
                 tracemalloc.reset_peak()
@@ -353,7 +513,7 @@ class TestLayout:
     def test_blocks_match_the_row_major_reference(self, snr_db, k):
         for m in range(1, 301):
             noise2, diff, sq, n0 = mc_like_case(k, m, snr_db, seed=k + m)
-            got = capacity._log_partition(noise2, diff, sq, n0)
+            got = log_partition(noise2, diff, sq, n0)
             want = row_major_log_partition(noise2, diff, sq, n0)
             assert np.max(np.abs(got - want)) <= LAYOUT_TOL, m
 
@@ -361,7 +521,7 @@ class TestLayout:
         seen = record_minima(monkeypatch)
         for snr_db in np.arange(-10.0, 40.0, 2.5):
             for m in (2, 4, 16, 64, 200):
-                capacity._log_partition(*mc_like_case(4096, m, snr_db, seed=m))
+                log_partition(*mc_like_case(4096, m, snr_db, seed=m))
         skipped = [low for clip, low in seen if not clip]
         taken = [low for clip, low in seen if clip]
         # both branches run, and a skipped block keeps every exponent inside
@@ -378,7 +538,7 @@ class TestLayout:
         diff = np.array([[0.0, 0.0], [3.0, 3.0], [-1.0, 2.0]])
         sq = np.sum(diff * diff, axis=1)
         for nats in np.linspace(500.5, 699.5, 40):
-            capacity._log_partition(np.full((4096, 2), 2.0), diff, sq, 30.0 / nats)
+            log_partition(np.full((4096, 2), 2.0), diff, sq, 30.0 / nats)
         skipped = [low for clip, low in seen if not clip]
         assert skipped and len(skipped) < len(seen)
         assert -capacity._CLIP_FREE_NATS <= min(skipped) < -capacity._CLIP_FREE_NATS + 6.0
@@ -449,7 +609,7 @@ def direct_mi(c, snr, order):
     for i, mult in zip(*(a.tolist() for a in orbits(pts))):
         diff = pts[i] - pts
         sq = np.sum(diff * diff, axis=1)
-        total += mult * float(capacity._log_partition(noise2, diff, sq, n0) @ weights)
+        total += mult * float(log_partition(noise2, diff, sq, n0) @ weights)
     return max(math.log2(c.M) - total / (c.M * numerics.LN2), 0.0)
 
 

@@ -23,7 +23,7 @@ from apsk_shaper import (
 from apsk_shaper import capacity, numerics
 from apsk_shaper import symmetry
 from apsk_shaper.symmetry import D4, _matches, orbits, product_axes
-from quadrature_rule import tensor_rule
+from quadrature_rule import log_partition, tensor_rule
 
 SNR_DBS = (0.0, 10.0, 20.0, 30.0)
 ORDERS = (40, 60)
@@ -45,7 +45,7 @@ def full_loop(c, snr, order):
     for i in range(len(pts)):
         diff = pts[i] - pts
         sq = np.sum(diff * diff, axis=1)
-        total += float(capacity._log_partition(noise2, diff, sq, n0) @ weights)
+        total += float(log_partition(noise2, diff, sq, n0) @ weights)
     return max(math.log2(len(pts)) - total / (len(pts) * numerics.LN2), 0.0)
 
 
