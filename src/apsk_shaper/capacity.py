@@ -9,7 +9,8 @@ information in bits per 2D channel use is
 
 which this module evaluates two independent ways: a deterministic tensor
 Gauss-Hermite rule (`mi_quadrature`) and a seeded stratified Monte Carlo
-(`mi_monte_carlo`) that serves as its cross-check.
+(`mi_monte_carlo`) that serves as its cross-check, both on the points times
+2**-k and N0 times 4**-k (see `Constellation`; Monte Carlo copies them per call).
 
 Monte Carlo forms its inner sums for one transmitted point x_i at a time
 (a stratum, `_mc_stratum`). It walks the point's noise rows in blocks of
@@ -81,7 +82,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constellations import Constellation
+from .constellations import Constellation, _ldexp
 from .errors import DomainError, EstimatorError, integer, positive
 from .numerics import EXP_FLOOR, LN2, gauss_hermite_2d, logsumexp_rows
 
@@ -145,13 +146,9 @@ def _as_snr(snr) -> float:
     return positive("snr", snr.snr if isinstance(snr, SnrSpec) else snr)
 
 
-def _noise_variance(c: Constellation, snr) -> float:
-    """N0 = P/snr, split N0/2 per real axis.
-
-    The Constellation has checked P; N0 is checked as well, as a tiny P over
-    a large snr can underflow to 0.
-    """
-    return positive("noise variance", c.power / _as_snr(snr))
+def _noise_variance(c: Constellation, snr, k: int = 0) -> float:
+    """N0 * 4**-k = (P * 4**-k)/snr, N0/2 per axis, for the points times 2**-k; checked."""
+    return positive("noise variance", _ldexp(c.power, -2 * k) / _as_snr(snr))
 
 
 def _log_partition(lhs, rhs, n0, clip, block, out):
@@ -388,7 +385,7 @@ def mi_quadrature(c: Constellation, snr, order: int = DEFAULT_ORDER) -> MiEstima
     Temporary buffers stay within about 1 MB each.
     """
     order = integer("quadrature order", order, 2, _MAX_ORDER)
-    n0 = _noise_variance(c, snr)
+    n0 = _noise_variance(c, snr, c._exponent)
     z, w, rho = gauss_hermite_2d(order)
     value = sum(count * _grid_mi(*part, z, w, rho, n0) for count, *part in c._parts)
     return MiEstimate(_finish_value(value, c.M), "quadrature", 0.0)
@@ -549,8 +546,8 @@ def mi_monte_carlo(c: Constellation, snr, samples: int, seed: int) -> MiEstimate
     """
     samples = integer("samples", samples, 1, 2**63 - 1)  # counts are int64
     seed = integer("seed", seed, 0, 2**64 - 1)
-    n0 = _noise_variance(c, snr)
-    pts = c.points
+    n0 = _noise_variance(c, snr, c._exponent)
+    pts = c._scaled()
     m = len(pts)
     counts = np.full(m, samples // m, dtype=np.int64)
     counts[: samples % m] += 1

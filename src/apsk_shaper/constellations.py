@@ -66,10 +66,11 @@ class Constellation:
     grid-major for QAM). `power` is the budget P the family was constructed
     for, not the realized average power. Construction keeps its own
     read-only C-order float64 copy of the points and raises DomainError
-    unless they have shape (M, 2), M >= 1, and finite coordinates small
-    enough that every squared distance between two points is a double
-    (8 c^2 finite for the largest magnitude c), and P is a finite real > 0;
-    `validate_constellation` adds the family's invariants.
+    unless they have shape (M, 2), M >= 1, and finite coordinates, and P is a
+    finite real > 0; `validate_constellation` adds the family's invariants.
+    Every computation on the points takes them times 2**-k and N0 times 4**-k
+    (k = `_exponent`, from `math.frexp` of the largest coordinate magnitude):
+    exact at any size. Physical outputs are scaled back, inf past the range.
     """
 
     label: str
@@ -88,33 +89,37 @@ class Constellation:
         # NaN and +-inf reach the min or the max, so no (M, 2) mask is needed
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise DomainError("points must be an (M, 2) array of finite numbers, M >= 1")
-        # |x_i - x_j|^2 <= 8 c^2 for the largest coordinate magnitude c; the
-        # estimators form it, and past the double range MI came out NaN
-        big = max(-lo, hi)
-        if not 8.0 * big * big < math.inf:
-            raise DomainError(
-                f"coordinates up to {big:.4g} in magnitude put the squared distances"
-                " between points outside the double range"
-            )
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "power", positive("power", self.power))
+        object.__setattr__(self, "_exponent", math.frexp(max(-lo, hi))[1])
 
     @property
     def M(self) -> int:
         """Number of signal points."""
         return self.points.shape[0]
 
+    def _scaled(self) -> np.ndarray:  # a new (M, 2) array
+        return np.ldexp(self.points, -self._exponent)
+
     @cached_property
     def _powers(self) -> tuple:
-        """(mean, max) of |w|^2 over the points, computed on first use."""
-        p = _squared_norms(self.points)
+        """(mean, max) of |w|^2 over the scaled points, computed on first use."""
+        p = _squared_norms(self._scaled())
         return float(np.mean(p)), float(np.max(p))
 
     @cached_property
     def _parts(self) -> list:
-        """`symmetry.parts` of the (read-only) points, computed on first use."""
-        return symmetry.parts(self.points)
+        """`symmetry.parts` of the scaled points, computed on first use."""
+        return symmetry.parts(self._scaled())
+
+
+def _ldexp(x: float, k: int) -> float:
+    """x * 2**k, inf past the double range (where `math.ldexp` raises)."""
+    try:
+        return math.ldexp(x, k)
+    except OverflowError:
+        return math.inf
 
 
 def _squared_norms(pts) -> np.ndarray:
@@ -124,7 +129,10 @@ def _squared_norms(pts) -> np.ndarray:
 
 
 def _check_common(n, power) -> tuple:
-    return integer("n", n, 1, MAX_N), positive("power", power)
+    """(n, P, P * 4**-e, e): a family builds at P * 4**-e in [0.5, 2), then scales by 2**e."""
+    n, power = integer("n", n, 1, MAX_N), positive("power", power)
+    e = math.frexp(power)[1] // 2
+    return n, power, math.ldexp(power, -2 * e), e
 
 
 def _ring_layout(family: str, n: int) -> tuple:
@@ -132,22 +140,17 @@ def _ring_layout(family: str, n: int) -> tuple:
     return (n, n) if family == BOX_MULLER else (n // 2, 2 * n)
 
 
-def _apsk(family, n, power, normalize, label):
+def _apsk(family, n, power, unit, e, normalize, label):
     rings, per_ring = _ring_layout(family, n)
-    with np.errstate(over="ignore"):  # overflows are rejected below
-        radii = np.sqrt(-power * np.log((2 * np.arange(rings) + 1) / (2.0 * rings)))
-        phases = 2.0 * np.pi * (2 * np.arange(per_ring) + 1) / (2.0 * per_ring)
-        grid = np.empty((rings, per_ring, 2))  # filled in place, one array
-        for axis, f in enumerate((np.cos, np.sin)):
-            np.multiply.outer(radii, f(phases), out=grid[..., axis])
-        points = grid.reshape(-1, 2)
-        mean = np.mean(_squared_norms(points)) if normalize else 1.0
-    # a squared radius that rounded to 0 or overflowed, or a mean that
-    # overflowed (P/inf would scale every point to 0)
-    if not (radii.min() > 0.0 and radii.max() < math.inf and 0.0 < mean < math.inf):
-        raise DomainError(f"power {power!r} takes the squared radii outside the double range")
+    radii = np.sqrt(-unit * np.log((2 * np.arange(rings) + 1) / (2.0 * rings)))
+    phases = 2.0 * np.pi * (2 * np.arange(per_ring) + 1) / (2.0 * per_ring)
+    grid = np.empty((rings, per_ring, 2))  # filled in place, one array
+    for axis, f in enumerate((np.cos, np.sin)):
+        np.multiply.outer(radii, f(phases), out=grid[..., axis])
+    points = grid.reshape(-1, 2)
     if normalize:
-        points *= np.sqrt(power / mean)
+        points *= np.sqrt(unit / np.mean(_squared_norms(points)))
+    np.ldexp(points, e, out=points)
     if label is None:
         label = f"{family}_n{n}" + ("_normalized" if normalize else "")
     return Constellation(label, family, n, power, points)
@@ -172,8 +175,7 @@ def box_muller_apsk(
         normalize: rescale so the average power equals P exactly.
         label: optional label; defaults to a descriptive one.
     """
-    n, power = _check_common(n, power)
-    return _apsk(BOX_MULLER, n, power, normalize, label)
+    return _apsk(BOX_MULLER, *_check_common(n, power), normalize, label)
 
 
 def dvb_variant_apsk(
@@ -187,10 +189,10 @@ def dvb_variant_apsk(
     Ring k has radius sqrt(-P*ln((2k+1)/n)); each ring carries 2n points at
     phases 2*pi*(2l+1)/(4n). Requires even n so that n/2 rings are integral.
     """
-    n, power = _check_common(n, power)
+    n, power, unit, e = _check_common(n, power)
     if n % 2:
         raise DomainError(f"dvb_variant_apsk requires an even n, got {n}")
-    return _apsk(DVB_VARIANT, n, power, normalize, label)
+    return _apsk(DVB_VARIANT, n, power, unit, e, normalize, label)
 
 
 def square_qam(n: int, power: float = 1.0, label: Optional[str] = None) -> Constellation:
@@ -200,16 +202,17 @@ def square_qam(n: int, power: float = 1.0, label: Optional[str] = None) -> Const
     n = 1 degenerates to the origin (zero power). Points are ordered
     row-major in (i, j).
     """
-    n, power = _check_common(n, power)
+    n, power, unit, e = _check_common(n, power)
     if n == 1:
         points = np.zeros((1, 2))
     else:
         # mean of x^2+y^2 over the unscaled grid is 2*(n^2-1)/3
-        d = np.sqrt(3.0 * power / (2.0 * (n * n - 1)))
+        d = np.sqrt(3.0 * unit / (2.0 * (n * n - 1)))
         coords = (2 * np.arange(n) - n + 1) * d
         grid = np.empty((n, n, 2))  # filled in place, one array
         grid[..., 0], grid[..., 1] = coords[:, None], coords
         points = grid.reshape(-1, 2)
+        np.ldexp(points, e, out=points)
     if label is None:
         label = f"{SQUARE_QAM}_n{n}"
     return Constellation(label, SQUARE_QAM, n, power, points)
@@ -236,21 +239,21 @@ def make_constellation(
 
 
 def average_power(c: Constellation) -> float:
-    """Mean of |w|^2 over the signal points."""
-    return c._powers[0]
+    """Mean of |w|^2 over the signal points; inf past the double range."""
+    return _ldexp(c._powers[0], 2 * c._exponent)
 
 
 def peak_power(c: Constellation) -> float:
-    """Max of |w|^2 over the signal points."""
-    return c._powers[1]
+    """Max of |w|^2 over the signal points; inf past the double range."""
+    return _ldexp(c._powers[1], 2 * c._exponent)
 
 
 def papr(c: Constellation) -> float:
-    """Peak-to-average power ratio. Undefined for a zero-power point set."""
-    avg = average_power(c)
-    if avg == 0.0:
+    """Peak-to-average power ratio, finite for any set. Undefined at zero power."""
+    mean, peak = c._powers
+    if mean == 0.0:
         raise DomainError("PAPR is undefined for a constellation with zero average power")
-    return peak_power(c) / avg
+    return peak / mean
 
 
 def min_distance(c: Constellation) -> float:
@@ -258,13 +261,12 @@ def min_distance(c: Constellation) -> float:
 
     Rows i of the pair matrix go in blocks against the columns j > i, with
     the squared distances of a block formed in two buffers of about
-    _PAIR_BLOCK doubles each (one row at least).
+    _PAIR_BLOCK doubles each (one row at least), from the scaled points.
     """
-    pts = c.points
-    m = len(pts)
+    m = c.M
     if m < 2:
         raise DomainError("min_distance requires at least two points")
-    xs, ys = np.ascontiguousarray(pts.T)
+    xs, ys = np.ldexp(c.points.T, -c._exponent, order="C")
     rows = max(1, min(m - 1, _PAIR_BLOCK // m))
     d2, dy = np.empty(rows * m), np.empty(rows * m)
     best = np.inf
@@ -279,7 +281,7 @@ def min_distance(c: Constellation) -> float:
         dk += yk
         np.copyto(dk[:, :k], np.inf, where=np.tri(k, k, -1, dtype=bool))  # pairs j <= i
         best = min(best, float(dk.min()))
-    return float(np.sqrt(best))
+    return _ldexp(math.sqrt(best), c._exponent)
 
 
 def validate_constellation(c: Constellation) -> None:
@@ -287,8 +289,8 @@ def validate_constellation(c: Constellation) -> None:
 
     On top of construction's checks: a known family, n in [1, MAX_N] (even
     for dvb_variant), n^2 distinct points, and the family's power and rings.
-    Used by the file reader and available to callers that build
-    Constellation values by hand.
+    The ring checks, all relative, take a scaled (M, 2) copy. Used by the
+    file reader and by callers that build Constellation values by hand.
     """
     if c.family not in FAMILIES:
         raise DomainError(f"unknown family {c.family!r}")
@@ -317,7 +319,7 @@ def validate_constellation(c: Constellation) -> None:
     if avg > power * (1.0 + _POWER_RTOL):
         raise DomainError(f"average power {avg!r} exceeds the budget {power!r}")
     # ring-major order
-    radii = np.sqrt(_squared_norms(pts)).reshape(_ring_layout(c.family, n)[0], -1)
+    radii = np.sqrt(_squared_norms(c._scaled())).reshape(_ring_layout(c.family, n)[0], -1)
     ring_radii = radii.mean(axis=1)
     if np.any(np.abs(radii - ring_radii[:, None]) > _RING_RTOL * ring_radii[:, None]):
         raise DomainError("every point must lie on its ring radius")

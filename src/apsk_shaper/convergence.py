@@ -150,7 +150,9 @@ def gaussian_cf(power: float, t_points: np.ndarray) -> np.ndarray:
     """
     power = positive("power", power)
     t_points = np.asarray(t_points, dtype=np.float64)
-    return np.exp(-power * np.sum(t_points**2, axis=1) / 4.0)
+    # capped where the exponent passes -750 (exp is 0 there): P |t|^2 stays a double
+    sq = np.minimum(np.sum(t_points**2, axis=1), 3000.0 / power)
+    return np.exp(-power * sq / 4.0)
 
 
 def default_t_grid() -> np.ndarray:

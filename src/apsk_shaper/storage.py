@@ -15,20 +15,16 @@ from .errors import DomainError
 _KEYS = ("label", "family", "n", "power", "points")
 
 
-def _f17(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def dumps_constellation(c: Constellation) -> str:
     """Render the canonical JSON text (deterministic bytes)."""
-    # Python floats through one format per row: the bytes of _f17 per value
+    # every number through one 17-digit format, the points one row at a time
     rows = ",\n".join("    [%.17g, %.17g]" % (x, y) for x, y in c.points.tolist())
     return (
         "{\n"
         f'  "label": {json.dumps(c.label)},\n'
         f'  "family": {json.dumps(c.family)},\n'
         f'  "n": {c.n},\n'
-        f'  "power": {_f17(c.power)},\n'
+        f'  "power": {"%.17g" % c.power},\n'
         '  "points": [\n'
         f"{rows}\n"
         "  ]\n"

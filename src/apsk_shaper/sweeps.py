@@ -12,7 +12,7 @@ from .capacity import (
     mi_monte_carlo,
     mi_quadrature,
 )
-from .constellations import Constellation, average_power, peak_power
+from .constellations import Constellation, average_power, papr
 from .errors import DomainError
 
 CSV_COLUMNS = (
@@ -73,8 +73,10 @@ def evaluate_row(
     else:
         raise DomainError(f"method must be 'quadrature' or 'monte_carlo', got {method!r}")
     gap_bits, gap_db = gap_metrics(est.value, snr)
-    avg = average_power(c)
-    ratio = peak_power(c) / avg if avg > 0 else math.nan
+    try:
+        ratio = papr(c)
+    except DomainError:  # a zero-power set: nan in the CSV
+        ratio = math.nan
     return SweepRow(
         family=c.family,
         n=c.n,
@@ -84,7 +86,7 @@ def evaluate_row(
         capacity_bits=gaussian_capacity(snr),
         gap_bits=gap_bits,
         gap_db=gap_db,
-        avg_power=avg,
+        avg_power=average_power(c),
         papr=ratio,
         method=est.method,
     )

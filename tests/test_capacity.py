@@ -8,6 +8,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from apsk_shaper import (
     Constellation,
@@ -19,8 +21,11 @@ from apsk_shaper import (
     dvb_variant_apsk,
     gap_metrics,
     gaussian_capacity,
+    make_constellation,
     mi_monte_carlo,
     mi_quadrature,
+    min_distance,
+    papr,
     square_qam,
 )
 from apsk_shaper import capacity, symmetry
@@ -72,6 +77,38 @@ class TestNoiseVariance:
         assert mi_quadrature(relabeled, snr).value == pytest.approx(
             mi_quadrature(unit, SnrSpec(0.5)).value, abs=1e-12
         )
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        st.sampled_from(["box_muller", "dvb_variant", "qam"]),
+        st.integers(1, 3),
+        st.floats(0.5, 2.0),
+        st.integers(-510, 510),
+        st.sampled_from([-10.0, 0.0, 10.0, 30.0]),
+    )
+    # N0 in the caller's units overflows at one end and is subnormal at the other
+    @example("box_muller", 1, 1.9, 510, -10.0)
+    @example("qam", 2, 0.5, -510, 30.0)
+    def test_power_times_4_to_the_k_moves_no_bit(self, family, half_n, power, k, snr_db):
+        # P * 4**k for k across the double range: the points are those at P
+        # times 2**k, and every estimator and figure works on the same scaled
+        # set, whatever N0 = P * 4**k / snr is in the caller's units
+        n = 2 * half_n if family == "dvb_variant" else half_n + 1
+        base = make_constellation(family, n, power)
+        c = make_constellation(family, n, math.ldexp(power, 2 * k))
+        assert c.points.tobytes() == np.ldexp(base.points, k).tobytes()
+        assert min_distance(c) == math.ldexp(min_distance(base), k)
+        assert papr(c) == papr(base)
+        snr = SnrSpec.from_db(snr_db)
+        assert mi_quadrature(c, snr, 8) == mi_quadrature(base, snr, 8)
+
+        def monte_carlo(c):  # 64 draws can put the mean below 0: the same error
+            try:
+                return mi_monte_carlo(c, snr, 64, 3)
+            except EstimatorError as exc:
+                return str(exc)
+
+        assert monte_carlo(c) == monte_carlo(base)
 
     def test_rejects_bad_variance(self):
         # P = 1e-300 passes construction, but P/snr underflows to 0
@@ -219,13 +256,15 @@ class TestStructureCache:
 
     def test_a_grid_with_two_axes_takes_both(self):
         # X x Y, listed x-slowest, with X != Y: MI(X) + MI(Y), each axis
-        # taken as its own set on the x axis at the grid's power
+        # taken as its own set on the x axis at the grid's power; the cached
+        # axes are the points times 2**-k, here 2**-2
         xs, ys = [-1.5, 0.25, 2.0], [-0.5, 0.75, 1.0]
         pts = np.array([(x, y) for x in xs for y in ys])
         c = Constellation("grid", "qam", 3, 2.0, pts)
         sets = c._parts
         assert [count for count, *_ in sets] == [1, 1]
-        assert [p[:, 0].tolist() for _, p, _, _ in sets] == [xs, ys]
+        assert c._exponent == 2
+        assert [np.ldexp(p[:, 0], 2).tolist() for _, p, _, _ in sets] == [xs, ys]
 
         def axis(a):
             return Constellation("axis", "qam", 3, 2.0, np.column_stack((a, np.zeros(3))))

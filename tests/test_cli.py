@@ -3,14 +3,16 @@
 import csv
 import io
 import json
+import math
 import tracemalloc
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from apsk_shaper import CSV_COLUMNS, SweepRow, capacity, cli
 from apsk_shaper.cli import main
-from apsk_shaper.constellations import MAX_N
+from apsk_shaper.constellations import MAX_N, make_constellation
 
 V2_ROW_VALUE = "1.19556193"  # box_muller n=2 at 5 dB, 9 significant digits
 
@@ -40,14 +42,15 @@ class TestGenerate:
         assert run(capsys, "generate", "dvb_variant", "--n", "4", "--out", str(b))[0] == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_normalize_past_the_double_range_exits_2(self, tmp_path, capsys):
-        # four [0, 0] points were written with exit 0
+    def test_normalize_at_power_1e308_writes_the_scaled_set(self, tmp_path, capsys):
+        # the mean of the squared norms overflowed: four [0, 0] points were
+        # written with exit 0, and later the command exited 2
         out = tmp_path / "c.json"
         code, _, err = run(capsys, "generate", "box_muller", "--n", "2", "--power", "1e308",
                            "--normalize", "--out", str(out))
-        assert code == 2
-        assert "outside the double range" in err
-        assert not out.exists()
+        assert (code, err) == (0, "")
+        unit = make_constellation("box_muller", 2, math.ldexp(1e308, -1022), normalize=True)
+        assert json.loads(out.read_text())["points"] == np.ldexp(unit.points, 511).tolist()
 
     def test_odd_dvb_exits_2(self, capsys):
         code, _, err = run(capsys, "generate", "dvb_variant", "--n", "3")
@@ -106,23 +109,34 @@ class TestEvaluate:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: cannot read {bad}: 'utf-8' codec")
 
-    def test_normalize_past_the_double_range_exits_2(self, capsys):
-        # the set once collapsed to the origin and printed avg_power 0
-        code, out, err = run(capsys, "evaluate", "--family", "box_muller", "--n", "2",
-                             "--power", "1e308", "--normalize", "--snr-db", "10")
-        assert (code, out) == (2, "")
-        assert "outside the double range" in err
+    @pytest.mark.parametrize("extra", [[], ["--method", "mc", "--samples", "1000"],
+                                       ["--normalize"]], ids=["quadrature", "mc", "normalize"])
+    def test_power_1e308_gives_the_scaled_sets_row(self, capsys, extra):
+        # the squared distances leave the double range (with --normalize the
+        # mean of the squared norms): MI came out NaN and later exit 2. Now
+        # the row is that of the set at P * 4**-511 but for avg_power
+        argv = ("evaluate", "--family", "box_muller", "--n", "2", "--snr-db", "10", *extra)
+        code, out, err = run(capsys, *argv, "--power", "1e308")
+        assert (code, err) == (0, "")
+        (row,) = parse_rows(out)
+        (unit,) = parse_rows(run(capsys, *argv, "--power", repr(math.ldexp(1e308, -1022)))[1])
+        scaled = math.ldexp(float(unit.pop("avg_power")), 1022)
+        assert float(row.pop("avg_power")) == pytest.approx(scaled, rel=1e-8)
+        assert row == unit
 
-    @pytest.mark.parametrize("method", [[], ["--method", "mc", "--samples", "1000"]],
-                             ids=["quadrature", "mc"])
-    def test_power_whose_squared_distances_overflow_exits_2(self, capsys, method):
-        # without --normalize the squared radii stay doubles, but not the
-        # squared distances: MI came out NaN, "estimator bug", exit 3
-        code, out, err = run(capsys, "evaluate", "--family", "box_muller", "--n", "2",
-                             "--power", "1e308", "--snr-db", "10", *method)
-        assert (code, out) == (2, "")
-        assert err.startswith("error: coordinates up to 1.177e+154")
-        assert "outside the double range" in err
+    @pytest.mark.parametrize("argv", [
+        ["--family", "box_muller", "--power", "1.5e307", "--snr-db", "-5",
+         "--method", "mc", "--samples", "1000"],
+        ["--family", "qam", "--power", "8.8e307", "--snr-db", "0"],
+    ], ids=["mc_at_1.5e307", "qam_at_8.8e307"])
+    def test_power_near_the_double_range_gives_a_finite_row(self, capsys, argv):
+        # Monte Carlo's exponents overflowed (exit 3, "MI estimate -inf"), and
+        # qam's 3 P did (exit 2, naming the points); a RuntimeWarning is an
+        # error in this suite
+        code, out, err = run(capsys, "evaluate", "--n", "2", *argv)
+        assert (code, err) == (0, "")
+        (row,) = parse_rows(out)
+        assert all(math.isfinite(float(row[k])) for k in ("mi_bits", "avg_power", "papr"))
 
     def test_file_and_family_conflict(self, tmp_path, capsys):
         out = tmp_path / "c.json"
@@ -336,6 +350,14 @@ class TestConvergence:
     def test_qam_family_rejected(self, capsys):
         code, _, _ = run(capsys, "convergence", "--family", "qam")
         assert code == 2
+
+    def test_power_1e308_runs_with_no_overflow(self, capsys):
+        # APSK once refused this power (exit 2); now the Gaussian CF's
+        # exponent -P |t|^2 / 4 must not overflow, and a RuntimeWarning is an
+        # error in this suite, as under -W error::RuntimeWarning
+        code, out, err = run(capsys, "convergence", "--power", "1e308")
+        assert (code, err) == (0, "")
+        assert "# cf_error" in out
 
     def test_memory_is_bounded(self, tmp_path, capsys):
         tracemalloc.start()

@@ -20,8 +20,10 @@ from apsk_shaper import (
     canonical_family,
     dumps_constellation,
     dvb_variant_apsk,
+    evaluate_row,
     loads_constellation,
     make_constellation,
+    mi_monte_carlo,
     mi_quadrature,
     min_distance,
     papr,
@@ -68,13 +70,24 @@ class TestConstruction:
             self.build(pts)
 
     @pytest.mark.parametrize("big", [1e154, -1e154, 1e200, 1.7e308])
-    def test_rejects_coordinates_whose_squared_distances_overflow(self, big):
-        # |x_i - x_j|^2 reaches 8 big^2 at most; MI of such a set came out NaN
-        # (an estimator error, exit 3) after overflow warnings
+    def test_coordinates_whose_squared_distances_overflow_give_the_scaled_sets_values(
+        self, big
+    ):
+        # |x_i - x_j|^2 reaches 8 big^2; such a set was rejected, as its MI
+        # once came out NaN. Now every figure is that of the points times
+        # 2**-k, scaled back, and MI that of the scaled set, bit for bit
         pts = self.SQUARE.copy()
         pts[1, 1] = big
-        with pytest.raises(DomainError, match="squared distances between points outside"):
-            self.build(pts)
+        c = self.build(pts, power=1e308)
+        k = math.frexp(abs(big))[1]
+        assert c._exponent == k and c.points.tobytes() == pts.tobytes()
+        unit = self.build(np.ldexp(pts, -k), power=math.ldexp(1e308, -2 * k))
+        assert unit._exponent == 0
+        assert peak_power(c) == big * big  # inf past the double range
+        assert papr(c) == papr(unit) == 4.0
+        snr = SnrSpec(10.0 * unit.power)  # N0 = 0.1 in the scaled units
+        assert mi_quadrature(c, snr) == mi_quadrature(unit, snr)
+        assert mi_monte_carlo(c, snr, 200, 1) == mi_monte_carlo(unit, snr, 200, 1)
 
     def test_accepts_coordinates_up_to_the_distance_bound(self):
         # 8 big^2 just below the largest double: every squared distance and
@@ -87,11 +100,16 @@ class TestConstruction:
         assert min_distance(c) == 2.0 * big
         assert 0.0 < mi_quadrature(c, SnrSpec.from_db(10.0)).value <= 2.0
 
-    def test_apsk_past_the_distance_bound_is_rejected(self):
+    def test_apsk_past_the_old_distance_bound_is_the_scaled_set(self):
         # box_muller n=2 at P = 1e308 keeps its squared radii (1.4e308) but
-        # not the squared distance across the centre
-        with pytest.raises(DomainError, match="squared distances between points outside"):
-            make_constellation("box_muller", 2, 1e308)
+        # not the squared distance across the centre, and was rejected
+        c = make_constellation("box_muller", 2, 1e308)
+        unit = make_constellation("box_muller", 2, math.ldexp(1e308, -1022))
+        assert c.points.tobytes() == np.ldexp(unit.points, 511).tobytes()
+        validate_constellation(c)
+        assert min_distance(c) == math.ldexp(min_distance(unit), 511)
+        snr = SnrSpec.from_db(10.0)
+        assert mi_quadrature(c, snr).value == mi_quadrature(unit, snr).value
 
     @pytest.mark.parametrize("points", [[[0.0, 1.0], [2.0]], [["x", 0.0]], [[10**400, 0]]],
                              ids=["ragged", "str", "huge"])
@@ -129,11 +147,15 @@ class TestConstruction:
     @settings(max_examples=200, deadline=None, database=None)
     @given(st.lists(st.tuples(*2 * [st.floats(-1e150, 1e150)]), min_size=1, max_size=64))
     def test_power_figures_keep_the_bits_of_the_row_sum(self, points):
-        # x*x + y*y in place of np.sum(points**2, axis=1), the same bits
+        # x*x + y*y in place of np.sum(points**2, axis=1), the same bits, over
+        # the points times 2**-k and scaled back by 4**k. That is the caller's
+        # row sum wherever no square is subnormal; below 2**-1022 the row sum
+        # rounds every square to the subnormal grid, the scaled one only once
         c = self.build(points)
-        sq = np.sum(np.array(points) ** 2, axis=1)
-        assert average_power(c).hex() == float(np.mean(sq)).hex()
-        assert peak_power(c).hex() == float(np.max(sq)).hex()
+        k = c._exponent
+        sq = np.sum(np.ldexp(np.array(points), -k) ** 2, axis=1)
+        assert average_power(c).hex() == math.ldexp(float(np.mean(sq)), 2 * k).hex()
+        assert peak_power(c).hex() == math.ldexp(float(np.max(sq)), 2 * k).hex()
 
 
 class TestBoxMuller:
@@ -295,6 +317,14 @@ class TestMetrics:
         with pytest.raises(DomainError):
             papr(square_qam(1))
 
+    def test_a_peak_power_past_the_double_range_is_inf_and_papr_stays_finite(self):
+        # qam n=8 at P = 1.7e308 peaks at 98/42 P; the CSV printed papr inf
+        c, unit = square_qam(8, 1.7e308), square_qam(8, math.ldexp(1.7e308, -1022))
+        assert peak_power(c) == math.inf
+        assert average_power(c) == math.ldexp(average_power(unit), 1022)
+        assert papr(c) == papr(unit) == pytest.approx(7.0 / 3.0, rel=1e-14)
+        assert evaluate_row(c, 10.0).papr == papr(c)
+
     def test_min_distance(self):
         assert min_distance(square_qam(2)) == pytest.approx(1.4142135623730951, abs=1e-14)
         assert min_distance(box_muller_apsk(2)) == pytest.approx(
@@ -367,16 +397,24 @@ class TestFamilies:
 
     @pytest.mark.parametrize("family", ["box_muller", "dvb_variant"])
     @pytest.mark.parametrize("n,power,normalize", [
-        (2, 1e308, True),  # the mean of the squared norms overflows: P/inf scaled to 0
+        (2, 1e308, True),  # the mean of the squared norms overflows
         (8, 1e307, True),
         (8, 1e308, False),  # the outer ring's squared radius overflows
         (8, 5e-324, False),  # the inner ring's squared radius rounds to 0
         (8, 5e-324, True),
     ])
-    def test_power_outside_the_double_range_is_rejected(self, family, n, power, normalize):
-        # no RuntimeWarning either: the suite turns one into an error
-        with pytest.raises(DomainError, match="outside the double range"):
-            make_constellation(family, n, power, normalize)
+    def test_power_once_outside_the_double_range_builds_the_scaled_set(
+        self, family, n, power, normalize
+    ):
+        # these were rejected: built at P they overflowed or underflowed. Now
+        # the set is built at P * 4**-e and scaled by 2**e, and no
+        # RuntimeWarning is raised either (the suite turns one into an error)
+        e = math.frexp(power)[1] // 2
+        c = make_constellation(family, n, power, normalize)
+        unit = make_constellation(family, n, math.ldexp(power, -2 * e), normalize)
+        assert c.points.tobytes() == np.ldexp(unit.points, e).tobytes()
+        assert papr(c) == papr(unit)
+        validate_constellation(c)
 
     @pytest.mark.parametrize("family", ["box_muller", "dvb_variant"])
     def test_power_near_the_double_range_still_builds(self, family):
