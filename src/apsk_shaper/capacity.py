@@ -60,11 +60,12 @@ weighted sums, chunks of their kept columns A and B, and only S is per
 representative. Monte Carlo always draws for every point and never reads
 the split: it is the independent check on both shortcuts. Its strata run
 on the calling thread and on helper threads, one thread per available core
-in all, each drawing from its own Philox stream, and are merged in point
-order, so the value and std_error have the same bits for any number of
-threads. The helpers are one module-level pool, made on the first call
-that needs one (never at import) and shared by every later call; a forked
-child drops it and makes its own.
+in all, each drawing from its own Philox stream and merging its own
+moments into one row, and the rows are merged in point order, so the value
+and std_error have the same bits for any number of threads. The helpers
+are one module-level pool, made on the first call that needs one (never at
+import) and shared by every later call; a forked child drops it and makes
+its own.
 
 Every thread keeps one workspace (`_Workspace`), the flat buffers that a
 Monte Carlo stratum or a quadrature call takes its scratch from, on 64-byte
@@ -103,8 +104,6 @@ _MAX_ORDER = 256
 _MC_CHUNK_ROWS = 65536
 # doubles of scratch a thread keeps between calls (4 MB); see _Workspace
 _WORKSPACE_DOUBLES = 1 << 19
-# counter advance separating per-point Philox streams
-_MC_STREAM_STRIDE = 1 << 64
 # threads for the Monte Carlo strata: the caller and _WORKERS - 1 helpers
 try:
     _WORKERS = len(os.sched_getaffinity(0))
@@ -180,7 +179,10 @@ def _log_partition(lhs, rhs, n0, clip, block, out):
     """
     m, n = len(lhs), rhs.shape[1]
     expo = np.matmul(lhs, rhs, out=block[: m * n].reshape(m, n))
-    expo *= -1.0 / n0
+    if 1.0 / n0 < math.inf:
+        expo *= -1.0 / n0
+    else:  # 1/N0 past the double range (N0 below 2**-1024): 0 times inf is nan
+        expo /= -n0
     return logsumexp_rows(expo.T, out=out, clip=clip)
 
 
@@ -340,13 +342,13 @@ def _grid_mi(pts, reps, mults, z, w, rho, n0) -> float:
         np.multiply(dk[1], dk[1], out=tmp)
         sq += tmp
         keep = np.less_equal(sq, reach, out=mask[:k])
-        sq /= -n0
         stream = dk.reshape(3, k * m)
         if keep.all():
             ends = range(m, k * m + 1, m)
         else:
             stream = np.take(stream, np.flatnonzero(keep), axis=1)
             ends = np.cumsum(np.count_nonzero(keep, axis=1)).tolist()
+        stream[2] /= -n0  # kept columns only: a pruned one's can overflow
         c = 0
         while c < stream.shape[1]:
             c = _chunk_sums(coef, stream, ends, c, buf, sk)
@@ -400,26 +402,26 @@ def _merge_moments(state, count, mean, m2):
     return n, mean_out, m2_out
 
 
-def _mc_stratum(pts, i, count, seed, n0, chunks) -> float:
-    """`count` draws for transmitted point i from its own Philox stream.
+def _mc_stratum(pts, i, count, seed, n0) -> tuple:
+    """`count` draws for transmitted point i from Philox at counter [0, i, 0, 0].
 
-    Returns the sum of the per-draw contributions and writes (draws, mean,
-    M2) of each chunk of at most _MC_CHUNK_ROWS draws into the rows of
-    `chunks`. A chunk's draws go through `_log_partition` in blocks of n =
-    _block_rows(M) rows. Each block's rows are drawn into the front of the
-    thread's block buffer and copied, transposed, into the operand before
-    its product overwrites that memory; the stream is consumed in row order,
-    as one draw per chunk consumed it. A one-row matmul goes through gemv,
-    which rounds differently from gemm, so no block has one row unless the
-    chunk has: a one-row tail starts a row early, at the last row of the
-    block before, still in the operand, and forms that row again. The bits
-    of a row can depend on n, since gemm may round an element of the product
-    differently at another width; they are fixed by the chunk's draws, M,
-    _BLOCK_ELEMENTS and the gemm kernel.
+    Returns the sum of the per-draw contributions and their (draws, mean,
+    M2), each chunk of at most _MC_CHUNK_ROWS draws merged into them in
+    chunk order. A chunk's draws go
+    through `_log_partition` in blocks of n = _block_rows(M) rows. Each
+    block's rows are drawn into the front of the thread's block buffer and
+    copied, transposed, into the operand before its product overwrites that
+    memory; the stream is consumed in row order, as one draw per chunk
+    consumed it. A one-row matmul goes through gemv, which rounds
+    differently from gemm, so no block has one row unless the chunk has: a
+    one-row tail starts a row early, at the last row of the block before,
+    still in the operand, and forms that row again. The bits of a row can
+    depend on n, since gemm may round an element of the product differently
+    at another width; they are fixed by the chunk's draws, M,
+    _BLOCK_ELEMENTS and the gemm kernel. Past about 3080 dB an exponent
+    overflows, silently, to the -inf it stands for.
     """
-    bitgen = np.random.Philox(key=seed)
-    bitgen.advance(i * _MC_STREAM_STRIDE)
-    rng = np.random.Generator(bitgen)
+    rng = np.random.Generator(np.random.Philox(key=seed, counter=[0, i, 0, 0]))
     m = len(pts)
     diff = pts[i] - pts
     dx, dy = diff.T
@@ -433,30 +435,31 @@ def _mc_stratum(pts, i, count, seed, n0, chunks) -> float:
     # a block of n rows holds their 2n doubles of noise, then n*M exponents
     rows, block, operand = _WORKSPACE.take(chunk, min(step, chunk) * max(m, 2),
                                            3 * min(step, chunk))
-    acc = 0.0
-    for c, first in enumerate(range(0, count, _MC_CHUNK_ROWS)):
-        k = min(count - first, _MC_CHUNK_ROWS)
-        width = min(step, k)
-        rhs = operand[: 3 * width].reshape(3, width)
-        rhs[2] = 1.0
-        g = rows[:k]
-        for s in range(0, k, step):
-            lo, hi = max(0, min(s, k - 2)), min(s + step, k)
-            if lo < s:  # a one-row tail: its row before ended a full block
-                rhs[:2, 0] = rhs[:2, width - 1]
-            noise2 = rng.standard_normal(out=block[: 2 * (hi - s)].reshape(-1, 2))
-            noise2 *= scale
-            rhs[:2, s - lo : hi - lo] = noise2.T
-            clip = _clip_can_bite(rhs[:2, : hi - lo], reach, n0)
-            _log_partition(lhs, rhs[:, : hi - lo], n0, clip, block, g[lo:hi])
-        np.subtract(log_m, g, out=g)
-        g /= LN2
-        acc += float(g.sum())
-        gm = float(g.mean())
-        g -= gm
-        g *= g
-        chunks[c] = k, gm, float(g.sum())
-    return acc
+    acc, moments = 0.0, (0.0, 0.0, 0.0)
+    with np.errstate(over="ignore"):
+        for first in range(0, count, _MC_CHUNK_ROWS):
+            k = min(count - first, _MC_CHUNK_ROWS)
+            width = min(step, k)
+            rhs = operand[: 3 * width].reshape(3, width)
+            rhs[2] = 1.0
+            g = rows[:k]
+            for s in range(0, k, step):
+                lo, hi = max(0, min(s, k - 2)), min(s + step, k)
+                if lo < s:  # a one-row tail: its row before ended a full block
+                    rhs[:2, 0] = rhs[:2, width - 1]
+                noise2 = rng.standard_normal(out=block[: 2 * (hi - s)].reshape(-1, 2))
+                noise2 *= scale
+                rhs[:2, s - lo : hi - lo] = noise2.T
+                clip = _clip_can_bite(rhs[:2, : hi - lo], reach, n0)
+                _log_partition(lhs, rhs[:, : hi - lo], n0, clip, block, g[lo:hi])
+            np.subtract(log_m, g, out=g)
+            g /= LN2
+            acc += float(g.sum())
+            gm = float(g.mean())
+            g -= gm
+            g *= g
+            moments = _merge_moments(moments, float(k), gm, float(g.sum()))
+    return (acc, *moments)
 
 
 _pool = None  # (helper count, ThreadPoolExecutor), made on first use
@@ -530,44 +533,40 @@ def _run_strata(strata: int, run) -> None:
 def mi_monte_carlo(c: Constellation, snr, samples: int, seed: int) -> MiEstimate:
     """Stratified Monte Carlo MI estimate, the quadrature cross-check.
 
-    `samples` noise draws in total, split as evenly as possible over the
-    transmitted points (the first `samples % M` points receive one extra).
-    Each point draws from its own Philox stream, offset from `seed` by a
-    fixed counter stride, so the result is independent of evaluation order
-    and bitwise reproducible for identical inputs. The points (strata) run
-    on the calling thread and a module-level pool of helper threads, one
-    thread per available core in all, made on the first call and shared by
-    every later one; each thread reuses its own scratch across strata and
-    calls. The strata are merged in point order, so the bits do not depend
-    on the thread count or on other calls running at the same time. The
-    value is the mean of the stratum means over the points that receive a
-    draw; std_error is the sample standard deviation of the per-draw
+    `samples` noise draws in total, 1 to 2**53 (counted in doubles), split
+    as evenly as possible over the transmitted points (the first
+    `samples % M` points receive one extra). Point i draws from Philox keyed
+    by `seed` at counter [0, i, 0, 0], so the result is independent of
+    evaluation order and bitwise reproducible for identical inputs. The
+    points (strata) run on the calling thread and a module-level pool of
+    helper threads, one thread per available core in all, made on the first
+    call and shared by every later one; each thread reuses its own scratch
+    across strata and calls. Each stratum merges its chunks' moments into
+    one row of (sum, draws, mean, M2) (Chan, Golub and LeVeque's pairwise
+    update), and the rows are merged in point order: the bits do not depend
+    on the thread count or on other calls, and the call keeps O(M) state.
+    The value is the mean of the stratum means over the points that receive
+    a draw; std_error is the sample standard deviation of the per-draw
     contributions divided by sqrt(samples).
     """
-    samples = integer("samples", samples, 1, 2**63 - 1)  # counts are int64
+    samples = integer("samples", samples, 1, 2**53)  # draws are counted in doubles
     seed = integer("seed", seed, 0, 2**64 - 1)
     n0 = _noise_variance(c, snr, c._exponent)
     pts = c._scaled()
     m = len(pts)
-    counts = np.full(m, samples // m, dtype=np.int64)
-    counts[: samples % m] += 1
     strata = min(samples, m)  # the points that receive a draw come first
-    # (draws, mean, M2) of every chunk, in point order, and each stratum's sum
-    per_stratum = -(-counts[:strata] // _MC_CHUNK_ROWS)
-    ends = np.cumsum(per_stratum)
-    chunks = np.empty((int(ends[-1]), 3))
-    sums = np.empty(strata)
+    # (sum, draws, mean, M2) of each stratum, its chunks merged in chunk order
+    rows = np.empty((strata, 4))
 
     def stratum(i):
-        rows = chunks[ends[i] - per_stratum[i] : ends[i]]
-        sums[i] = _mc_stratum(pts, i, int(counts[i]), seed, n0, rows)
+        rows[i] = _mc_stratum(pts, i, samples // m + (i < samples % m), seed, n0)
 
     _run_strata(strata, stratum)
     moments = (0.0, 0.0, 0.0)  # pooled per-draw count/mean/M2
-    for lo in range(0, len(chunks), 256):  # a short list at a time
-        for k, gm, m2 in chunks[lo : lo + 256].tolist():
+    for lo in range(0, strata, 256):  # a short list at a time
+        for _, k, gm, m2 in rows[lo : lo + 256].tolist():
             moments = _merge_moments(moments, k, gm, m2)
-    value = float((sums / counts[:strata]).mean())
+    value = float((rows[:, 0] / rows[:, 1]).mean())
     _, _, m2 = moments
     std_error = math.sqrt(m2 / (samples - 1) / samples) if samples > 1 else 0.0
     # sampling noise, not a bug, when too few draws put the mean outside

@@ -46,6 +46,9 @@ _MAX_POINT_BYTES = 64 * 2**20
 MAX_N = math.isqrt(_MAX_POINT_BYTES // 16)  # 2048
 # squared pair distances per min_distance block: 1 << 17 doubles, about 1 MB
 _PAIR_BLOCK = 1 << 17
+# a least squared distance from which min_distance takes the points' own
+# differences: above it no square that decides it underflowed
+_TINY_SQUARE = 2.0**-960
 
 
 def canonical_family(name: str) -> str:
@@ -256,32 +259,53 @@ def papr(c: Constellation) -> float:
     return peak / mean
 
 
-def min_distance(c: Constellation) -> float:
-    """Minimum pairwise Euclidean distance, exact over all pairs.
+def _closest(xs, ys, dist) -> float:
+    """The least dist(x_i - x_j, y_i - y_j) over the pairs i < j.
 
-    Rows i of the pair matrix go in blocks against the columns j > i, with
-    the squared distances of a block formed in two buffers of about
-    _PAIR_BLOCK doubles each (one row at least), from the scaled points.
+    Rows i of the pair matrix go in blocks against the columns j > i, with a
+    block's differences formed in two buffers of about _PAIR_BLOCK doubles
+    each (one row at least); `dist` writes its value into the first.
     """
-    m = c.M
-    if m < 2:
-        raise DomainError("min_distance requires at least two points")
-    xs, ys = np.ldexp(c.points.T, -c._exponent, order="C")
+    m = len(xs)
     rows = max(1, min(m - 1, _PAIR_BLOCK // m))
-    d2, dy = np.empty(rows * m), np.empty(rows * m)
+    dx, dy = np.empty(rows * m), np.empty(rows * m)
     best = np.inf
     for s in range(0, m - 1, rows):
         e = min(s + rows, m - 1)
         k, cols = e - s, m - 1 - s
         # rows i in [s, e) against columns j in [s + 1, m)
-        dk = np.subtract.outer(xs[s:e], xs[s + 1 :], out=d2[: k * cols].reshape(k, cols))
+        dk = np.subtract.outer(xs[s:e], xs[s + 1 :], out=dx[: k * cols].reshape(k, cols))
         yk = np.subtract.outer(ys[s:e], ys[s + 1 :], out=dy[: k * cols].reshape(k, cols))
-        dk *= dk
-        yk *= yk
-        dk += yk
+        dist(dk, yk)
         np.copyto(dk[:, :k], np.inf, where=np.tri(k, k, -1, dtype=bool))  # pairs j <= i
         best = min(best, float(dk.min()))
-    return _ldexp(math.sqrt(best), c._exponent)
+    return best
+
+
+def _squared(dx, dy):
+    dx *= dx
+    dy *= dy
+    dx += dy
+
+
+def min_distance(c: Constellation) -> float:
+    """Minimum pairwise Euclidean distance, exact over all pairs.
+
+    The squared distances of the scaled points give it, unless the least is
+    below _TINY_SQUARE: a pair that close (under about 2**-480 of the
+    largest coordinate) may have lost bits to underflow in its square or in
+    a scaled coordinate, so a second pass takes `np.hypot` of the points'
+    own differences, which squares nothing (inf where a difference passes
+    the double range, as the distance then does).
+    """
+    if c.M < 2:
+        raise DomainError("min_distance requires at least two points")
+    best = _closest(*np.ldexp(c.points.T, -c._exponent, order="C"), _squared)
+    if best >= _TINY_SQUARE:
+        return _ldexp(math.sqrt(best), c._exponent)
+    with np.errstate(over="ignore"):
+        return _closest(*np.array(c.points.T, order="C"),
+                        lambda dx, dy: np.hypot(dx, dy, out=dx))
 
 
 def validate_constellation(c: Constellation) -> None:

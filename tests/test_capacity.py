@@ -149,6 +149,22 @@ class TestQuadrature:
         est = mi_quadrature(square_qam(2), SnrSpec.from_db(100.0))
         assert est.value == pytest.approx(2.0, abs=1e-6)
 
+    @pytest.mark.parametrize("method", ["quadrature", "monte_carlo"])
+    @pytest.mark.parametrize("family,n", [("qam", 2), ("box_muller", 4)])
+    @pytest.mark.parametrize("snr", [SnrSpec.from_db(3080.0), SnrSpec.from_db(3082.0),
+                                     SnrSpec(sys.float_info.max)], ids=["3080dB", "3082dB", "max"])
+    def test_snr_up_to_the_largest_double_gives_log2_m(self, method, family, n, snr):
+        # |d|^2/N0 passes the double range: the quadrature divided pruned
+        # columns too, and Monte Carlo scaled by -1/N0, which is -inf once
+        # N0 < 2**-1024 (box_muller n=4 from 3080 dB): 0 times inf gave a NaN
+        # estimate, exit 3. A RuntimeWarning is an error in this suite
+        c = make_constellation(family, n)
+        if method == "quadrature":
+            est = mi_quadrature(c, snr)
+        else:
+            est = mi_monte_carlo(c, snr, 1000, 3)
+        assert (est.value, est.std_error) == (math.log2(c.M), 0.0)
+
     def test_regression_box2_5db(self):
         est = mi_quadrature(box_muller_apsk(2), SnrSpec.from_db(5.0), order=40)
         assert est.value == pytest.approx(V2_BOX2_5DB, abs=1e-9)
@@ -371,9 +387,13 @@ class TestMonteCarlo:
             mi_monte_carlo(c, SnrSpec(1.0), 0, 1)
         with pytest.raises(DomainError):
             mi_monte_carlo(c, SnrSpec(1.0), 10, -1)
-        # samples beyond int64; at one point every sample lands in one count
-        for samples in (2**63, 10**23):
-            with pytest.raises(DomainError, match=r"samples must be an integer in \[1, "):
+        # samples past 2**53, where the merged draw counts (doubles) stop
+        # being exact, and beyond int64; at one point every sample lands in
+        # one count. 4e18 passed the old int64 check and asked numpy for a
+        # 1.3 PiB table of chunk moments
+        for samples in (2**53 + 1, 4 * 10**18, 2**63, 10**23):
+            with pytest.raises(DomainError, match=r"samples must be an integer in "
+                                                  r"\[1, 9007199254740992\], got "):
                 mi_monte_carlo(square_qam(1), SnrSpec(1.0), samples, 0)
 
     def test_numpy_integers_give_the_same_estimates(self):

@@ -186,6 +186,14 @@ class TestEvaluate:
         assert (code, out) == (2, "")
         assert err.startswith("error: samples must be an integer in [1, ")
 
+    def test_samples_past_2_to_the_53_exits_2(self, capsys):
+        # within int64, but the merged draw counts are doubles
+        code, out, err = run(capsys, "evaluate", "--family", "qam", "--n", "2",
+                             "--snr-db", "10", "--method", "mc",
+                             "--samples", "4000000000000000000")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: samples must be an integer in [1, 9007199254740992]")
+
     def test_file_power_too_large_for_a_double_exits_2(self, tmp_path, capsys):
         doc = json.loads(run(capsys, "generate", "qam", "--n", "2")[1])
         doc["power"] = 10**400

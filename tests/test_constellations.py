@@ -353,17 +353,36 @@ class TestMetrics:
         d2[np.tril_indices(m)] = np.inf
         assert min_distance(c) == float(np.sqrt(d2.min()))
 
+    @pytest.mark.parametrize("far", [1e150, 1.0])
+    def test_min_distance_of_a_pair_far_below_the_largest_coordinate(self, far):
+        # squared in the scaled units the pair's distance underflowed: 0.0
+        # for distinct points, and 1.999988867151698e-160 next to 1.0
+        pts = np.array([[far, 0.0], [0.0, 1e-160], [0.0, -1e-160]])
+        c = Constellation("close", SQUARE_QAM, 1, 1.0, pts)
+        assert min_distance(c) == pytest.approx(2e-160, rel=1e-15, abs=0.0)
+
+    def test_min_distance_past_the_double_range_is_inf(self):
+        # the close pair takes the second pass, where 1e308 - -1e308 overflows
+        pts = np.array([[1e308, 0.0], [-1e308, 0.0], [0.0, 3e-300], [0.0, 6e-300]])
+        assert min_distance(Constellation("far", SQUARE_QAM, 1, 1.0, pts)) == 3e-300
+        assert min_distance(Constellation("far", SQUARE_QAM, 1, 1.0, pts[:2])) == math.inf
+
     def test_min_distance_memory_is_bounded(self):
         c = box_muller_apsk(48)
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            min_distance(c)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # all 2304 rows at once held 96 MB of differences and squares
-        assert peak <= 4e6, peak
+        # with a duplicate point the least square is 0, so the second pass
+        # takes hypot of every pair
+        dup = np.array(c.points)
+        dup[1] = dup[0]
+        for c in (c, Constellation("dup", BOX_MULLER, 48, 1.0, dup)):
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                min_distance(c)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # all 2304 rows at once held 96 MB of differences and squares
+            assert peak <= 4e6, (c.label, peak)
 
 
 class TestFamilies:

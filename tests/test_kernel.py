@@ -54,7 +54,7 @@ def stratum_rows(monkeypatch, pts, count):
 
     Returns the bytes of every row's log-partition, as the blocks left it
     (a one-row tail's block writes the row before it again), and of the
-    stratum's sum and chunk moments.
+    stratum's sum and moments.
     """
     rows, base = np.full(count, np.nan), []
     inner = capacity._log_partition
@@ -68,11 +68,10 @@ def stratum_rows(monkeypatch, pts, count):
         return got
 
     monkeypatch.setattr(capacity, "_log_partition", recording)
-    chunks = np.empty((1, 3))
-    acc = capacity._mc_stratum(pts, 0, count, 3, 0.7, chunks)
+    got = capacity._mc_stratum(pts, 0, count, 3, 0.7)
     monkeypatch.setattr(capacity, "_log_partition", inner)
     assert not np.isnan(rows).any()
-    return rows.tobytes(), np.array([acc]).tobytes() + chunks.tobytes()
+    return rows.tobytes(), np.array(got).tobytes()
 
 
 class TestBlocks:
@@ -418,6 +417,50 @@ class TestWorkers:
             finally:
                 tracemalloc.stop()
             assert peak <= budget * min(workers, c.M), (family, n, peak)
+
+    def test_temporaries_do_not_grow_with_the_sample_count(self, monkeypatch):
+        # 64 and 512 chunks of 16 draws per point at qam n=2: the call held a
+        # table of every chunk's moments (6 KB, then 49 KB); now each point
+        # merges its own chunks into one row
+        monkeypatch.setattr(capacity, "_MC_CHUNK_ROWS", 16)
+        monkeypatch.setattr(capacity, "_WORKERS", 1)
+        c, snr = make_constellation("qam", 2), SnrSpec.from_db(10.0)
+        peaks = []
+        for samples in (4 * 16 * 64, 8 * 4 * 16 * 64):
+            mi_monte_carlo(c, snr, samples, 0)  # the workspace takes its size
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                mi_monte_carlo(c, snr, samples, 0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 4096, peaks
+
+
+def test_std_error_matches_a_per_draw_recomputation(monkeypatch):
+    # box_muller n=3 at 10 dB: five points of 251 draws and four of 250, in
+    # chunks of 100, so every point merges three chunks, the last uneven.
+    # The reference draws each point's Philox stream at once and takes a
+    # row-wise log-sum-exp with a max pass, over every draw together
+    monkeypatch.setattr(capacity, "_MC_CHUNK_ROWS", 100)
+    c, snr = make_constellation("box_muller", 3), SnrSpec.from_db(10.0)
+    samples, seed = 9 * 250 + 5, 13
+    got = mi_monte_carlo(c, snr, samples, seed)
+    n0 = c.power / snr.snr
+    strata = []
+    for i in range(c.M):
+        count = samples // c.M + (i < samples % c.M)
+        rng = np.random.Generator(np.random.Philox(key=seed, counter=[0, i, 0, 0]))
+        noise = math.sqrt(n0 / 2.0) * rng.standard_normal((count, 2))
+        d = c.points[i] - c.points
+        e = -(np.sum(d * d, axis=1) + 2.0 * noise @ d.T) / n0
+        top = e.max(axis=1)
+        lse = top + np.log(np.exp(e - top[:, None]).sum(axis=1))
+        strata.append((math.log(c.M) - lse) / math.log(2.0))
+    g = np.concatenate(strata)
+    assert got.std_error == pytest.approx(g.std(ddof=1) / math.sqrt(samples), rel=1e-12)
+    assert got.value == pytest.approx(np.mean([s.mean() for s in strata]), abs=1e-13)
 
 
 # row lengths on both sides of numpy's pairwise-summation switches: its
