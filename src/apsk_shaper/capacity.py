@@ -17,19 +17,19 @@ Monte Carlo forms its inner sums for one transmitted point x_i at a time
 about _BLOCK_ELEMENTS exponents, small enough to stay in cache, drawing
 each block's rows just before `_log_partition` forms its exponents, laid
 out point-major (one contiguous row of exponents per point j). A block's
-exponents are one product, [d_x, d_y, |d|^2] (M, 3) times the block's
-doubled noise over a row of ones (3, n), scaled by -1/N0; |d|^2 enters as
-the last term of gemm's multiply-add chain, with the bits of a separate
-add. Each block is reduced with `numerics.logsumexp_rows`: exponents
-clipped at a floor that cannot change a row sum, then `exp`, a row sum and
-`log`. There is no max pass: the j = i exponent is exactly 0, so every row
-sum is at least 1, and no exponent exceeds |N|^2/N0, half the squared norm
-of the draw's standard-normal pair. The clip runs only when the bound
--(|d|max^2 + 2|N|max |d|max)/N0 on the exponents says it can bite. A
-value's bits are fixed by the draws per point, M, _BLOCK_ELEMENTS and the
-gemm kernel (gemm can round an element of the exponent product differently
-at another block width); they do not depend on the number of threads or
-the order in which the points run.
+exponents are one product alone: -[d_x, d_y, |d|^2]/N0 (M, 3), folded
+once per stratum (`_folded`), times the block's doubled noise over a row
+of ones (3, n). Each block is reduced with `numerics.logsumexp_rows`:
+exponents clipped at a floor that cannot change a row sum, then `exp`, a
+row sum and `log`. There is no max pass: the j = i exponent is exactly
+0, so every row sum is at least 1, and no exponent exceeds |N|^2/N0, half
+the squared norm of the draw's standard-normal pair. The clip runs only
+when the bound -(|d|max^2 + 2|N|max |d|max)/N0 on the exponents says it
+can bite. A value's bits are fixed by the draws per point, M,
+_BLOCK_ELEMENTS and the gemm kernel; they do not depend on the number of
+threads or the order in which the points run. How the block width moves
+them was measured on OpenBLAS's FMA, SandyBridge and Prescott kernels
+(see `_mc_stratum`).
 
 The quadrature uses that the tensor rule's nodes z = (z_a, z_b) form a
 grid, and that with d_j = x_i - x_j the term of j at node z factors as
@@ -150,26 +150,42 @@ def _noise_variance(c: Constellation, snr, k: int = 0) -> float:
     return positive("noise variance", _ldexp(c.power, -2 * k) / _as_snr(snr))
 
 
-def _log_partition(lhs, rhs, n0, clip, block, out):
+def _folded(diff, sq, n0):
+    """Monte Carlo's (M, 3) operand -[d_x, d_y, |d|^2]/N0 for d = x_i - x_j.
+
+    Where 1/N0 overflows (N0 below 2**-1024) it divides by -N0 instead.
+    Entries past the double range (|d|^2/N0 from about 3074 dB) are held at
+    +-2**1020, still far below EXP_FLOOR, so no inf reaches the product,
+    where inf times 0 or inf - inf is NaN. That needs N0 below 2**-1017
+    (the scaled points lie in [-1, 1]^2), where a doubled noise coordinate
+    is below 2**-508 times its standard-normal draw, so no term of the
+    product nears the double range.
+    """
+    lhs = np.column_stack((diff, sq))
+    with np.errstate(over="ignore"):
+        if 1.0 / n0 < math.inf:
+            lhs *= -1.0 / n0
+        else:
+            lhs /= -n0
+    return np.clip(lhs, -(2.0**1020), 2.0**1020, out=lhs)
+
+
+def _log_partition(lhs, rhs, clip, block, out):
     """log sum_j exp(-(|x_i-x_j|^2 + <2*noise, x_i-x_j>)/N0) per row of one block.
 
     Monte Carlo's kernel; the quadrature takes `_grid_mi` instead, and
     `_mc_stratum` walks a chunk's noise rows in blocks through it.
 
-    `lhs` is the (M, 3) [d_x, d_y, |d|^2] of d = x_i - x_j for one
-    transmitted point x_i, and `rhs` the (3, n) operand: the block's n
+    `lhs` is the (M, 3) operand `_folded` makes for one transmitted point
+    x_i, -[d_x, d_y, |d|^2]/N0, and `rhs` the (3, n) operand: the block's n
     doubled noise rows, transposed, over a row of ones. The exponents are
-    one product, formed point-major as the C-order (M, n) lhs @ rhs in the
-    flat buffer `block` and then scaled by -1/N0, and reduced through its
-    (n, M) view into `out`, so every step runs over contiguous columns.
-    gemm's multiply-add chain adds |d|^2 last, as the separate broadcast
-    add after a two-term product did, so the bits are the same. The scale
-    stays a pass of its own: folded into the (M, 3) operand, -1/N0 moved a
-    tenth of the rows, by up to 5.3e-15 nats (qam, box_muller and
-    dvb_variant n=2 to 16, 0-30 dB). `clip` is `_clip_can_bite` of the
-    block. A one-row matmul goes through gemv, which rounds differently from
-    gemm, and gemm may round an element differently at another width, so a
-    row's bits depend on the block it was formed in.
+    the product alone, formed point-major as the C-order (M, n) lhs @ rhs
+    in the flat buffer `block` and reduced through its (n, M) view into
+    `out`, so every step runs over contiguous columns. `clip` is
+    `_clip_can_bite` of the block. A one-row matmul goes through gemv,
+    which rounds differently from gemm, and gemm on OpenBLAS's FMA kernel
+    rounded some rows differently once 3*M*n passed 10**6 (see
+    `_mc_stratum`), so a row's bits depend on the block it was formed in.
 
     No max is subtracted: the j = i exponent is exactly 0 (d and |d|^2 are
     0 there), which is what `logsumexp_rows` needs, and no exponent exceeds
@@ -179,10 +195,6 @@ def _log_partition(lhs, rhs, n0, clip, block, out):
     """
     m, n = len(lhs), rhs.shape[1]
     expo = np.matmul(lhs, rhs, out=block[: m * n].reshape(m, n))
-    if 1.0 / n0 < math.inf:
-        expo *= -1.0 / n0
-    else:  # 1/N0 past the double range (N0 below 2**-1024): 0 times inf is nan
-        expo /= -n0
     return logsumexp_rows(expo.T, out=out, clip=clip)
 
 
@@ -407,26 +419,28 @@ def _mc_stratum(pts, i, count, seed, n0) -> tuple:
 
     Returns the sum of the per-draw contributions and their (draws, mean,
     M2), each chunk of at most _MC_CHUNK_ROWS draws merged into them in
-    chunk order. A chunk's draws go
-    through `_log_partition` in blocks of n = _block_rows(M) rows. Each
-    block's rows are drawn into the front of the thread's block buffer and
-    copied, transposed, into the operand before its product overwrites that
-    memory; the stream is consumed in row order, as one draw per chunk
-    consumed it. A one-row matmul goes through gemv, which rounds
-    differently from gemm, so no block has one row unless the chunk has: a
-    one-row tail starts a row early, at the last row of the block before,
-    still in the operand, and forms that row again. The bits of a row can
-    depend on n, since gemm may round an element of the product differently
-    at another width; they are fixed by the chunk's draws, M,
-    _BLOCK_ELEMENTS and the gemm kernel. Past about 3080 dB an exponent
-    overflows, silently, to the -inf it stands for.
+    chunk order. The (M, 3) operand is folded with -1/N0 once (`_folded`),
+    and a chunk's draws go through `_log_partition` in blocks of
+    n = _block_rows(M) rows. Each block's rows are drawn into the front of
+    the thread's block buffer and written, scaled and transposed, into the
+    operand before its product overwrites that memory; the stream is
+    consumed in row order, as one draw per chunk consumed it. A one-row
+    matmul goes through gemv, which rounds differently from gemm, so no
+    block has one row unless the chunk has: a one-row tail starts a row
+    early, at the last row of the block before, still in the operand, and
+    forms that row again. A row's bits are fixed by the chunk's draws, M,
+    _BLOCK_ELEMENTS and the gemm kernel. Measured against n (2 to 4,000
+    rows on 2 to 300 points), they kept their bits on OpenBLAS's SandyBridge
+    and Prescott kernels at every width, and on its FMA kernel up to
+    3*M*n = 10**6 (the default budget stays below 4e5); past that, gemm
+    rounded 1 to 3 rows of some widths differently.
     """
     rng = np.random.Generator(np.random.Philox(key=seed, counter=[0, i, 0, 0]))
     m = len(pts)
     diff = pts[i] - pts
     dx, dy = diff.T
     sq = dx * dx + dy * dy
-    lhs = np.column_stack((diff, sq))
+    lhs = _folded(diff, sq, n0)
     reach = math.sqrt(float(sq.max()))
     scale = 2.0 * math.sqrt(n0 / 2.0)
     log_m = math.log(m)
@@ -436,29 +450,28 @@ def _mc_stratum(pts, i, count, seed, n0) -> tuple:
     rows, block, operand = _WORKSPACE.take(chunk, min(step, chunk) * max(m, 2),
                                            3 * min(step, chunk))
     acc, moments = 0.0, (0.0, 0.0, 0.0)
-    with np.errstate(over="ignore"):
-        for first in range(0, count, _MC_CHUNK_ROWS):
-            k = min(count - first, _MC_CHUNK_ROWS)
-            width = min(step, k)
-            rhs = operand[: 3 * width].reshape(3, width)
-            rhs[2] = 1.0
-            g = rows[:k]
-            for s in range(0, k, step):
-                lo, hi = max(0, min(s, k - 2)), min(s + step, k)
-                if lo < s:  # a one-row tail: its row before ended a full block
-                    rhs[:2, 0] = rhs[:2, width - 1]
-                noise2 = rng.standard_normal(out=block[: 2 * (hi - s)].reshape(-1, 2))
-                noise2 *= scale
-                rhs[:2, s - lo : hi - lo] = noise2.T
-                clip = _clip_can_bite(rhs[:2, : hi - lo], reach, n0)
-                _log_partition(lhs, rhs[:, : hi - lo], n0, clip, block, g[lo:hi])
-            np.subtract(log_m, g, out=g)
-            g /= LN2
-            acc += float(g.sum())
-            gm = float(g.mean())
-            g -= gm
-            g *= g
-            moments = _merge_moments(moments, float(k), gm, float(g.sum()))
+    for first in range(0, count, _MC_CHUNK_ROWS):
+        k = min(count - first, _MC_CHUNK_ROWS)
+        width = min(step, k)
+        rhs = operand[: 3 * width].reshape(3, width)
+        rhs[2] = 1.0
+        g = rows[:k]
+        for s in range(0, k, step):
+            lo, hi = max(0, min(s, k - 2)), min(s + step, k)
+            if lo < s:  # a one-row tail: its row before ended a full block
+                rhs[:2, 0] = rhs[:2, width - 1]
+            noise2 = rng.standard_normal(out=block[: 2 * (hi - s)].reshape(-1, 2))
+            np.multiply(noise2.T, scale, out=rhs[:2, s - lo : hi - lo])
+            clip = _clip_can_bite(rhs[:2, : hi - lo], reach, n0)
+            _log_partition(lhs, rhs[:, : hi - lo], clip, block, g[lo:hi])
+        np.subtract(log_m, g, out=g)
+        g /= LN2
+        total = float(g.sum())
+        acc += total
+        gm = total / k  # the bits of g.mean()
+        g -= gm
+        g *= g
+        moments = _merge_moments(moments, float(k), gm, float(g.sum()))
     return (acc, *moments)
 
 

@@ -18,13 +18,14 @@ def tensor_rule(order):
 def log_partition(noise2, diff, sq, n0):
     """Monte Carlo's `_log_partition` over every row of the (K, 2) doubled noise.
 
-    `diff` is (M, 2) of x_i - x_j and `sq` (M,) of |x_i - x_j|^2. The rows
-    go through the one-block kernel in blocks of `_block_rows(M)`, each with
-    its own clip gate, as Monte Carlo's strata walk them; a one-row tail is
-    a block of its own here.
+    `diff` is (M, 2) of x_i - x_j and `sq` (M,) of |x_i - x_j|^2, folded
+    with -1/N0 as a stratum folds them. The rows go through the one-block
+    kernel in blocks of `_block_rows(M)`, each with its own clip gate, as
+    Monte Carlo's strata walk them; a one-row tail is a block of its own
+    here.
     """
     k, m = len(noise2), len(diff)
-    lhs = np.column_stack((diff, sq))
+    lhs = capacity._folded(diff, sq, n0)
     reach = math.sqrt(float(sq.max()))
     step = capacity._block_rows(m)
     out, block = np.empty(k), np.empty(min(step, k) * m)
@@ -32,5 +33,5 @@ def log_partition(noise2, diff, sq, n0):
         rows = noise2[lo : lo + step]
         rhs = np.vstack((rows.T, np.ones(len(rows))))
         clip = capacity._clip_can_bite(rows, reach, n0)
-        capacity._log_partition(lhs, rhs, n0, clip, block, out[lo : lo + len(rows)])
+        capacity._log_partition(lhs, rhs, clip, block, out[lo : lo + len(rows)])
     return out

@@ -150,14 +150,18 @@ class TestQuadrature:
         assert est.value == pytest.approx(2.0, abs=1e-6)
 
     @pytest.mark.parametrize("method", ["quadrature", "monte_carlo"])
-    @pytest.mark.parametrize("family,n", [("qam", 2), ("box_muller", 4)])
-    @pytest.mark.parametrize("snr", [SnrSpec.from_db(3080.0), SnrSpec.from_db(3082.0),
-                                     SnrSpec(sys.float_info.max)], ids=["3080dB", "3082dB", "max"])
-    def test_snr_up_to_the_largest_double_gives_log2_m(self, method, family, n, snr):
+    @pytest.mark.parametrize("family,n", [("qam", 2), ("box_muller", 4), ("box_muller", 8)])
+    @pytest.mark.parametrize("db", [3074.0, 3076.0, 3078.0, 3080.0, 3082.0, None],
+                             ids=["3074dB", "3076dB", "3078dB", "3080dB", "3082dB", "max"])
+    def test_snr_up_to_the_largest_double_gives_log2_m(self, method, family, n, db):
         # |d|^2/N0 passes the double range: the quadrature divided pruned
         # columns too, and Monte Carlo scaled by -1/N0, which is -inf once
-        # N0 < 2**-1024 (box_muller n=4 from 3080 dB): 0 times inf gave a NaN
-        # estimate, exit 3. A RuntimeWarning is an error in this suite
+        # N0 < 2**-1024 (box_muller from about 3078 dB): 0 times inf gave a
+        # NaN estimate, exit 3. From 3074 dB (box_muller) and 3078 dB (qam)
+        # Monte Carlo's folded |d|^2/N0 overflows while 1/N0 is finite, and
+        # an inf in its operand would make NaN in the product. A
+        # RuntimeWarning is an error in this suite
+        snr = SnrSpec(sys.float_info.max) if db is None else SnrSpec.from_db(db)
         c = make_constellation(family, n)
         if method == "quadrature":
             est = mi_quadrature(c, snr)

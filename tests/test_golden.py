@@ -5,8 +5,8 @@ values for {box_muller, dvb_variant, qam} x n in {2, 4, 8} x {0, 10, 20, 30}
 dB. Kernel rewrites must keep quadrature within 1e-11 bits and Monte Carlo
 bit for bit. The Monte Carlo bits were recorded with an OpenBLAS gemm kernel
 that fuses multiply-adds; on kernels without FMA (SandyBridge, Prescott)
-quadrature holds within 1.3e-13 bits and Monte Carlo within 4.4e-16 bits,
-a last-bit move on 2 of the 36 rows, checked in a separate test.
+quadrature holds within 1.3e-13 bits and Monte Carlo within 1.1e-16 bits,
+a last-bit move on 1 of the 36 rows, checked in a separate test.
 """
 
 import json

@@ -59,8 +59,8 @@ def stratum_rows(monkeypatch, pts, count):
     rows, base = np.full(count, np.nan), []
     inner = capacity._log_partition
 
-    def recording(lhs, rhs, n0, clip, block, out):
-        got = inner(lhs, rhs, n0, clip, block, out)
+    def recording(lhs, rhs, clip, block, out):
+        got = inner(lhs, rhs, clip, block, out)
         if not base:
             base.append(out.ctypes.data)  # the chunk's row 0
         lo = (out.ctypes.data - base[0]) // out.itemsize
@@ -83,10 +83,13 @@ class TestBlocks:
         want = stratum_rows(monkeypatch, pts, k)
         # budgets of 1 and 3 give two-row blocks, so k = 1001 ends in a
         # one-row tail; M - 1 gives one row per budget and blocks of two.
-        # gemm rounds these narrow blocks as it does the default one; at some
-        # other widths (300 or 655 rows) it can move a row's last bit
+        # Blocks of 300 and 655 rows moved a row's last bit when the
+        # exponents were a two-term product and a separate add. With the
+        # folded (M, 3) operand, every width of 2 to 1,001 rows kept the
+        # bits here (and of 2 to 4,000 on 16 to 300 points) on the FMA
+        # kernel, SandyBridge and Prescott, up to 3*M*width = 10**6 on FMA
         # (see _mc_stratum)
-        for budget in (1, 3, m - 1):
+        for budget in (1, 3, m - 1, 300 * m, 655 * m):
             monkeypatch.setattr(capacity, "_BLOCK_ELEMENTS", budget)
             assert stratum_rows(monkeypatch, pts, k) == want, budget
 
@@ -544,9 +547,10 @@ def row_major_log_partition(noise2, diff, sq, n0):
     return out
 
 
-# the point-major blocks sum each row in another order than the reference
-# and skip its max shift; 2.7e-15 nats is the largest difference seen for
-# 1 to 1024 points
+# the point-major blocks fold -1/N0 into the points' operand, sum each row
+# in another order than the reference and skip its max shift; 6.7e-15 nats
+# is the largest difference seen for 1 to 1024 points (6.5e-15 with the
+# scale as a pass of its own), at this test's row counts and SNRs
 LAYOUT_TOL = 2e-14
 
 
