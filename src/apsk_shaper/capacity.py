@@ -59,30 +59,23 @@ representatives (`_grid_mi`) share differences, pruning masks, logs and
 weighted sums, chunks of their kept columns A and B, and only S is per
 representative. Monte Carlo always draws for every point and never reads
 the split: it is the independent check on both shortcuts. Its strata run
-on the calling thread and on helper threads, one thread per available core
-in all, each drawing from its own Philox stream and merging its own
-moments into one row, and the rows are merged in point order, so the value
-and std_error have the same bits for any number of threads. The helpers
-are one module-level pool, made on the first call that needs one (never at
-import) and shared by every later call; a forked child drops it and makes
-its own.
+on the calling thread and on helper threads (`workers._run_strata`), each
+drawing from its own Philox stream and merging its own moments into one
+row, and the rows are merged in point order, so the value and std_error
+have the same bits for any number of threads.
 
-Every thread keeps one workspace (`_Workspace`), the flat buffers that a
-Monte Carlo stratum or a quadrature call takes its scratch from, on 64-byte
-lines. It grows to the largest request up to 4 MB and is kept across
-calls, so a run of calls does not fault the same pages in again.
+Both estimators take their scratch from the calling thread's kept
+workspace, `workers._WORKSPACE`; the pool of helper threads and its imports
+wait for the first Monte Carlo call that needs helpers (see `workers`).
 """
 
 import bisect
-import itertools
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import workers
 from .constellations import Constellation, _ldexp
 from .errors import DomainError, EstimatorError, integer, positive
 from .numerics import EXP_FLOOR, LN2, gauss_hermite_2d, logsumexp_rows
@@ -102,13 +95,6 @@ _PRUNE_NATS = 37.0
 # order**2 nodes are built before pruning; this keeps them to 65,536
 _MAX_ORDER = 256
 _MC_CHUNK_ROWS = 65536
-# doubles of scratch a thread keeps between calls (4 MB); see _Workspace
-_WORKSPACE_DOUBLES = 1 << 19
-# threads for the Monte Carlo strata: the caller and _WORKERS - 1 helpers
-try:
-    _WORKERS = len(os.sched_getaffinity(0))
-except AttributeError:  # no sched_getaffinity on macOS or Windows
-    _WORKERS = os.cpu_count() or 1
 
 _MI_SLACK = 1e-9
 _CAPACITY_SLACK = 1e-6
@@ -216,45 +202,6 @@ def _block_rows(m: int) -> int:
     return max(2, _BLOCK_ELEMENTS // m)
 
 
-class _Workspace(threading.local):
-    """Flat float buffers that one thread keeps from call to call.
-
-    Each thread sees its own buffer. It grows to the largest request up to
-    _WORKSPACE_DOUBLES (4 MB) and is kept for the thread's next call: made
-    afresh per call, glibc trimmed the heap after each call and the next one
-    faulted the same pages in again (1,640 minor faults per Monte Carlo
-    call at qam n=2, 72 per quadrature row at box_muller n=16). A larger
-    request gets a buffer for that call alone.
-    """
-
-    flat = np.empty(0)
-
-    def take(self, *sizes) -> list:
-        """Flat views of the given sizes, disjoint, each on a 64-byte line.
-
-        They are the thread's to use until its next `take`, which may hand
-        out the same memory again. The offset moves no bit, but at malloc's
-        16-byte alignment box_muller n=32 at 10 dB took 29.5 ms in the
-        quadrature, not 23.3, and 200,000 Monte Carlo draws at n=8, 15 dB up
-        to 48.3 ms, not 39.3. Reshaping is left to the caller: here, it cost
-        a small quadrature row 5-15 us.
-        """
-        need = sum(size + -size % 8 for size in sizes) + 7
-        flat = self.flat
-        if len(flat) < need:
-            flat = np.empty(need)
-            if need <= _WORKSPACE_DOUBLES:
-                self.flat = flat
-        at, views = (-flat.ctypes.data % 64) // 8, []
-        for size in sizes:
-            views.append(flat[at : at + size])
-            at += size + -size % 8  # whole lines of 8 doubles
-        return views
-
-
-_WORKSPACE = _Workspace()
-
-
 def gaussian_capacity(snr) -> float:
     """log2(1 + snr), the Gaussian capacity in bits per 2D use."""
     return math.log2(1.0 + _as_snr(snr))
@@ -338,7 +285,7 @@ def _grid_mi(pts, reps, mults, z, w, rho, n0) -> float:
     # into new arrays
     nb = min(len(reps), max(1, min(_BLOCK_ELEMENTS // (3 * m), _BLOCK_ELEMENTS // (r * r))))
     cols = min(nb * m, max(1, _BLOCK_ELEMENTS // (2 * r)))
-    work, s, d = _WORKSPACE.take(max(2 * r * cols, nb * m), nb * r * r, 3 * nb * m)
+    work, s, d = workers._WORKSPACE.take(max(2 * r * cols, nb * m), nb * r * r, 3 * nb * m)
     s, d = s.reshape(nb, r, r), d.reshape(3, nb, m)
     buf, scratch = work[: 2 * r * cols], work[: nb * m].reshape(nb, m)
     mask = np.empty((nb, m), dtype=bool)
@@ -447,8 +394,8 @@ def _mc_stratum(pts, i, count, seed, n0) -> tuple:
     step = _block_rows(m)
     chunk = min(count, _MC_CHUNK_ROWS)
     # a block of n rows holds their 2n doubles of noise, then n*M exponents
-    rows, block, operand = _WORKSPACE.take(chunk, min(step, chunk) * max(m, 2),
-                                           3 * min(step, chunk))
+    rows, block, operand = workers._WORKSPACE.take(chunk, min(step, chunk) * max(m, 2),
+                                                   3 * min(step, chunk))
     acc, moments = 0.0, (0.0, 0.0, 0.0)
     for first in range(0, count, _MC_CHUNK_ROWS):
         k = min(count - first, _MC_CHUNK_ROWS)
@@ -475,74 +422,6 @@ def _mc_stratum(pts, i, count, seed, n0) -> tuple:
     return (acc, *moments)
 
 
-_pool = None  # (helper count, ThreadPoolExecutor), made on first use
-_pool_lock = threading.Lock()
-
-
-def _helpers(count: int) -> ThreadPoolExecutor:
-    """The module's pool of `count` helper threads, made on first use.
-
-    A pool of another size (a changed _WORKERS) is replaced; its idle
-    threads exit once nothing refers to it.
-    """
-    global _pool
-    with _pool_lock:
-        if _pool is None or _pool[0] != count:
-            _pool = (count, ThreadPoolExecutor(count, thread_name_prefix="apsk-mc"))
-        return _pool[1]
-
-
-def _forget_pool():
-    """In a forked child: drop the parent's pool, whose threads did not fork."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):  # not on Windows
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _run_strata(strata: int, run) -> None:
-    """run(i) for i in range(strata) on the calling thread and the pool's helpers.
-
-    Every worker takes the next stratum from one shared index, so with one
-    worker no pool is used. Once the caller runs out of strata it cancels
-    the helper tasks that have not started, which may sit behind another
-    call's in the queue, and waits only for those that have. A stratum that
-    raises, or a Ctrl-C, stops every worker before its next stratum; once
-    the running strata have finished the call raises that error (the lowest
-    failing stratum's, if several fail).
-    """
-    index = itertools.count()  # next() on it is atomic under the GIL
-    stop = threading.Event()
-    failed = []
-
-    def work():
-        while not stop.is_set():
-            i = next(index)
-            if i >= strata:
-                return
-            try:
-                run(i)
-            except BaseException as exc:  # the caller raises it
-                failed.append((i, exc))
-                stop.set()
-
-    tasks = []
-    if min(_WORKERS, strata) > 1:
-        pool = _helpers(_WORKERS - 1)
-        tasks = [pool.submit(work) for _ in range(min(_WORKERS, strata) - 1)]
-    try:
-        work()
-    finally:
-        stop.set()
-        for task in tasks:
-            task.cancel()
-        wait(tasks)
-    if failed:
-        raise min(failed, key=lambda f: f[0])[1]
-
-
 def mi_monte_carlo(c: Constellation, snr, samples: int, seed: int) -> MiEstimate:
     """Stratified Monte Carlo MI estimate, the quadrature cross-check.
 
@@ -553,14 +432,15 @@ def mi_monte_carlo(c: Constellation, snr, samples: int, seed: int) -> MiEstimate
     evaluation order and bitwise reproducible for identical inputs. The
     points (strata) run on the calling thread and a module-level pool of
     helper threads, one thread per available core in all, made on the first
-    call and shared by every later one; each thread reuses its own scratch
-    across strata and calls. Each stratum merges its chunks' moments into
-    one row of (sum, draws, mean, M2) (Chan, Golub and LeVeque's pairwise
-    update), and the rows are merged in point order: the bits do not depend
-    on the thread count or on other calls, and the call keeps O(M) state.
-    The value is the mean of the stratum means over the points that receive
-    a draw; std_error is the sample standard deviation of the per-draw
-    contributions divided by sqrt(samples).
+    call that needs helpers and shared by every later one (`workers`); each
+    thread reuses its own scratch across strata and calls. Each stratum
+    merges its chunks' moments into one row of (sum, draws, mean, M2)
+    (Chan, Golub and LeVeque's pairwise update), and the rows are merged in
+    point order: the bits do not depend on the thread count or on other
+    calls, and the call keeps O(M) state. The value is the mean of the
+    stratum means over the points that receive a draw; std_error is the
+    sample standard deviation of the per-draw contributions divided by
+    sqrt(samples).
     """
     samples = integer("samples", samples, 1, 2**53)  # draws are counted in doubles
     seed = integer("seed", seed, 0, 2**64 - 1)
@@ -574,7 +454,7 @@ def mi_monte_carlo(c: Constellation, snr, samples: int, seed: int) -> MiEstimate
     def stratum(i):
         rows[i] = _mc_stratum(pts, i, samples // m + (i < samples % m), seed, n0)
 
-    _run_strata(strata, stratum)
+    workers._run_strata(strata, stratum)
     moments = (0.0, 0.0, 0.0)  # pooled per-draw count/mean/M2
     for lo in range(0, strata, 256):  # a short list at a time
         for _, k, gm, m2 in rows[lo : lo + 256].tolist():

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import symmetry
+from . import symmetry, workers
 from .errors import DomainError, integer, positive
 
 BOX_MULLER = "box_muller_apsk"
@@ -264,18 +264,25 @@ def _closest(xs, ys, dist) -> float:
 
     Rows i of the pair matrix go in blocks against the columns j > i, with a
     block's differences formed in two buffers of about _PAIR_BLOCK doubles
-    each (one row at least); `dist` writes its value into the first.
+    each (one row at least), and a third that holds the columns' coordinates,
+    all from the calling thread's kept workspace (`workers._WORKSPACE`);
+    `dist` writes its value into the first. Both operands of a subtraction
+    are written out whole first: broadcast, numpy buffered them, 112 kB a
+    block at box_muller n=48.
     """
     m = len(xs)
     rows = max(1, min(m - 1, _PAIR_BLOCK // m))
-    dx, dy = np.empty(rows * m), np.empty(rows * m)
+    bufs = workers._WORKSPACE.take(rows * m, rows * m, rows * m)
     best = np.inf
     for s in range(0, m - 1, rows):
         e = min(s + rows, m - 1)
         k, cols = e - s, m - 1 - s
         # rows i in [s, e) against columns j in [s + 1, m)
-        dk = np.subtract.outer(xs[s:e], xs[s + 1 :], out=dx[: k * cols].reshape(k, cols))
-        yk = np.subtract.outer(ys[s:e], ys[s + 1 :], out=dy[: k * cols].reshape(k, cols))
+        dk, yk, vj = (b[: k * cols].reshape(k, cols) for b in bufs)
+        for d, v in ((dk, xs), (yk, ys)):
+            np.copyto(d, v[s:e, None])
+            np.copyto(vj, v[s + 1 :])
+            np.subtract(d, vj, out=d)
         dist(dk, yk)
         np.copyto(dk[:, :k], np.inf, where=np.tri(k, k, -1, dtype=bool))  # pairs j <= i
         best = min(best, float(dk.min()))
@@ -300,12 +307,13 @@ def min_distance(c: Constellation) -> float:
     """
     if c.M < 2:
         raise DomainError("min_distance requires at least two points")
-    best = _closest(*np.ldexp(c.points.T, -c._exponent, order="C"), _squared)
+    # each coordinate as a strided column: a transposed copy took 75 kB at n=48
+    scaled = c._scaled()
+    best = _closest(scaled[:, 0], scaled[:, 1], _squared)
     if best >= _TINY_SQUARE:
         return _ldexp(math.sqrt(best), c._exponent)
     with np.errstate(over="ignore"):
-        return _closest(*np.array(c.points.T, order="C"),
-                        lambda dx, dy: np.hypot(dx, dy, out=dx))
+        return _closest(c.points[:, 0], c.points[:, 1], lambda dx, dy: np.hypot(dx, dy, out=dx))
 
 
 def validate_constellation(c: Constellation) -> None:

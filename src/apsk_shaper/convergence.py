@@ -5,6 +5,12 @@ the power budget is respected for every size (`lemma_scan`, `lemma_audit`),
 the budget slack itself (`power_audit`), and the convergence of the
 constellation's characteristic function to the Gaussian one (`point_set_cf`,
 `gaussian_cf`, `cf_convergence_scan`).
+
+The lemma walk and the CF blocks keep their memory fixed for any k_max or
+point count, and take their scratch from the calling thread's kept
+workspace (`workers._WORKSPACE`), all of a call's buffers in one `take`, so
+a run of audits reuses pages that an earlier call, an estimator's
+included, already faulted in.
 """
 
 from dataclasses import dataclass
@@ -12,6 +18,7 @@ from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
+from . import workers
 from .constellations import MAX_N, average_power, canonical_family, make_constellation
 from .errors import DomainError, integer, positive
 
@@ -23,24 +30,34 @@ DEFAULT_T_VALUES = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
 # more and a bool mask, all reused for the whole call: 1.3 MB in all
 _LEMMA_BLOCK = 1 << 15
 # points per CF block: their phases go to a reused (256, T) float64 buffer and
-# their exponentials to a (257, T) complex one, 300 kB on the default grid
+# their exponentials to a (257, T) complex one, 150 kB on the scan's 25 t
 _CF_BLOCK = 256
 
 
-def _lemma_chunks(k_max: int) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def _lemma_sizes(k_max: int) -> Tuple[int, int, int, int]:
+    """Sizes of `_lemma_chunks`'s (k, lhs, terms, sums) buffers for k_max."""
+    size = min(k_max, _LEMMA_BLOCK)
+    return size, size, size + 1, size + 1
+
+
+def _lemma_chunks(k_max: int, scratch) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """`lemma_scan`'s (k, lhs, rhs) for k in [1, k_max], in blocks of _LEMMA_BLOCK.
 
-    Every block is written into the same buffers, so a caller reads one
-    before it asks for the next. k is a double, exact to 2**53, and each
-    term j + 1/2 is taken as k - 1/2, the same double. rhs carries across
-    blocks as the first term of each block's cumsum (0.0 before the first,
-    which adds exactly); numpy's cumsum adds in sequence, so every value has
-    the bits of one cumsum over all of [1, k_max].
+    `scratch` is the (k, lhs, terms, sums) buffers of `_lemma_sizes`, which
+    the caller takes from its workspace together with any of its own.
+    Every block is written into them, so a caller reads one before it asks
+    for the next, and takes no other scratch meanwhile. k is a double,
+    exact to 2**53, and each term j + 1/2 is taken as k - 1/2, the same
+    double. rhs carries across blocks as the first term of each block's
+    cumsum (0.0 before the first, which adds exactly); numpy's cumsum adds
+    in sequence, so every value has the bits of one cumsum over all of
+    [1, k_max].
     """
-    size = min(k_max, _LEMMA_BLOCK)
-    k = np.arange(1.0, size + 1.0)
-    # sums[-1] is the carry: 0.0, then the last sum of each (full) block
-    lhs, terms, sums = np.empty(size), np.empty(size + 1), np.zeros(size + 1)
+    k, lhs, terms, sums = scratch
+    size = len(k)
+    terms[:size] = 1.0
+    np.cumsum(terms[:size], out=k)  # 1.0 to size, exact
+    sums[-1] = 0.0  # the carry: 0.0, then the last sum of each (full) block
     for lo in range(0, k_max, size):
         n = min(size, k_max - lo)
         kb, lb, tb, sb = k[:n], lhs[:n], terms[: n + 1], sums[: n + 1]
@@ -66,7 +83,7 @@ def lemma_scan(k_max: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     k_max = integer("k_max", k_max, 1, 2**63 - 2)  # ks are int64
     ks, lhs, rhs = np.arange(1, k_max + 1, dtype=np.int64), np.empty(k_max), np.empty(k_max)
     lo = 0
-    for k, lb, rb in _lemma_chunks(k_max):
+    for k, lb, rb in _lemma_chunks(k_max, workers._WORKSPACE.take(*_lemma_sizes(k_max))):
         lhs[lo : lo + len(k)], rhs[lo : lo + len(k)] = lb, rb
         lo += len(k)
     return ks, lhs, rhs
@@ -79,14 +96,16 @@ def lemma_audit(
 
     Returns (rows, ok): one (k, lhs, rhs, rhs - lhs) row of `lemma_scan`'s
     values per k of the ascending `keep`, and whether the bound held at
-    every k. The check runs in one block-sized buffer reused for the whole
-    walk, so memory stays fixed for any k_max.
+    every k. The check runs in one block-sized buffer and mask, taken with
+    the walk's in one `take` and reused for the whole walk, so memory stays
+    fixed for any k_max.
     """
     k_max = integer("k_max", k_max, 1, 2**53)  # k is an exact double
     size = min(k_max, _LEMMA_BLOCK)
-    bound, holds = np.empty(size), np.empty(size, dtype=bool)
+    *walk, bound, holds = workers._WORKSPACE.take(*_lemma_sizes(k_max), size, -(-size // 8))
+    holds = holds.view(bool)
     rows, ok, lo = [], True, 0
-    for k, lhs, rhs in _lemma_chunks(k_max):
+    for k, lhs, rhs in _lemma_chunks(k_max, walk):
         n = len(k)
         np.abs(rhs, out=bound[:n])
         np.multiply(rtol, bound[:n], out=bound[:n])
@@ -107,13 +126,14 @@ def point_set_cf(points: np.ndarray, t_points: np.ndarray) -> np.ndarray:
     empty set has none, and raises DomainError.
 
     The phases and their exponentials are formed _CF_BLOCK points at a
-    time, in two buffers reused for the whole call, each block's sum starting
-    from the running total, which is the order in which `.mean(axis=0)` adds
-    the rows of the whole (M, T) array. Each block's phases are its own gemm,
-    which rounds as the rows of one gemm over all M points do; a one-row tail
-    would go through gemv and round differently, so it is taken as the last
-    row of a two-row product. With a single t that mean sums pairwise
-    instead, so it is taken whole.
+    time, in two buffers from the calling thread's workspace (the complex
+    one a view of its doubles) reused for the whole call, each block's sum
+    starting from the running total, which is the order in which
+    `.mean(axis=0)` adds the rows of the whole (M, T) array. Each block's
+    phases are its own gemm, which rounds as the rows of one gemm over all
+    M points do; a one-row tail would go through gemv and round differently,
+    so it is taken as the last row of a two-row product. With a single t
+    that mean sums pairwise instead, so it is taken whole.
     """
     points = np.asarray(points, dtype=np.float64)
     t_cols = np.asarray(t_points, dtype=np.float64).T
@@ -123,8 +143,8 @@ def point_set_cf(points: np.ndarray, t_points: np.ndarray) -> np.ndarray:
     if nt < 2:
         return np.exp(1j * (points @ t_cols)).mean(axis=0)
     rows = min(m, _CF_BLOCK)
-    phases = np.empty((rows, nt))
-    buf = np.empty((rows + 1, nt), dtype=np.complex128)
+    phases, buf = workers._WORKSPACE.take(rows * nt, 2 * (rows + 1) * nt)
+    phases, buf = phases.reshape(rows, nt), buf.view(np.complex128).reshape(rows + 1, nt)
     total = None
     for lo in range(0, m, rows):
         hi = min(lo + rows, m)
@@ -133,7 +153,10 @@ def point_set_cf(points: np.ndarray, t_points: np.ndarray) -> np.ndarray:
         else:
             block = np.matmul(points[lo:hi], t_cols, out=phases[: hi - lo])
         terms = buf[1 : len(block) + 1]
-        np.multiply(1j, block, out=terms)
+        # the bits of 1j * block (a -0 phase turns +0), which cast through a
+        # 100 kB buffer per block
+        np.copyto(terms.real, 0.0)
+        np.add(block, 0.0, out=terms.imag)
         np.exp(terms, out=terms)
         if total is None:
             total = terms.sum(axis=0)
@@ -188,16 +211,24 @@ def cf_convergence_scan(
 
     `n_list` must be non-empty and ascending. Deterministic; the error at
     t = 0 is identically zero because both CFs equal 1 there.
+
+    The grid is symmetric about its middle row t = 0 (row i is minus row
+    T - 1 - i), a point set's CF at -t is the conjugate of its CF at t, and
+    the Gaussian CF is even, so the CF is evaluated on the second half of
+    the grid alone and mirrored. The phases of -t are those of t negated,
+    exactly, so the errors have the bits of the whole grid's.
     """
     n_list = tuple(integer("n", n, 1, MAX_N) for n in n_list)
     if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise DomainError(f"n_list must be non-empty and ascending, got {n_list!r}")
     grid = default_t_grid()
     gauss = gaussian_cf(power, grid)
+    half = len(grid) // 2  # the row of t = 0
     errors = np.empty((len(n_list), len(grid)))
     for i, n in enumerate(n_list):
-        c = make_constellation(family, n, power)
-        errors[i] = np.abs(point_set_cf(c.points, grid) - gauss)
+        cf = point_set_cf(make_constellation(family, n, power).points, grid[half:])
+        errors[i, half:] = np.abs(cf - gauss[half:])
+        errors[i, :half] = np.abs(np.conj(cf[:0:-1]) - gauss[:half])
     return CfConvergenceReport(canonical_family(family), float(power), n_list, grid, errors)
 
 

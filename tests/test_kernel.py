@@ -20,11 +20,14 @@ from apsk_shaper import (
     SQUARE_QAM,
     Constellation,
     SnrSpec,
+    cf_convergence_scan,
     make_constellation,
     mi_monte_carlo,
     mi_quadrature,
+    min_distance,
 )
-from apsk_shaper import capacity, numerics
+from apsk_shaper import capacity, numerics, workers
+from apsk_shaper.convergence import lemma_audit
 from apsk_shaper.symmetry import orbits, product_axes
 from quadrature_rule import log_partition, tensor_rule
 
@@ -34,6 +37,14 @@ def random_case(k, m, seed):
     pts = rng.standard_normal((m, 2))
     diff = pts[0] - pts
     return 3.0 * rng.standard_normal((k, 2)), diff, np.sum(diff * diff, axis=1)
+
+
+def python_c(code):
+    """The stdout of `python -c code` with the package's source on the path."""
+    src = str(Path(capacity.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True).stdout
 
 
 def record_blocks(monkeypatch):
@@ -116,7 +127,7 @@ class TestBlocks:
 
     def test_mc_scratch_starts_on_cache_lines(self, monkeypatch):
         offsets = []
-        inner = capacity._Workspace.take
+        inner = workers._Workspace.take
 
         def recording(self, *sizes):
             # off a 64-byte line, box_muller n=8 at 15 dB ran up to 23% slower
@@ -124,7 +135,7 @@ class TestBlocks:
             offsets.append([a.ctypes.data % 64 for a in views])
             return views
 
-        monkeypatch.setattr(capacity._Workspace, "take", recording)
+        monkeypatch.setattr(workers._Workspace, "take", recording)
         # chunks of 5, 8 and 5,000 draws: at 5 the row (5 doubles) and block
         # (45, its first 10 the noise) buffers end off a line, so packing
         # them would misalign the next. A stratum takes the (row, block,
@@ -136,7 +147,7 @@ class TestBlocks:
         assert offsets and all(o == [0, 0, 0] for o in offsets)
 
     def test_a_workspace_is_kept_up_to_its_cap(self):
-        space, cap = capacity._Workspace(), capacity._WORKSPACE_DOUBLES
+        space, cap = workers._Workspace(), workers._WORKSPACE_DOUBLES
         small = space.take(5, 9)
         kept = space.flat
         # a request that fits reuses the buffer; a larger one under the cap
@@ -155,6 +166,32 @@ class TestBlocks:
         worker.start()
         worker.join()
         assert other == [0]
+
+    def test_audits_reuse_a_warm_workspace(self, monkeypatch):
+        # min_distance's pair blocks (3 MB at box_muller n=48), the lemma walk
+        # (1.3 MB) and the CF blocks take the thread's workspace: a second
+        # call allocates only its results and, for the CF scan, the
+        # constellations it builds (two point arrays each, 128 kB at n=64)
+        def peak_of(call):
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        monkeypatch.setattr(workers, "_WORKSPACE", workers._Workspace())
+        c = make_constellation("box_muller", 48)
+        build = peak_of(lambda: make_constellation("box_muller", 64))
+        calls = {"min_distance": (lambda: min_distance(c), 0),
+                 "lemma_audit": (lambda: lemma_audit(10**6, [1, 10**6], 1e-9), 0),
+                 "cf_convergence_scan": (
+                     lambda: cf_convergence_scan("box_muller", [4, 8, 16, 32, 64]), build)}
+        for name, (call, built) in calls.items():
+            call()
+            peak = peak_of(call)
+            assert peak < built + 64 * 1024, (name, peak, built)
 
     def test_quadrature_blocks_and_temporaries_stay_bounded(self, monkeypatch):
         factors = []
@@ -249,24 +286,24 @@ class TestWorkers:
         # M = 16 and 144 points
         c = make_constellation(family, n)
         for samples in (1, c.M - 1, c.M + 1):
-            monkeypatch.setattr(capacity, "_WORKERS", 1)
+            monkeypatch.setattr(workers, "_WORKERS", 1)
             want = mc_result(c, samples)
-            for workers in (2, 3, c.M + 1):
-                monkeypatch.setattr(capacity, "_WORKERS", workers)
-                assert mc_result(c, samples) == want, (samples, workers)
+            for count in (2, 3, c.M + 1):
+                monkeypatch.setattr(workers, "_WORKERS", count)
+                assert mc_result(c, samples) == want, (samples, count)
 
     def test_multi_chunk_strata_with_an_uneven_split(self, monkeypatch):
         c = make_constellation("qam", 2)
         # two or three chunks per point; three workers take 2, 1 and 1 points
         samples = 2 * capacity._MC_CHUNK_ROWS * c.M + 3
-        monkeypatch.setattr(capacity, "_WORKERS", 1)
+        monkeypatch.setattr(workers, "_WORKERS", 1)
         want = mc_result(c, samples)
-        for workers in (2, 3, c.M + 1):
-            monkeypatch.setattr(capacity, "_WORKERS", workers)
-            assert mc_result(c, samples) == want, workers
+        for count in (2, 3, c.M + 1):
+            monkeypatch.setattr(workers, "_WORKERS", count)
+            assert mc_result(c, samples) == want, count
 
-    @pytest.mark.parametrize("workers,samples", [(1, 100), (4, 1)])
-    def test_one_worker_runs_every_stratum_on_one_thread(self, monkeypatch, workers, samples):
+    @pytest.mark.parametrize("count,samples", [(1, 100), (4, 1)])
+    def test_one_worker_runs_every_stratum_on_one_thread(self, monkeypatch, count, samples):
         # one stratum (a single draw) also leaves a single worker: the caller
         threads = set()
         inner = capacity._log_partition
@@ -275,7 +312,7 @@ class TestWorkers:
             threads.add(threading.get_ident())
             return inner(*args)
 
-        monkeypatch.setattr(capacity, "_WORKERS", workers)
+        monkeypatch.setattr(workers, "_WORKERS", count)
         monkeypatch.setattr(capacity, "_log_partition", recording)
         mc_result(make_constellation("qam", 2), samples)
         assert threads == {threading.get_ident()}
@@ -287,7 +324,7 @@ class TestWorkers:
         # that one and starts no other
         caller = threading.get_ident()
         on_caller = where == "caller"
-        monkeypatch.setattr(capacity, "_WORKERS", 2)
+        monkeypatch.setattr(workers, "_WORKERS", 2)
         started, running = track_strata(
             monkeypatch, lambda i: (threading.get_ident() == caller) == on_caller)
         with pytest.raises(RuntimeError, match="stratum"):
@@ -298,7 +335,7 @@ class TestWorkers:
 
     def test_a_failing_stratum_cancels_the_strata_not_started(self, monkeypatch):
         # 64 points of 10,000 draws each; point 0 fails
-        monkeypatch.setattr(capacity, "_WORKERS", 2)
+        monkeypatch.setattr(workers, "_WORKERS", 2)
         started, running = track_strata(monkeypatch, lambda i: i == 0)
         c = make_constellation("box_muller", 8)
         with pytest.raises(RuntimeError, match="stratum 0"):
@@ -308,7 +345,7 @@ class TestWorkers:
     def test_a_ctrl_c_stops_the_helpers(self, monkeypatch):
         # Ctrl-C lands in the caller's stratum while the helper's runs
         caller = threading.get_ident()
-        monkeypatch.setattr(capacity, "_WORKERS", 2)
+        monkeypatch.setattr(workers, "_WORKERS", 2)
         started, running = track_strata(
             monkeypatch, lambda i: threading.get_ident() == caller, KeyboardInterrupt)
         c = make_constellation("box_muller", 4)
@@ -317,7 +354,7 @@ class TestWorkers:
         assert running == [0] and len(started) == 2
 
     def test_a_second_call_starts_no_thread(self, monkeypatch):
-        monkeypatch.setattr(capacity, "_WORKERS", 3)
+        monkeypatch.setattr(workers, "_WORKERS", 3)
         c = make_constellation("qam", 4)
         want = mc_result(c, 16 * 200)
         before = set(threading.enumerate())
@@ -337,18 +374,30 @@ class TestWorkers:
         assert set(threading.enumerate()) <= before
 
     def test_no_thread_starts_at_import(self):
-        code = ("import threading; from apsk_shaper import capacity; "
-                "print(threading.active_count(), capacity._pool)")
-        src = str(Path(capacity.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, timeout=60, check=True).stdout
+        out = python_c("import threading; from apsk_shaper import capacity, workers; "
+                       "print(threading.active_count(), workers._pool)")
         assert out.split() == ["1", "None"]
+
+    def test_the_first_call_with_helpers_imports_the_pool(self):
+        # a quadrature row loads neither concurrent.futures nor the logging
+        # it imports; the first Monte Carlo call with two workers loads both
+        out = python_c(
+            "import sys; from apsk_shaper import cli, workers\n"
+            "def loaded(): print('loaded', *(m in sys.modules for m in "
+            "('concurrent.futures', 'logging')))\n"
+            "row = ['evaluate', '--family', 'qam', '--n', '2', '--snr-db', '10']\n"
+            "cli.main(row)\n"
+            "loaded()\n"
+            "workers._WORKERS = 2\n"
+            "cli.main(row + ['--method', 'mc', '--samples', '1000'])\n"
+            "loaded()\n")
+        lines = [line.split()[1:] for line in out.splitlines() if line.startswith("loaded")]
+        assert lines == [["False", "False"], ["True", "True"]]
 
     def test_threads_that_call_at_once_get_the_serial_bits(self, monkeypatch):
         # the calls share the pool's helpers; each still merges its own
         # strata in point order
-        monkeypatch.setattr(capacity, "_WORKERS", 3)
+        monkeypatch.setattr(workers, "_WORKERS", 3)
         cases = [(make_constellation("qam", 2), 4 * 3001),
                  (make_constellation("box_muller", 4), 16 * 500),
                  (make_constellation("dvb_variant", 4), 16 * 77 + 5)]
@@ -375,7 +424,7 @@ class TestWorkers:
     @pytest.mark.filterwarnings("ignore::DeprecationWarning")
     def test_a_forked_child_gets_the_parents_bits(self, monkeypatch):
         # the parent's pool has a helper thread, which a fork does not copy
-        monkeypatch.setattr(capacity, "_WORKERS", 2)
+        monkeypatch.setattr(workers, "_WORKERS", 2)
         c = make_constellation("qam", 2)
         want = mc_result(c, 4 * 3001)
         ctx = multiprocessing.get_context("fork")
@@ -390,10 +439,10 @@ class TestWorkers:
         assert child.exitcode == 0
         assert reader.poll(1) and reader.recv() == want
 
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_temporaries_stay_within_a_budget_per_worker(self, monkeypatch, workers):
+    @pytest.mark.parametrize("count", [1, 2, 4])
+    def test_temporaries_stay_within_a_budget_per_worker(self, monkeypatch, count):
         snr = SnrSpec.from_db(10.0)
-        monkeypatch.setattr(capacity, "_WORKERS", workers)
+        monkeypatch.setattr(workers, "_WORKERS", count)
         # the first call imports numpy.random, which numpy loads lazily, and
         # starts the pool's threads; neither is a temporary of the estimator
         mi_monte_carlo(make_constellation("box_muller", 2), snr, 4000, 0)
@@ -411,7 +460,7 @@ class TestWorkers:
                  ("box_muller", 8, 2 * 10**5, 1.25e6), ("qam", 32, 32**2, 0.2e6)]
         for family, n, samples, budget in cases:
             c = make_constellation(family, n)
-            monkeypatch.setattr(capacity, "_WORKSPACE", capacity._Workspace())
+            monkeypatch.setattr(workers, "_WORKSPACE", workers._Workspace())
             tracemalloc.start()
             try:
                 tracemalloc.reset_peak()
@@ -419,14 +468,14 @@ class TestWorkers:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= budget * min(workers, c.M), (family, n, peak)
+            assert peak <= budget * min(count, c.M), (family, n, peak)
 
     def test_temporaries_do_not_grow_with_the_sample_count(self, monkeypatch):
         # 64 and 512 chunks of 16 draws per point at qam n=2: the call held a
         # table of every chunk's moments (6 KB, then 49 KB); now each point
         # merges its own chunks into one row
         monkeypatch.setattr(capacity, "_MC_CHUNK_ROWS", 16)
-        monkeypatch.setattr(capacity, "_WORKERS", 1)
+        monkeypatch.setattr(workers, "_WORKERS", 1)
         c, snr = make_constellation("qam", 2), SnrSpec.from_db(10.0)
         peaks = []
         for samples in (4 * 16 * 64, 8 * 4 * 16 * 64):
