@@ -44,8 +44,9 @@ _RING_RTOL = 1e-9
 # asked numpy for 74.5 GiB at n = 100000.
 _MAX_POINT_BYTES = 64 * 2**20
 MAX_N = math.isqrt(_MAX_POINT_BYTES // 16)  # 2048
-# squared pair distances per min_distance block: 1 << 17 doubles, about 1 MB
-_PAIR_BLOCK = 1 << 17
+# pairs per min_distance block: 1 << 16, so its three buffers of differences
+# and coordinates take about 1.5 MB in all
+_PAIR_BLOCK = 1 << 16
 # a least squared distance from which min_distance takes the points' own
 # differences: above it no square that decides it underflowed
 _TINY_SQUARE = 2.0**-960
@@ -264,11 +265,11 @@ def _closest(xs, ys, dist) -> float:
 
     Rows i of the pair matrix go in blocks against the columns j > i, with a
     block's differences formed in two buffers of about _PAIR_BLOCK doubles
-    each (one row at least), and a third that holds the columns' coordinates,
-    all from the calling thread's kept workspace (`workers._WORKSPACE`);
-    `dist` writes its value into the first. Both operands of a subtraction
-    are written out whole first: broadcast, numpy buffered them, 112 kB a
-    block at box_muller n=48.
+    each (one row at least), and a third of the same size that holds the
+    columns' coordinates, all from the calling thread's kept workspace
+    (`workers._WORKSPACE`); `dist` writes its value into the first. Both
+    operands of a subtraction are written out whole first: numpy buffers a
+    broadcast operand, 112 kB a block at box_muller n=48.
     """
     m = len(xs)
     rows = max(1, min(m - 1, _PAIR_BLOCK // m))

@@ -30,31 +30,27 @@ DEFAULT_T_VALUES = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
 # more and a bool mask, all reused for the whole call: 1.3 MB in all
 _LEMMA_BLOCK = 1 << 15
 # points per CF block: their phases go to a reused (256, T) float64 buffer and
-# their exponentials to a (257, T) complex one, 150 kB on the scan's 25 t
+# their exponentials to a (257, T) complex one, 300 kB on the default grid
 _CF_BLOCK = 256
 
 
-def _lemma_sizes(k_max: int) -> Tuple[int, int, int, int]:
-    """Sizes of `_lemma_chunks`'s (k, lhs, terms, sums) buffers for k_max."""
-    size = min(k_max, _LEMMA_BLOCK)
-    return size, size, size + 1, size + 1
-
-
-def _lemma_chunks(k_max: int, scratch) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def _lemma_chunks(k_max: int, *extra) -> Iterator[Tuple[np.ndarray, ...]]:
     """`lemma_scan`'s (k, lhs, rhs) for k in [1, k_max], in blocks of _LEMMA_BLOCK.
 
-    `scratch` is the (k, lhs, terms, sums) buffers of `_lemma_sizes`, which
-    the caller takes from its workspace together with any of its own.
-    Every block is written into them, so a caller reads one before it asks
-    for the next, and takes no other scratch meanwhile. k is a double,
-    exact to 2**53, and each term j + 1/2 is taken as k - 1/2, the same
-    double. rhs carries across blocks as the first term of each block's
-    cumsum (0.0 before the first, which adds exactly); numpy's cumsum adds
-    in sequence, so every value has the bits of one cumsum over all of
-    [1, k_max].
+    Each block also carries one block-long array per dtype of `extra`, for
+    the caller's own use. All the buffers come from the calling thread's
+    workspace in one `take` and every block is written into them, so a
+    caller reads one before it asks for the next, and takes no other
+    scratch meanwhile. k is a double, exact to 2**53, and each term
+    j + 1/2 is taken as k - 1/2, the same double. rhs carries across
+    blocks as the first term of each block's cumsum (0.0 before the first,
+    which adds exactly); numpy's cumsum adds in sequence, so every value has
+    the bits of one cumsum over all of [1, k_max].
     """
-    k, lhs, terms, sums = scratch
-    size = len(k)
+    size = min(k_max, _LEMMA_BLOCK)
+    k, lhs, terms, sums, *own = workers._WORKSPACE.take(
+        size, size, size + 1, size + 1, *(-(-size * np.dtype(t).itemsize // 8) for t in extra))
+    own = [b.view(t)[:size] for b, t in zip(own, extra)]
     terms[:size] = 1.0
     np.cumsum(terms[:size], out=k)  # 1.0 to size, exact
     sums[-1] = 0.0  # the carry: 0.0, then the last sum of each (full) block
@@ -68,7 +64,7 @@ def _lemma_chunks(k_max: int, scratch) -> Iterator[Tuple[np.ndarray, np.ndarray,
         np.subtract(kb, 0.5, out=tb[1:])
         np.log(tb[1:], out=tb[1:])
         np.cumsum(tb, out=sb)
-        yield kb, lb, sb[1:]
+        yield (kb, lb, sb[1:], *(b[:n] for b in own))
         k += size
 
 
@@ -83,7 +79,7 @@ def lemma_scan(k_max: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     k_max = integer("k_max", k_max, 1, 2**63 - 2)  # ks are int64
     ks, lhs, rhs = np.arange(1, k_max + 1, dtype=np.int64), np.empty(k_max), np.empty(k_max)
     lo = 0
-    for k, lb, rb in _lemma_chunks(k_max, workers._WORKSPACE.take(*_lemma_sizes(k_max))):
+    for k, lb, rb in _lemma_chunks(k_max):
         lhs[lo : lo + len(k)], rhs[lo : lo + len(k)] = lb, rb
         lo += len(k)
     return ks, lhs, rhs
@@ -96,21 +92,18 @@ def lemma_audit(
 
     Returns (rows, ok): one (k, lhs, rhs, rhs - lhs) row of `lemma_scan`'s
     values per k of the ascending `keep`, and whether the bound held at
-    every k. The check runs in one block-sized buffer and mask, taken with
-    the walk's in one `take` and reused for the whole walk, so memory stays
+    every k. The check runs in one block-sized buffer and mask that come
+    with the walk's and are reused for the whole walk, so memory stays
     fixed for any k_max.
     """
     k_max = integer("k_max", k_max, 1, 2**53)  # k is an exact double
-    size = min(k_max, _LEMMA_BLOCK)
-    *walk, bound, holds = workers._WORKSPACE.take(*_lemma_sizes(k_max), size, -(-size // 8))
-    holds = holds.view(bool)
     rows, ok, lo = [], True, 0
-    for k, lhs, rhs in _lemma_chunks(k_max, walk):
+    for k, lhs, rhs, bound, holds in _lemma_chunks(k_max, np.float64, np.bool_):
         n = len(k)
-        np.abs(rhs, out=bound[:n])
-        np.multiply(rtol, bound[:n], out=bound[:n])
-        np.add(rhs, bound[:n], out=bound[:n])
-        ok &= bool(np.less_equal(lhs, bound[:n], out=holds[:n]).all())
+        np.abs(rhs, out=bound)
+        np.multiply(rtol, bound, out=bound)
+        np.add(rhs, bound, out=bound)
+        ok &= bool(np.less_equal(lhs, bound, out=holds).all())
         for kk in keep:
             if lo < kk <= lo + n:
                 i = kk - lo - 1
@@ -211,24 +204,16 @@ def cf_convergence_scan(
 
     `n_list` must be non-empty and ascending. Deterministic; the error at
     t = 0 is identically zero because both CFs equal 1 there.
-
-    The grid is symmetric about its middle row t = 0 (row i is minus row
-    T - 1 - i), a point set's CF at -t is the conjugate of its CF at t, and
-    the Gaussian CF is even, so the CF is evaluated on the second half of
-    the grid alone and mirrored. The phases of -t are those of t negated,
-    exactly, so the errors have the bits of the whole grid's.
     """
     n_list = tuple(integer("n", n, 1, MAX_N) for n in n_list)
     if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise DomainError(f"n_list must be non-empty and ascending, got {n_list!r}")
     grid = default_t_grid()
     gauss = gaussian_cf(power, grid)
-    half = len(grid) // 2  # the row of t = 0
     errors = np.empty((len(n_list), len(grid)))
     for i, n in enumerate(n_list):
-        cf = point_set_cf(make_constellation(family, n, power).points, grid[half:])
-        errors[i, half:] = np.abs(cf - gauss[half:])
-        errors[i, :half] = np.abs(np.conj(cf[:0:-1]) - gauss[:half])
+        c = make_constellation(family, n, power)
+        errors[i] = np.abs(point_set_cf(c.points, grid) - gauss)
     return CfConvergenceReport(canonical_family(family), float(power), n_list, grid, errors)
 
 

@@ -6,6 +6,7 @@ import math
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.hermite import hermgauss
 
 LN2 = float(np.log(2.0))
 
@@ -60,9 +61,6 @@ def gauss_hermite_2d(order: int):
     about 0, so the kept set stays invariant under the square's rotations
     and reflections. Both arrays are read-only so the cache is safe to share.
     """
-    # imported here: a process that never takes the quadrature never loads it
-    from numpy.polynomial.hermite import hermgauss
-
     z, w = hermgauss(order)
     weights = np.outer(w, w) / np.pi
     weights[weights < MIN_NODE_WEIGHT] = 0.0

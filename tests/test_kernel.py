@@ -168,7 +168,7 @@ class TestBlocks:
         assert other == [0]
 
     def test_audits_reuse_a_warm_workspace(self, monkeypatch):
-        # min_distance's pair blocks (3 MB at box_muller n=48), the lemma walk
+        # min_distance's pair blocks (1.5 MB at box_muller n=48), the lemma walk
         # (1.3 MB) and the CF blocks take the thread's workspace: a second
         # call allocates only its results and, for the CF scan, the
         # constellations it builds (two point arrays each, 128 kB at n=64)
