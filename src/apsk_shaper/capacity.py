@@ -13,8 +13,9 @@ Gauss-Hermite rule (`mi_quadrature`) and a seeded stratified Monte Carlo
 2**-k and N0 times 4**-k (see `Constellation`; Monte Carlo copies them per call).
 
 Monte Carlo forms its inner sums for one transmitted point x_i at a time
-(a stratum, `_mc_stratum`). It walks the point's noise rows in blocks of
-about _BLOCK_ELEMENTS exponents, small enough to stay in cache, drawing
+(a stratum, `_mc_stratum`). It walks the point's noise rows in blocks
+whose exponents and (3, n) operand together take about _BLOCK_ELEMENTS
+doubles (`_block_rows`), small enough to stay in cache, drawing
 each block's rows just before `_log_partition` forms its exponents, laid
 out point-major (one contiguous row of exponents per point j). A block's
 exponents are one product alone: -[d_x, d_y, |d|^2]/N0 (M, 3), folded
@@ -65,8 +66,8 @@ row, and the rows are merged in point order, so the value and std_error
 have the same bits for any number of threads.
 
 Both estimators take their scratch from the calling thread's kept
-workspace, `workers._WORKSPACE`; the pool of helper threads and its imports
-wait for the first Monte Carlo call that needs helpers (see `workers`).
+workspace, `workers._WORKSPACE`; the pool of helper threads waits for the
+first Monte Carlo call that needs helpers (see `workers`).
 """
 
 import bisect
@@ -199,7 +200,13 @@ def _clip_can_bite(noise2, reach, n0) -> bool:
 
 
 def _block_rows(m: int) -> int:
-    return max(2, _BLOCK_ELEMENTS // m)
+    """Monte Carlo's rows n per block, at least two (see `_mc_stratum`).
+
+    A block's M*n exponents and its (3, n) operand share _BLOCK_ELEMENTS
+    doubles: at M=4 that is 18,724 rows in 1.0 MB, where the exponents
+    alone filled it with 32,768 rows and the operand took 0.75 MB more.
+    """
+    return max(2, _BLOCK_ELEMENTS // (m + 3))
 
 
 def gaussian_capacity(snr) -> float:
@@ -261,6 +268,24 @@ def _chunk_sums(coef, d, ends, lo, buf, s) -> int:
     return hi
 
 
+def _gather_kept(stream, keep, tmp):
+    """Move the columns of `stream` where the (k, M) `keep` holds to its front.
+
+    Returns the (3, kept) view and each representative's end in it, as
+    `_chunk_sums` reads them. Each row goes through `tmp` (at least k*M
+    doubles): numpy copies a `take` whose output overlaps its input, and
+    mode="raise" copies into a buffer of its own. Only the kept indices
+    are new, 8 bytes each (55 kB at box_muller n=32, 30 dB; finding them a
+    piece at a time cost that row 4-10% of its time).
+    """
+    kept = np.flatnonzero(keep)
+    for row in stream:
+        np.take(row, kept, out=tmp[: len(kept)], mode="clip")
+        row[: len(kept)] = tmp[: len(kept)]
+    m = keep.shape[1]
+    return stream[:, : len(kept)], np.searchsorted(kept, np.arange(m, keep.size + 1, m)).tolist()
+
+
 def _grid_mi(pts, reps, mults, z, w, rho, n0) -> float:
     """log2(M) - (1/M) sum_i E[log2 sum_j ...] over the M points `pts`.
 
@@ -273,30 +298,37 @@ def _grid_mi(pts, reps, mults, z, w, rho, n0) -> float:
     coef = np.zeros((2 * r, 3))
     coef[:r, 0] = coef[r:, 1] = (-2.0 / math.sqrt(n0)) * z
     coef[r:, 2] = 1.0
-    pts_t = np.ascontiguousarray(pts.T)
-    # the 2R w factors, w = min(nb M, _BLOCK_ELEMENTS // 2R), the (nb, R, R)
-    # sums and the (3, nb, M) differences, each at most _BLOCK_ELEMENTS doubles
-    # or one representative's, come from the thread's workspace: made per
-    # point, malloc mapped a buffer each time, and made per call, they were
-    # trimmed from the heap after each call and faulted in again (425 faults
-    # a call at box_muller n=15, order 256). d_y^2 goes in the factors'
-    # memory, idle until |d|^2 is formed. A pruned block gathers its kept
-    # columns (a tenth at 30 dB, box_muller n=16 to 64) and their indices
-    # into new arrays
+    # the 2R w factors, w = min(nb M, _BLOCK_ELEMENTS // 2R), in a buffer of
+    # at least 2 nb M doubles, the (nb, R, R) sums and the (3, nb, M)
+    # differences, each at most _BLOCK_ELEMENTS doubles or one
+    # representative's, and the (nb, M) pruning mask, as bools, come from
+    # the thread's workspace: made per point, malloc mapped a buffer each
+    # time, and made per call, they were trimmed from the heap after each
+    # call and faulted in again (425 faults a call at box_muller n=15, order
+    # 256). The factors' memory, idle until the chunks, first holds the
+    # differences' second operand, then d_y^2, then a pruned block's kept
+    # columns (a tenth at 30 dB, box_muller n=16 to 64) one row at a time,
+    # gathered to the front of the row they came from
     nb = min(len(reps), max(1, min(_BLOCK_ELEMENTS // (3 * m), _BLOCK_ELEMENTS // (r * r))))
     cols = min(nb * m, max(1, _BLOCK_ELEMENTS // (2 * r)))
-    work, s, d = workers._WORKSPACE.take(max(2 * r * cols, nb * m), nb * r * r, 3 * nb * m)
+    work, s, d, flags = workers._WORKSPACE.take(
+        max(2 * r * cols, 2 * nb * m), nb * r * r, 3 * nb * m, -(-nb * m // 8))
     s, d = s.reshape(nb, r, r), d.reshape(3, nb, m)
     buf, scratch = work[: 2 * r * cols], work[: nb * m].reshape(nb, m)
-    mask = np.empty((nb, m), dtype=bool)
+    mask = flags.view(bool)[: nb * m].reshape(nb, m)
     reach = _kept_reach(rho, m, n0)
     total = 0.0
     for lo in range(0, len(reps), nb):
         rows = reps[lo : lo + nb]
         k = len(rows)
-        dk, sk = d[:, :k], s[:k]
-        np.subtract(pts_t[:, rows, None], pts_t[:, None, :], out=dk[:2])
-        sq, tmp = dk[2], scratch[:k]
+        dk, sk, tmp = d[:, :k], s[:k], scratch[:k]
+        # both operands whole (numpy buffers a broadcast one), the second in
+        # the factors' memory
+        other = work[: 2 * k * m].reshape(2, k, m)
+        np.copyto(dk[:2], pts[rows].T[:, :, None])
+        np.copyto(other, pts.T[:, None, :])
+        np.subtract(dk[:2], other, out=dk[:2])
+        sq = dk[2]
         np.multiply(dk[0], dk[0], out=sq)
         np.multiply(dk[1], dk[1], out=tmp)
         sq += tmp
@@ -305,8 +337,7 @@ def _grid_mi(pts, reps, mults, z, w, rho, n0) -> float:
         if keep.all():
             ends = range(m, k * m + 1, m)
         else:
-            stream = np.take(stream, np.flatnonzero(keep), axis=1)
-            ends = np.cumsum(np.count_nonzero(keep, axis=1)).tolist()
+            stream, ends = _gather_kept(stream, keep, tmp.reshape(-1))
         stream[2] /= -n0  # kept columns only: a pruned one's can overflow
         c = 0
         while c < stream.shape[1]:
@@ -368,18 +399,19 @@ def _mc_stratum(pts, i, count, seed, n0) -> tuple:
     M2), each chunk of at most _MC_CHUNK_ROWS draws merged into them in
     chunk order. The (M, 3) operand is folded with -1/N0 once (`_folded`),
     and a chunk's draws go through `_log_partition` in blocks of
-    n = _block_rows(M) rows. Each block's rows are drawn into the front of
-    the thread's block buffer and written, scaled and transposed, into the
-    operand before its product overwrites that memory; the stream is
-    consumed in row order, as one draw per chunk consumed it. A one-row
-    matmul goes through gemv, which rounds differently from gemm, so no
-    block has one row unless the chunk has: a one-row tail starts a row
-    early, at the last row of the block before, still in the operand, and
-    forms that row again. A row's bits are fixed by the chunk's draws, M,
+    n = _block_rows(M) rows, whose M*n exponents and (3, n) operand take
+    at most _BLOCK_ELEMENTS doubles together. Each block's rows are drawn
+    into the front of the thread's block buffer and written, scaled and
+    transposed, into the operand before its product overwrites that
+    memory; the stream is consumed in row order, as one draw per chunk
+    consumed it. A one-row matmul goes through gemv, which rounds
+    differently from gemm, so no block has one row unless the chunk has: a
+    one-row tail starts a row early, at the last row of the block before,
+    still in the operand, and forms that row again. A row's bits are fixed by the chunk's draws, M,
     _BLOCK_ELEMENTS and the gemm kernel. Measured against n (2 to 4,000
     rows on 2 to 300 points), they kept their bits on OpenBLAS's SandyBridge
     and Prescott kernels at every width, and on its FMA kernel up to
-    3*M*n = 10**6 (the default budget stays below 4e5); past that, gemm
+    3*M*n = 10**6 (the default budget keeps it below 4e5); past that, gemm
     rounded 1 to 3 rows of some widths differently.
     """
     rng = np.random.Generator(np.random.Philox(key=seed, counter=[0, i, 0, 0]))

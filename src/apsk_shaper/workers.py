@@ -11,14 +11,16 @@ so a test can swap it in one place.
 
 Monte Carlo's strata run on the calling thread and on helper threads, one
 thread per available core in all (`_run_strata`). The helpers are one
-module-level pool, made on the first call that needs one, never at import,
-and shared by every later call; a forked child drops it and makes its own.
-`concurrent.futures` is imported only then, so a process that never runs
-Monte Carlo with helpers never loads it (nor `logging`, which it imports).
+module-level pool of daemon threads that serve one `queue.SimpleQueue`,
+made on the first call that needs one, never at import, and shared by
+every later call; a forked child drops it and makes its own. The pool is
+plain `threading`: `concurrent.futures` (and the `logging` it imports,
+about 0.7 MB resident together) is never loaded.
 """
 
 import itertools
 import os
+import queue
 import threading
 
 import numpy as np
@@ -71,22 +73,33 @@ class _Workspace(threading.local):
 
 _WORKSPACE = _Workspace()
 
-_pool = None  # (helper count, ThreadPoolExecutor), made on first use
+_pool = None  # (helper count, the SimpleQueue its helpers serve), made on first use
 _pool_lock = threading.Lock()
 
 
-def _helpers(count: int):
-    """The module's ThreadPoolExecutor of `count` helper threads, made on first use.
+def _serve(tasks):
+    """A helper thread's loop: run each task queued, until a None."""
+    for task in iter(tasks.get, None):
+        task()
 
-    A pool of another size (a changed _WORKERS) is replaced; its idle
-    threads exit once nothing refers to it.
+
+def _helpers(count: int):
+    """The task queue of the module's `count` helper threads, made on first use.
+
+    A pool of another size (a changed _WORKERS) is replaced; its helpers
+    exit once they reach the None queued behind the tasks already there.
     """
     global _pool
     with _pool_lock:
         if _pool is None or _pool[0] != count:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _pool = (count, ThreadPoolExecutor(count, thread_name_prefix="apsk-mc"))
+            if _pool is not None:
+                for _ in range(_pool[0]):
+                    _pool[1].put(None)
+            tasks = queue.SimpleQueue()
+            for k in range(count):
+                threading.Thread(target=_serve, args=(tasks,), name=f"apsk-mc_{k}",
+                                 daemon=True).start()
+            _pool = (count, tasks)
         return _pool[1]
 
 
@@ -104,16 +117,19 @@ def _run_strata(strata: int, run) -> None:
     """run(i) for i in range(strata) on the calling thread and the pool's helpers.
 
     Every worker takes the next stratum from one shared index, so with one
-    worker no pool is used. Once the caller runs out of strata it cancels
-    the helper tasks that have not started, which may sit behind another
-    call's in the queue, and waits only for those that have. A stratum that
-    raises, or a Ctrl-C, stops every worker before its next stratum; once
-    the running strata have finished the call raises that error (the lowest
-    failing stratum's, if several fail).
+    worker no pool is used. The caller queues one task per helper it can
+    use, which may sit behind another call's; once the caller runs out of
+    strata it closes the call, so a task that starts after that returns at
+    once, and it waits only for the helpers already running one. A stratum
+    that raises, or a Ctrl-C, stops every worker before its next stratum;
+    once the running strata have finished the call raises that error (the
+    lowest failing stratum's, if several fail).
     """
     index = itertools.count()  # next() on it is atomic under the GIL
-    stop = threading.Event()
+    stop = threading.Event()  # set once a stratum fails and when the call closes
     failed = []
+    running = [0]  # helpers inside work(), counted under `idle`
+    idle = threading.Condition()
 
     def work():
         while not stop.is_set():
@@ -126,19 +142,27 @@ def _run_strata(strata: int, run) -> None:
                 failed.append((i, exc))
                 stop.set()
 
-    tasks = []
+    def helper():
+        with idle:
+            if stop.is_set():
+                return
+            running[0] += 1
+        try:
+            work()
+        finally:
+            with idle:
+                running[0] -= 1
+                idle.notify()
+
     if min(_WORKERS, strata) > 1:
-        pool = _helpers(_WORKERS - 1)
-        tasks = [pool.submit(work) for _ in range(min(_WORKERS, strata) - 1)]
+        tasks = _helpers(_WORKERS - 1)
+        for _ in range(min(_WORKERS, strata) - 1):
+            tasks.put(helper)
     try:
         work()
     finally:
-        stop.set()
-        for task in tasks:
-            task.cancel()
-        if tasks:  # the pool imported concurrent.futures
-            from concurrent.futures import wait
-
-            wait(tasks)
+        with idle:
+            stop.set()
+            idle.wait_for(lambda: not running[0])
     if failed:
         raise min(failed, key=lambda f: f[0])[1]

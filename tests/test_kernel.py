@@ -47,6 +47,17 @@ def python_c(code):
                           text=True, timeout=60, check=True).stdout
 
 
+def peak_of(call):
+    """The tracemalloc peak of call(), in bytes."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def record_blocks(monkeypatch):
     """Wrap capacity.logsumexp_rows; return the list of (size, M) it receives."""
     blocks = []
@@ -94,13 +105,13 @@ class TestBlocks:
         want = stratum_rows(monkeypatch, pts, k)
         # budgets of 1 and 3 give two-row blocks, so k = 1001 ends in a
         # one-row tail; M - 1 gives one row per budget and blocks of two.
-        # Blocks of 300 and 655 rows moved a row's last bit when the
-        # exponents were a two-term product and a separate add. With the
-        # folded (M, 3) operand, every width of 2 to 1,001 rows kept the
-        # bits here (and of 2 to 4,000 on 16 to 300 points) on the FMA
-        # kernel, SandyBridge and Prescott, up to 3*M*width = 10**6 on FMA
-        # (see _mc_stratum)
-        for budget in (1, 3, m - 1, 300 * m, 655 * m):
+        # A block of n rows takes (M + 3)*n of the budget. Blocks of 300 and
+        # 655 rows moved a row's last bit when the exponents were a two-term
+        # product and a separate add. With the folded (M, 3) operand, every
+        # width of 2 to 1,001 rows kept the bits here (and of 2 to 4,000 on
+        # 16 to 300 points) on the FMA kernel, SandyBridge and Prescott, up
+        # to 3*M*width = 10**6 on FMA (see _mc_stratum)
+        for budget in (1, 3, m - 1, 300 * (m + 3), 655 * (m + 3)):
             monkeypatch.setattr(capacity, "_BLOCK_ELEMENTS", budget)
             assert stratum_rows(monkeypatch, pts, k) == want, budget
 
@@ -121,7 +132,8 @@ class TestBlocks:
         blocks = record_blocks(monkeypatch)
         mi_monte_carlo(c, SnrSpec.from_db(10.0), 64 * 5000, 1)
         assert {m for _, m in blocks} == {c.M}
-        assert max(size for size, _ in blocks) <= max(capacity._BLOCK_ELEMENTS, c.M)
+        # a block's exponents and its (3, n) operand share the budget
+        assert max(size // c.M * (c.M + 3) for size, _ in blocks) <= capacity._BLOCK_ELEMENTS
         # 5000 draws per point make more than one block each
         assert len(blocks) > c.M
 
@@ -168,23 +180,17 @@ class TestBlocks:
         assert other == [0]
 
     def test_audits_reuse_a_warm_workspace(self, monkeypatch):
-        # min_distance's pair blocks (1.5 MB at box_muller n=48), the lemma walk
-        # (1.3 MB) and the CF blocks take the thread's workspace: a second
-        # call allocates only its results and, for the CF scan, the
-        # constellations it builds (two point arrays each, 128 kB at n=64)
-        def peak_of(call):
-            tracemalloc.start()
-            try:
-                tracemalloc.reset_peak()
-                call()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
+        # min_distance's pair blocks (1.5 MB at box_muller n=48) and their
+        # mask, the lemma walk (1.3 MB) and the CF blocks take the thread's
+        # workspace: a second call allocates only its results and, for the
+        # CF scan, the constellations it builds (two point arrays each, 128
+        # kB at n=64). At n=16 a fresh mask of the 255 x 255 pairs per block
+        # took 65 kB of the 106 kB
         monkeypatch.setattr(workers, "_WORKSPACE", workers._Workspace())
-        c = make_constellation("box_muller", 48)
+        c, small = make_constellation("box_muller", 48), make_constellation("box_muller", 16)
         build = peak_of(lambda: make_constellation("box_muller", 64))
         calls = {"min_distance": (lambda: min_distance(c), 0),
+                 "min_distance n=16": (lambda: min_distance(small), 0),
                  "lemma_audit": (lambda: lemma_audit(10**6, [1, 10**6], 1e-9), 0),
                  "cf_convergence_scan": (
                      lambda: cf_convergence_scan("box_muller", [4, 8, 16, 32, 64]), build)}
@@ -192,6 +198,18 @@ class TestBlocks:
             call()
             peak = peak_of(call)
             assert peak < built + 64 * 1024, (name, peak, built)
+
+    def test_a_warm_quadrature_reuses_its_workspace(self, monkeypatch):
+        # the differences, the pruning mask and a pruned block's kept columns
+        # live in the workspace; a broadcast subtraction took a 134 kB buffer
+        # of numpy's at box_muller n=16, and at 30 dB the gathered columns
+        # and their indices were new arrays (330 kB in all at n=32)
+        monkeypatch.setattr(workers, "_WORKSPACE", workers._Workspace())
+        for n, snr_db in [(16, 10.0), (16, 30.0), (32, 30.0)]:
+            c, snr = make_constellation("box_muller", n), SnrSpec.from_db(snr_db)
+            mi_quadrature(c, snr)
+            peak = peak_of(lambda: mi_quadrature(c, snr))
+            assert peak < 64 * 1024, (n, snr_db, peak)
 
     def test_quadrature_blocks_and_temporaries_stay_bounded(self, monkeypatch):
         factors = []
@@ -378,13 +396,14 @@ class TestWorkers:
                        "print(threading.active_count(), workers._pool)")
         assert out.split() == ["1", "None"]
 
-    def test_the_first_call_with_helpers_imports_the_pool(self):
-        # a quadrature row loads neither concurrent.futures nor the logging
-        # it imports; the first Monte Carlo call with two workers loads both
+    def test_the_first_call_with_helpers_starts_one_and_loads_no_pool_module(self):
+        # a quadrature row starts no thread; the first Monte Carlo row at two
+        # workers starts the pool's helper, and neither loads
+        # concurrent.futures, the logging it imports or numpy.polynomial
         out = python_c(
-            "import sys; from apsk_shaper import cli, workers\n"
-            "def loaded(): print('loaded', *(m in sys.modules for m in "
-            "('concurrent.futures', 'logging')))\n"
+            "import sys, threading; from apsk_shaper import cli, workers\n"
+            "def loaded(): print('loaded', threading.active_count(), *(m in sys.modules for m in "
+            "('concurrent.futures', 'logging', 'numpy.polynomial')))\n"
             "row = ['evaluate', '--family', 'qam', '--n', '2', '--snr-db', '10']\n"
             "cli.main(row)\n"
             "loaded()\n"
@@ -392,7 +411,7 @@ class TestWorkers:
             "cli.main(row + ['--method', 'mc', '--samples', '1000'])\n"
             "loaded()\n")
         lines = [line.split()[1:] for line in out.splitlines() if line.startswith("loaded")]
-        assert lines == [["False", "False"], ["True", "True"]]
+        assert lines == [["1", "False", "False", "False"], ["2", "False", "False", "False"]]
 
     def test_threads_that_call_at_once_get_the_serial_bits(self, monkeypatch):
         # the calls share the pool's helpers; each still merges its own
@@ -447,17 +466,18 @@ class TestWorkers:
         # starts the pool's threads; neither is a temporary of the estimator
         mi_monte_carlo(make_constellation("box_muller", 2), snr, 4000, 0)
         # (family, n, samples, budget per worker), each from cold workspaces.
-        # At box_muller n=2 each worker holds a 0.5 MB row buffer, a 1 MB
-        # exponent block (its front the block's noise) and its 0.8 MB
-        # (3, 32768) operand: about 2.4 MB (3.4 MB with a noise buffer for
-        # the whole chunk). qam n=2 draws 25,000 per point: a 0.8 MB block, a
-        # 0.6 MB operand and 0.2 MB of rows, about 1.6 MB. At box_muller n=8
-        # the 1 MB block of 2,048 rows dominates: about 1.15 MB. At qam n=32
-        # with one draw per point each stratum's (M, 3) operand and
+        # At box_muller n=2 each worker holds a 0.5 MB row buffer, a 0.6 MB
+        # exponent block (its front the block's noise) and its 0.45 MB
+        # (3, 18724) operand, block and operand within one 1 MB budget: about
+        # 1.58 MB (2.37 MB when the block alone filled the budget and the
+        # operand came on top). qam n=2 draws 25,000 per point: the same
+        # block and operand and 0.2 MB of rows, about 1.26 MB. At box_muller
+        # n=8 the 1 MB block of 1,956 rows dominates: about 1.12 MB. At qam
+        # n=32 with one draw per point each stratum's (M, 3) operand and
         # differences dominate, with the call's per-point sums and moments:
         # about 0.12 MB (0.19 MB with a window of 64 pending strata per worker)
-        cases = [("box_muller", 2, 10**6, 2.5e6), ("qam", 2, 10**5, 1.7e6),
-                 ("box_muller", 8, 2 * 10**5, 1.25e6), ("qam", 32, 32**2, 0.2e6)]
+        cases = [("box_muller", 2, 10**6, 1.7e6), ("qam", 2, 10**5, 1.35e6),
+                 ("box_muller", 8, 2 * 10**5, 1.2e6), ("qam", 32, 32**2, 0.2e6)]
         for family, n, samples, budget in cases:
             c = make_constellation(family, n)
             monkeypatch.setattr(workers, "_WORKSPACE", workers._Workspace())
@@ -648,6 +668,13 @@ class TestLayout:
 
 
 class TestPrunedRule:
+    def test_the_1d_rule_has_the_bits_of_hermgauss(self):
+        # numerics computes the nodes by numpy's algorithm, so that the
+        # package need not import numpy.polynomial
+        for order in range(2, 257):
+            got, want = numerics._gauss_hermite(order), hermgauss(order)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want], order
+
     @pytest.mark.parametrize("order", [40, 60])
     def test_dropped_mass_is_negligible(self, order):
         _, w = hermgauss(order)
