@@ -269,18 +269,13 @@ def _closest(xs, ys, dist) -> float:
     columns' coordinates, all from the calling thread's kept workspace
     (`workers._WORKSPACE`); `dist` writes its value into the first. Both
     operands of a subtraction are written out whole first: numpy buffers a
-    broadcast operand, 112 kB a block at box_muller n=48. The mask of a
-    block's pairs j <= i is made once per call, as a bool view of the
-    workspace: each of its rows is a window on one ramp of 2*rows - 1
-    flags, where a fresh `np.tri` per block took 65 kB at box_muller n=16.
+    broadcast operand, 112 kB a block at box_muller n=48. Only the pairs
+    j = i are masked: row j of the same block forms a block's pairs j < i,
+    with the same bits (x_j - x_i is exactly -(x_i - x_j); `dist` is even).
     """
     m = len(xs)
     rows = max(1, min(m - 1, _PAIR_BLOCK // m))
-    *bufs, flags = workers._WORKSPACE.take(rows * m, rows * m, rows * m, -(-(2 * rows - 1) // 8))
-    ramp = flags.view(bool)[: 2 * rows - 1]
-    ramp[: rows - 1], ramp[rows - 1 :] = True, False
-    # below[r, c] = ramp[rows - 1 - r + c], which holds where c < r
-    below = np.ndarray((rows, rows), bool, ramp, rows - 1, (-1, 1))
+    bufs = workers._WORKSPACE.take(rows * m, rows * m, rows * m)
     best = np.inf
     for s in range(0, m - 1, rows):
         e = min(s + rows, m - 1)
@@ -292,7 +287,8 @@ def _closest(xs, ys, dist) -> float:
             np.copyto(vj, v[s + 1 :])
             np.subtract(d, vj, out=d)
         dist(dk, yk)
-        np.copyto(dk[:, :k], np.inf, where=below[:k, :k])  # pairs j <= i
+        # pairs j = i, at (r, r - 1); np.fill_diagonal took 5.5 kB a call
+        dk.reshape(-1)[cols : k * cols : cols + 1] = np.inf
         best = min(best, float(dk.min()))
     return best
 

@@ -6,11 +6,11 @@ the budget slack itself (`power_audit`), and the convergence of the
 constellation's characteristic function to the Gaussian one (`point_set_cf`,
 `gaussian_cf`, `cf_convergence_scan`).
 
-The lemma walk and the CF blocks keep their memory fixed for any k_max or
-point count, and take their scratch from the calling thread's kept
-workspace (`workers._WORKSPACE`), all of a call's buffers in one `take`, so
-a run of audits reuses pages that an earlier call, an estimator's
-included, already faulted in.
+`lemma_audit`'s walk and `point_set_cf`'s blocks (a single t takes all M
+points in one array) keep their memory fixed for any k_max or point count,
+and take their scratch from the calling thread's kept workspace
+(`workers._WORKSPACE`), all of a call's buffers in one `take`, so a run of
+audits reuses pages that an earlier call, an estimator's included, faulted in.
 """
 
 from dataclasses import dataclass
@@ -25,47 +25,13 @@ from .errors import DomainError, integer, positive
 DEFAULT_T_VALUES = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
 
 
-# k values per lemma block. The walk fills four float64 buffers of about this
-# many doubles (k, lhs, the terms and their cumsum), and `lemma_audit` one
-# more and a bool mask, all reused for the whole call: 1.3 MB in all
+# k values per lemma block. `lemma_audit` fills four float64 buffers of about
+# this many doubles (k, lhs, the terms and their cumsum), reused for the
+# whole call: 1.05 MB in all
 _LEMMA_BLOCK = 1 << 15
 # points per CF block: their phases go to a reused (256, T) float64 buffer and
 # their exponentials to a (257, T) complex one, 300 kB on the default grid
 _CF_BLOCK = 256
-
-
-def _lemma_chunks(k_max: int, *extra) -> Iterator[Tuple[np.ndarray, ...]]:
-    """`lemma_scan`'s (k, lhs, rhs) for k in [1, k_max], in blocks of _LEMMA_BLOCK.
-
-    Each block also carries one block-long array per dtype of `extra`, for
-    the caller's own use. All the buffers come from the calling thread's
-    workspace in one `take` and every block is written into them, so a
-    caller reads one before it asks for the next, and takes no other
-    scratch meanwhile. k is a double, exact to 2**53, and each term
-    j + 1/2 is taken as k - 1/2, the same double. rhs carries across
-    blocks as the first term of each block's cumsum (0.0 before the first,
-    which adds exactly); numpy's cumsum adds in sequence, so every value has
-    the bits of one cumsum over all of [1, k_max].
-    """
-    size = min(k_max, _LEMMA_BLOCK)
-    k, lhs, terms, sums, *own = workers._WORKSPACE.take(
-        size, size, size + 1, size + 1, *(-(-size * np.dtype(t).itemsize // 8) for t in extra))
-    own = [b.view(t)[:size] for b, t in zip(own, extra)]
-    terms[:size] = 1.0
-    np.cumsum(terms[:size], out=k)  # 1.0 to size, exact
-    sums[-1] = 0.0  # the carry: 0.0, then the last sum of each (full) block
-    for lo in range(0, k_max, size):
-        n = min(size, k_max - lo)
-        kb, lb, tb, sb = k[:n], lhs[:n], terms[: n + 1], sums[: n + 1]
-        np.log(kb, out=lb)
-        np.multiply(kb, lb, out=lb)
-        np.subtract(lb, kb, out=lb)
-        tb[0] = sums[-1]
-        np.subtract(kb, 0.5, out=tb[1:])
-        np.log(tb[1:], out=tb[1:])
-        np.cumsum(tb, out=sb)
-        yield (kb, lb, sb[1:], *(b[:n] for b in own))
-        k += size
 
 
 def lemma_scan(k_max: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -75,13 +41,15 @@ def lemma_scan(k_max: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     ring-radius construction inside its power budget. The three arrays
     returned take 24 bytes per k, as they must; to check the bound and keep
     a few rows, `lemma_audit` walks the same values in fixed-size blocks.
+    Each term j + 1/2 is k - 1/2; rhs comes first, so at most three k_max-long
+    arrays are alive at once (24 MB at k_max = 10**6).
     """
     k_max = integer("k_max", k_max, 1, 2**63 - 2)  # ks are int64
-    ks, lhs, rhs = np.arange(1, k_max + 1, dtype=np.int64), np.empty(k_max), np.empty(k_max)
-    lo = 0
-    for k, lb, rb in _lemma_chunks(k_max):
-        lhs[lo : lo + len(k)], rhs[lo : lo + len(k)] = lb, rb
-        lo += len(k)
+    ks = np.arange(1, k_max + 1, dtype=np.int64)
+    rhs = np.cumsum(np.log(ks - 0.5))
+    lhs = np.log(ks)
+    lhs *= ks
+    lhs -= ks
     return ks, lhs, rhs
 
 
@@ -92,23 +60,40 @@ def lemma_audit(
 
     Returns (rows, ok): one (k, lhs, rhs, rhs - lhs) row of `lemma_scan`'s
     values per k of the ascending `keep`, and whether the bound held at
-    every k. The check runs in one block-sized buffer and mask that come
-    with the walk's and are reused for the whole walk, so memory stays
-    fixed for any k_max.
+    every k. The walk takes _LEMMA_BLOCK values of k (a double, exact to
+    2**53) at a time. rhs carries across blocks as the first term of each
+    block's cumsum (0.0 before the first, which adds exactly), and numpy's
+    cumsum adds in sequence: the bits of `lemma_scan`'s. Once summed, the
+    terms hold bound - lhs, >= 0 exactly where lhs <= bound (NaN is neither).
     """
     k_max = integer("k_max", k_max, 1, 2**53)  # k is an exact double
-    rows, ok, lo = [], True, 0
-    for k, lhs, rhs, bound, holds in _lemma_chunks(k_max, np.float64, np.bool_):
-        n = len(k)
-        np.abs(rhs, out=bound)
-        np.multiply(rtol, bound, out=bound)
-        np.add(rhs, bound, out=bound)
-        ok &= bool(np.less_equal(lhs, bound, out=holds).all())
+    size = min(k_max, _LEMMA_BLOCK)
+    k, lhs, terms, sums = workers._WORKSPACE.take(size, size, size + 1, size + 1)
+    terms[:size] = 1.0
+    np.cumsum(terms[:size], out=k)  # 1.0 to size, exact
+    sums[-1] = 0.0  # the carry: 0.0, then the last sum of each (full) block
+    rows, ok = [], True
+    for lo in range(0, k_max, size):
+        n = min(size, k_max - lo)
+        kb, lb, tb, sb = k[:n], lhs[:n], terms[: n + 1], sums[: n + 1]
+        np.log(kb, out=lb)
+        lb *= kb
+        lb -= kb
+        tb[0] = sums[-1]
+        np.subtract(kb, 0.5, out=tb[1:])
+        np.log(tb[1:], out=tb[1:])
+        np.cumsum(tb, out=sb)
+        rhs, margin = sb[1:], tb[1:]
+        np.abs(rhs, out=margin)
+        np.multiply(rtol, margin, out=margin)
+        margin += rhs
+        margin -= lb
+        ok &= float(margin.min()) >= 0.0
         for kk in keep:
             if lo < kk <= lo + n:
                 i = kk - lo - 1
-                rows.append((kk, lhs[i], rhs[i], rhs[i] - lhs[i]))
-        lo += n
+                rows.append((kk, lb[i], rhs[i], rhs[i] - lb[i]))
+        k += size
     return rows, ok
 
 
@@ -125,8 +110,10 @@ def point_set_cf(points: np.ndarray, t_points: np.ndarray) -> np.ndarray:
     `.mean(axis=0)` adds the rows of the whole (M, T) array. Each block's
     phases are its own gemm, which rounds as the rows of one gemm over all
     M points do; a one-row tail would go through gemv and round differently,
-    so it is taken as the last row of a two-row product. With a single t
-    that mean sums pairwise instead, so it is taken whole.
+    so it is taken as the last row of a two-row product. The total starts at
+    0.0, which adds exactly: no term has a -0.0 part (a phase is made +0, and
+    no cosine of a double is 0). With a single t that mean sums pairwise
+    instead, so it is taken whole.
     """
     points = np.asarray(points, dtype=np.float64)
     t_cols = np.asarray(t_points, dtype=np.float64).T
@@ -138,7 +125,7 @@ def point_set_cf(points: np.ndarray, t_points: np.ndarray) -> np.ndarray:
     rows = min(m, _CF_BLOCK)
     phases, buf = workers._WORKSPACE.take(rows * nt, 2 * (rows + 1) * nt)
     phases, buf = phases.reshape(rows, nt), buf.view(np.complex128).reshape(rows + 1, nt)
-    total = None
+    total = 0.0
     for lo in range(0, m, rows):
         hi = min(lo + rows, m)
         if lo and hi - lo == 1:
@@ -151,11 +138,8 @@ def point_set_cf(points: np.ndarray, t_points: np.ndarray) -> np.ndarray:
         np.copyto(terms.real, 0.0)
         np.add(block, 0.0, out=terms.imag)
         np.exp(terms, out=terms)
-        if total is None:
-            total = terms.sum(axis=0)
-        else:
-            buf[0] = total
-            total = buf[: len(block) + 1].sum(axis=0)
+        buf[0] = total
+        total = buf[: len(block) + 1].sum(axis=0)
     return total / m
 
 

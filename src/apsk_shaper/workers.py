@@ -5,8 +5,8 @@ Every thread keeps one workspace (`_Workspace`): flat float buffers on
 across calls, so a run of calls does not fault the same pages in again.
 Every bounded-memory walk of the package takes its scratch from it: both
 estimators (`capacity`), `min_distance`'s pair blocks
-(`constellations._closest`), and the lemma walk and CF blocks of the
-convergence audits. Each looks it up as `workers._WORKSPACE` at call time,
+(`constellations._closest`), `lemma_audit`'s walk and `point_set_cf`'s
+blocks. Each looks it up as `workers._WORKSPACE` at call time,
 so a test can swap it in one place.
 
 Monte Carlo's strata run on the calling thread and on helper threads, one

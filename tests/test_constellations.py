@@ -352,6 +352,12 @@ class TestMetrics:
         d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2)
         d2[np.tril_indices(m)] = np.inf
         assert min_distance(c) == float(np.sqrt(d2.min()))
+        rows = max(1, min(m - 1, 580 // m))
+        # a duplicate within the first block of rows, and one across two blocks
+        for i, j in [(0, rows - 1)] * (rows > 1) + [(rows - 1, rows)] * (rows < m - 1):
+            dup = np.array(pts)
+            dup[j] = dup[i]
+            assert min_distance(Constellation("dup", SQUARE_QAM, 1, 1.0, dup)) == 0.0
 
     @pytest.mark.parametrize("far", [1e150, 1.0])
     def test_min_distance_of_a_pair_far_below_the_largest_coordinate(self, far):

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -71,12 +72,28 @@ class TestLemma:
         assert lhs.tobytes() == (whole * np.log(whole) - whole).tobytes()
         assert rhs.tobytes() == np.cumsum(np.log(np.arange(k_max) + 0.5)).tobytes()
 
+    def test_memory_is_three_arrays(self):
+        # ks, lhs and rhs take 24 MB at k_max = 10**6; building rhs last,
+        # from a fresh range, peaked at 32 MB
+        lemma_scan(10)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            lemma_scan(10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 26e6
+
 
 class TestLemmaAudit:
-    @pytest.mark.parametrize("k_max", [1, convergence._LEMMA_BLOCK + 1, 100_000])
+    @pytest.mark.parametrize("k_max", [1, convergence._LEMMA_BLOCK + 1, 100_000, 10**6])
     def test_rows_have_the_bits_of_the_scan(self, k_max):
         _, lhs, rhs = lemma_scan(k_max)
-        keep = sorted({1, max(1, k_max // 2), min(convergence._LEMMA_BLOCK, k_max), k_max})
+        block = convergence._LEMMA_BLOCK
+        # the last k of every block and the first of the next, across the carry
+        edges = {k for j in range(1, k_max // block + 1) for k in (j * block, j * block + 1)}
+        keep = sorted({1, max(1, k_max // 2), k_max} | {k for k in edges if k <= k_max})
         rows, ok = convergence.lemma_audit(k_max, keep, 1e-9)
         assert ok
         assert [row[0] for row in rows] == keep
@@ -88,6 +105,8 @@ class TestLemmaAudit:
         # rhs - |rhs| < lhs at k = 1, where both sides are negative
         rows, ok = convergence.lemma_audit(10, [], -1.0)
         assert (rows, ok) == ([], False)
+        # a NaN bound holds nowhere
+        assert convergence.lemma_audit(10, [], math.nan) == ([], False)
 
     def test_rejects_zero(self):
         with pytest.raises(DomainError):

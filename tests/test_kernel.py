@@ -180,12 +180,12 @@ class TestBlocks:
         assert other == [0]
 
     def test_audits_reuse_a_warm_workspace(self, monkeypatch):
-        # min_distance's pair blocks (1.5 MB at box_muller n=48) and their
-        # mask, the lemma walk (1.3 MB) and the CF blocks take the thread's
-        # workspace: a second call allocates only its results and, for the
-        # CF scan, the constellations it builds (two point arrays each, 128
-        # kB at n=64). At n=16 a fresh mask of the 255 x 255 pairs per block
-        # took 65 kB of the 106 kB
+        # min_distance's pair blocks (1.5 MB at box_muller n=48), the lemma
+        # walk (1.05 MB) and the CF blocks take the thread's workspace: a
+        # second call allocates only its results and, for the CF scan, the
+        # constellations it builds (two point arrays each, 128 kB at n=64).
+        # At n=16 a fresh np.tri mask of the 255 x 255 pairs per block took
+        # 65 kB of the 106 kB
         monkeypatch.setattr(workers, "_WORKSPACE", workers._Workspace())
         c, small = make_constellation("box_muller", 48), make_constellation("box_muller", 16)
         build = peak_of(lambda: make_constellation("box_muller", 64))
