@@ -171,8 +171,8 @@ def _log_partition(lhs, rhs, clip, block, out):
     `out`, so every step runs over contiguous columns. `clip` is
     `_clip_can_bite` of the block. A one-row matmul goes through gemv,
     which rounds differently from gemm, and gemm on OpenBLAS's FMA kernel
-    rounded some rows differently once 3*M*n passed 10**6 (see
-    `_mc_stratum`), so a row's bits depend on the block it was formed in.
+    rounded some rows differently once 3*M*n passed 10**6, so a row's bits
+    depend on its block; `_mc_stratum` forms each row in just one block.
 
     No max is subtracted: the j = i exponent is exactly 0 (d and |d|^2 are
     0 there), which is what `logsumexp_rows` needs, and no exponent exceeds
@@ -202,11 +202,11 @@ def _clip_can_bite(noise2, reach, n0) -> bool:
 def _block_rows(m: int) -> int:
     """Monte Carlo's rows n per block, at least two (see `_mc_stratum`).
 
-    A block's M*n exponents and its (3, n) operand share _BLOCK_ELEMENTS
-    doubles: at M=4 that is 18,724 rows in 1.0 MB, where the exponents
-    alone filled it with 32,768 rows and the operand took 0.75 MB more.
+    A block's M*n exponents and (3, n) operand, with a row more when a lone
+    last row joins it, share _BLOCK_ELEMENTS doubles: at M=4 n is 18,723
+    rows in 1.0 MB, where the exponents alone filled it with 32,768 rows.
     """
-    return max(2, _BLOCK_ELEMENTS // (m + 3))
+    return max(2, _BLOCK_ELEMENTS // (m + 3) - 1)
 
 
 def gaussian_capacity(snr) -> float:
@@ -399,20 +399,19 @@ def _mc_stratum(pts, i, count, seed, n0) -> tuple:
     M2), each chunk of at most _MC_CHUNK_ROWS draws merged into them in
     chunk order. The (M, 3) operand is folded with -1/N0 once (`_folded`),
     and a chunk's draws go through `_log_partition` in blocks of
-    n = _block_rows(M) rows, whose M*n exponents and (3, n) operand take
-    at most _BLOCK_ELEMENTS doubles together. Each block's rows are drawn
-    into the front of the thread's block buffer and written, scaled and
-    transposed, into the operand before its product overwrites that
-    memory; the stream is consumed in row order, as one draw per chunk
-    consumed it. A one-row matmul goes through gemv, which rounds
-    differently from gemm, so no block has one row unless the chunk has: a
-    one-row tail starts a row early, at the last row of the block before,
-    still in the operand, and forms that row again. A row's bits are fixed by the chunk's draws, M,
-    _BLOCK_ELEMENTS and the gemm kernel. Measured against n (2 to 4,000
-    rows on 2 to 300 points), they kept their bits on OpenBLAS's SandyBridge
-    and Prescott kernels at every width, and on its FMA kernel up to
-    3*M*n = 10**6 (the default budget keeps it below 4e5); past that, gemm
-    rounded 1 to 3 rows of some widths differently.
+    n = _block_rows(M) rows, a lone last row joined to the block before
+    (`workers._blocks`): every row is formed once, and no block has one row
+    (gemv, which rounds differently from gemm) unless the chunk has. A
+    block's exponents and operand take at most _BLOCK_ELEMENTS doubles
+    together. Each block's rows are drawn into the front of the thread's
+    block buffer and written, scaled and transposed, into the operand
+    before its product overwrites that memory; the stream is consumed in
+    row order, as one draw per chunk consumed it. A row's bits are fixed by
+    the chunk's draws, M, _BLOCK_ELEMENTS and the gemm kernel. Measured
+    against n (2 to 4,000 rows on 2 to 300 points), they kept their bits
+    on OpenBLAS's SandyBridge and Prescott kernels at every width, and on
+    its FMA kernel up to 3*M*n = 10**6 (the default budget keeps it below
+    4e5); past that, gemm rounded 1 to 3 rows of some widths differently.
     """
     rng = np.random.Generator(np.random.Philox(key=seed, counter=[0, i, 0, 0]))
     m = len(pts)
@@ -425,22 +424,18 @@ def _mc_stratum(pts, i, count, seed, n0) -> tuple:
     log_m = math.log(m)
     step = _block_rows(m)
     chunk = min(count, _MC_CHUNK_ROWS)
+    width = min(step + 1, chunk)  # the most rows a block has
     # a block of n rows holds their 2n doubles of noise, then n*M exponents
-    rows, block, operand = workers._WORKSPACE.take(chunk, min(step, chunk) * max(m, 2),
-                                                   3 * min(step, chunk))
+    rows, block, operand = workers._WORKSPACE.take(chunk, width * max(m, 2), 3 * width)
+    rhs = operand.reshape(3, width)
+    rhs[2] = 1.0
     acc, moments = 0.0, (0.0, 0.0, 0.0)
     for first in range(0, count, _MC_CHUNK_ROWS):
         k = min(count - first, _MC_CHUNK_ROWS)
-        width = min(step, k)
-        rhs = operand[: 3 * width].reshape(3, width)
-        rhs[2] = 1.0
         g = rows[:k]
-        for s in range(0, k, step):
-            lo, hi = max(0, min(s, k - 2)), min(s + step, k)
-            if lo < s:  # a one-row tail: its row before ended a full block
-                rhs[:2, 0] = rhs[:2, width - 1]
-            noise2 = rng.standard_normal(out=block[: 2 * (hi - s)].reshape(-1, 2))
-            np.multiply(noise2.T, scale, out=rhs[:2, s - lo : hi - lo])
+        for lo, hi in workers._blocks(k, step):
+            noise2 = rng.standard_normal(out=block[: 2 * (hi - lo)].reshape(-1, 2))
+            np.multiply(noise2.T, scale, out=rhs[:2, : hi - lo])
             clip = _clip_can_bite(rhs[:2, : hi - lo], reach, n0)
             _log_partition(lhs, rhs[:, : hi - lo], clip, block, g[lo:hi])
         np.subtract(log_m, g, out=g)

@@ -29,8 +29,8 @@ DEFAULT_T_VALUES = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
 # this many doubles (k, lhs, the terms and their cumsum), reused for the
 # whole call: 1.05 MB in all
 _LEMMA_BLOCK = 1 << 15
-# points per CF block: their phases go to a reused (256, T) float64 buffer and
-# their exponentials to a (257, T) complex one, 300 kB on the default grid
+# points per CF block, and a lone last one: their phases go to a reused (257, T)
+# float64 buffer, their exponentials to a (258, T) complex one, 300 kB in all
 _CF_BLOCK = 256
 
 
@@ -109,11 +109,11 @@ def point_set_cf(points: np.ndarray, t_points: np.ndarray) -> np.ndarray:
     starting from the running total, which is the order in which
     `.mean(axis=0)` adds the rows of the whole (M, T) array. Each block's
     phases are its own gemm, which rounds as the rows of one gemm over all
-    M points do; a one-row tail would go through gemv and round differently,
-    so it is taken as the last row of a two-row product. The total starts at
-    0.0, which adds exactly: no term has a -0.0 part (a phase is made +0, and
-    no cosine of a double is 0). With a single t that mean sums pairwise
-    instead, so it is taken whole.
+    M points do; a lone last point joins the block before it, as a one-row
+    product would go through gemv (`workers._blocks`). The total starts at
+    0.0, which adds exactly: no term has a -0.0 part (a phase is made +0,
+    and no cosine of a double is 0). With a single t that mean sums
+    pairwise instead, so it is taken whole.
     """
     points = np.asarray(points, dtype=np.float64)
     t_cols = np.asarray(t_points, dtype=np.float64).T
@@ -122,24 +122,20 @@ def point_set_cf(points: np.ndarray, t_points: np.ndarray) -> np.ndarray:
         raise DomainError("the CF of an empty point set is undefined")
     if nt < 2:
         return np.exp(1j * (points @ t_cols)).mean(axis=0)
-    rows = min(m, _CF_BLOCK)
+    rows = min(m, _CF_BLOCK + 1)
     phases, buf = workers._WORKSPACE.take(rows * nt, 2 * (rows + 1) * nt)
     phases, buf = phases.reshape(rows, nt), buf.view(np.complex128).reshape(rows + 1, nt)
     total = 0.0
-    for lo in range(0, m, rows):
-        hi = min(lo + rows, m)
-        if lo and hi - lo == 1:
-            block = np.matmul(points[lo - 1 : hi], t_cols, out=phases[:2])[1:]
-        else:
-            block = np.matmul(points[lo:hi], t_cols, out=phases[: hi - lo])
-        terms = buf[1 : len(block) + 1]
+    for lo, hi in workers._blocks(m, _CF_BLOCK):
+        block = np.matmul(points[lo:hi], t_cols, out=phases[: hi - lo])
+        terms = buf[1 : hi - lo + 1]
         # the bits of 1j * block (a -0 phase turns +0), which cast through a
         # 100 kB buffer per block
         np.copyto(terms.real, 0.0)
         np.add(block, 0.0, out=terms.imag)
         np.exp(terms, out=terms)
         buf[0] = total
-        total = buf[: len(block) + 1].sum(axis=0)
+        total = buf[: hi - lo + 1].sum(axis=0)
     return total / m
 
 

@@ -13,6 +13,7 @@ from .constellations import Constellation, validate_constellation
 from .errors import DomainError
 
 _KEYS = ("label", "family", "n", "power", "points")
+_NUMBERS = frozenset((int, float))  # exact types: json's true and false are bool
 
 
 def dumps_constellation(c: Constellation) -> str:
@@ -71,10 +72,8 @@ def loads_constellation(text: str) -> Constellation:
         raise DomainError("label must be a string")
     if not isinstance(family, str):
         raise DomainError("family must be a string")
-    if not isinstance(raw_points, list) or not all(
-        isinstance(p, list)
-        and len(p) == 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in p)
+    if type(raw_points) is not list or not all(
+        type(p) is list and len(p) == 2 and type(p[0]) in _NUMBERS and type(p[1]) in _NUMBERS
         for p in raw_points
     ):
         raise DomainError("points must be a list of [x, y] number pairs")

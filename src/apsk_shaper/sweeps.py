@@ -1,7 +1,8 @@
 """Rate-sweep rows and CSV rendering for the command-line front end."""
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Iterable, List, Sequence
 
 from .capacity import (
@@ -127,4 +128,4 @@ def render_table(columns: Sequence[str], rows: Iterable[Sequence]) -> str:
 
 def render_csv(rows: Iterable[SweepRow]) -> str:
     """CSV text with the fixed column list, one line per row."""
-    return render_table(CSV_COLUMNS, (astuple(r) for r in rows))
+    return render_table(CSV_COLUMNS, map(attrgetter(*(f.name for f in fields(SweepRow))), rows))

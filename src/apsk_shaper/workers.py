@@ -73,6 +73,15 @@ class _Workspace(threading.local):
 
 _WORKSPACE = _Workspace()
 
+
+def _blocks(count: int, size: int):
+    """(lo, hi) of each block of `size` >= 2 rows over `count`, a lone last
+    row joined to the block before, for the gemm walks of Monte Carlo and
+    the CF: only a walk of one row has a one-row block, which goes through gemv."""
+    ends = range(size, count - 1, size)
+    return zip((0, *ends), (*ends, count))
+
+
 _pool = None  # (helper count, the SimpleQueue its helpers serve), made on first use
 _pool_lock = threading.Lock()
 

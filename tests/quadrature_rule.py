@@ -20,9 +20,9 @@ def log_partition(noise2, diff, sq, n0):
 
     `diff` is (M, 2) of x_i - x_j and `sq` (M,) of |x_i - x_j|^2, folded
     with -1/N0 as a stratum folds them. The rows go through the one-block
-    kernel in blocks of `_block_rows(M)`, each with its own clip gate, as
-    Monte Carlo's strata walk them; a one-row tail is a block of its own
-    here.
+    kernel in blocks of `_block_rows(M)`, each with its own clip gate; a
+    lone last row is a block of its own here, where Monte Carlo's strata
+    join it to the block before (`workers._blocks`).
     """
     k, m = len(noise2), len(diff)
     lhs = capacity._folded(diff, sq, n0)

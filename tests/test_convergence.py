@@ -3,6 +3,7 @@
 import cmath
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -164,7 +165,7 @@ class TestEmpiricalCf:
         values = point_set_cf(box_muller_apsk(7).points, grid)
         assert np.all(np.abs(values) <= 1 + 1e-12)
 
-    # a one-row tail (257, 513 points) takes its phases from a two-row gemm (2)
+    # a lone last point (257, 513 points) joins the block before it
     @pytest.mark.parametrize("m", [1, 2, 255, 256, 257, 513, 1000])
     @pytest.mark.parametrize("t_count", [1, 2, 49])
     def test_blocks_have_the_bits_of_one_mean(self, m, t_count):
@@ -172,6 +173,25 @@ class TestEmpiricalCf:
         pts, t = rng.standard_normal((m, 2)), 2.0 * rng.standard_normal((t_count, 2))
         whole = np.exp(1j * (pts @ t.T)).mean(axis=0)
         assert point_set_cf(pts, t).tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("blocks", [1, 2])
+    def test_every_point_is_in_one_block(self, monkeypatch, blocks):
+        # 257 and 513 points: the lone last point joins the block before it,
+        # so no phase is formed twice and no block has one point (gemv)
+        m = blocks * convergence._CF_BLOCK + 1
+        pts = np.random.default_rng(m).standard_normal((m, 2))
+        spans = []
+
+        def matmul(a, b, out):
+            lo = (a.ctypes.data - pts.ctypes.data) // pts.strides[0]
+            spans.append((lo, lo + len(a)))
+            return np.matmul(a, b, out=out)
+
+        monkeypatch.setattr(convergence, "np", SimpleNamespace(**{**vars(np), "matmul": matmul}))
+        point_set_cf(pts, default_t_grid())
+        assert [r for lo, hi in spans for r in range(lo, hi)] == list(range(m))
+        assert len(spans) == blocks
+        assert min(hi - lo for lo, hi in spans) >= 2
 
     @pytest.mark.parametrize("t_count", [1, 49])
     def test_rejects_an_empty_set(self, t_count):

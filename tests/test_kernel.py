@@ -71,12 +71,12 @@ def record_blocks(monkeypatch):
     return blocks
 
 
-def stratum_rows(monkeypatch, pts, count):
+def stratum_rows(monkeypatch, pts, count, spans=None):
     """Run `count` draws of point 0 through `_mc_stratum` in one chunk.
 
-    Returns the bytes of every row's log-partition, as the blocks left it
-    (a one-row tail's block writes the row before it again), and of the
-    stratum's sum and moments.
+    Returns the bytes of every row's log-partition, as its block left it,
+    and of the stratum's sum and moments. Each block's (lo, hi) rows are
+    appended to `spans`, when given, in the order the walk forms them.
     """
     rows, base = np.full(count, np.nan), []
     inner = capacity._log_partition
@@ -87,6 +87,8 @@ def stratum_rows(monkeypatch, pts, count):
             base.append(out.ctypes.data)  # the chunk's row 0
         lo = (out.ctypes.data - base[0]) // out.itemsize
         rows[lo : lo + len(out)] = out
+        if spans is not None:
+            spans.append((lo, lo + len(out)))
         return got
 
     monkeypatch.setattr(capacity, "_log_partition", recording)
@@ -104,14 +106,15 @@ class TestBlocks:
         pts = np.random.default_rng(k * m).standard_normal((m, 2))
         want = stratum_rows(monkeypatch, pts, k)
         # budgets of 1 and 3 give two-row blocks, so k = 1001 ends in a
-        # one-row tail; M - 1 gives one row per budget and blocks of two.
-        # A block of n rows takes (M + 3)*n of the budget. Blocks of 300 and
-        # 655 rows moved a row's last bit when the exponents were a two-term
-        # product and a separate add. With the folded (M, 3) operand, every
-        # width of 2 to 1,001 rows kept the bits here (and of 2 to 4,000 on
-        # 16 to 300 points) on the FMA kernel, SandyBridge and Prescott, up
-        # to 3*M*width = 10**6 on FMA (see _mc_stratum)
-        for budget in (1, 3, m - 1, 300 * (m + 3), 655 * (m + 3)):
+        # block of three, its lone last row joined; M - 1 gives one row per
+        # budget and blocks of two. Blocks of n rows take (M + 3)*(n + 1) of
+        # the budget, room for a joined row. Blocks of 300 and 655 rows
+        # moved a row's last bit when the exponents were a two-term product
+        # and a separate add. With the folded (M, 3) operand, every width of
+        # 2 to 1,001 rows kept the bits here (and of 2 to 4,000 on 16 to 300
+        # points) on the FMA kernel, SandyBridge and Prescott, up to
+        # 3*M*width = 10**6 on FMA (see _mc_stratum)
+        for budget in (1, 3, m - 1, 301 * (m + 3), 656 * (m + 3)):
             monkeypatch.setattr(capacity, "_BLOCK_ELEMENTS", budget)
             assert stratum_rows(monkeypatch, pts, k) == want, budget
 
@@ -129,13 +132,28 @@ class TestBlocks:
 
     def test_mc_blocks_stay_within_budget(self, monkeypatch):
         c = make_constellation("box_muller", 8)
+        step = capacity._block_rows(c.M)
         blocks = record_blocks(monkeypatch)
-        mi_monte_carlo(c, SnrSpec.from_db(10.0), 64 * 5000, 1)
+        # two blocks per point, the second with a lone last row joined
+        mi_monte_carlo(c, SnrSpec.from_db(10.0), c.M * (2 * step + 1), 1)
         assert {m for _, m in blocks} == {c.M}
+        assert max(size // c.M for size, _ in blocks) == step + 1
         # a block's exponents and its (3, n) operand share the budget
         assert max(size // c.M * (c.M + 3) for size, _ in blocks) <= capacity._BLOCK_ELEMENTS
-        # 5000 draws per point make more than one block each
-        assert len(blocks) > c.M
+        assert len(blocks) == 2 * c.M
+
+    @pytest.mark.parametrize("blocks", [0, 1, 2])
+    def test_every_row_is_formed_once(self, monkeypatch, blocks):
+        # 1, step + 1 and 2*step + 1 draws: a lone last row joins the block
+        # before it, so no row is formed twice and no block has one row
+        # (gemv) unless the walk has
+        pts = np.random.default_rng(blocks).standard_normal((16, 2))
+        k = blocks * capacity._block_rows(16) + 1
+        spans = []
+        stratum_rows(monkeypatch, pts, k, spans)
+        assert [r for lo, hi in spans for r in range(lo, hi)] == list(range(k))
+        assert len(spans) == max(blocks, 1)
+        assert min(hi - lo for lo, hi in spans) >= min(k, 2)
 
     def test_mc_scratch_starts_on_cache_lines(self, monkeypatch):
         offsets = []
@@ -468,12 +486,13 @@ class TestWorkers:
         # (family, n, samples, budget per worker), each from cold workspaces.
         # At box_muller n=2 each worker holds a 0.5 MB row buffer, a 0.6 MB
         # exponent block (its front the block's noise) and its 0.45 MB
-        # (3, 18724) operand, block and operand within one 1 MB budget: about
-        # 1.58 MB (2.37 MB when the block alone filled the budget and the
-        # operand came on top). qam n=2 draws 25,000 per point: the same
-        # block and operand and 0.2 MB of rows, about 1.26 MB. At box_muller
-        # n=8 the 1 MB block of 1,956 rows dominates: about 1.12 MB. At qam
-        # n=32 with one draw per point each stratum's (M, 3) operand and
+        # (3, 18724) operand, room for 18,723 rows and a joined last one,
+        # block and operand within one 1 MB budget: about 1.58 MB (2.37 MB
+        # when the block alone filled the budget and the operand came on
+        # top). qam n=2 draws 25,000 per point: the same block and operand
+        # and 0.2 MB of rows, about 1.26 MB. At box_muller n=8 the 1 MB
+        # block of 1,955 rows and a joined one dominates: about 1.12 MB. At
+        # qam n=32 with one draw per point each stratum's (M, 3) operand and
         # differences dominate, with the call's per-point sums and moments:
         # about 0.12 MB (0.19 MB with a window of 64 pending strata per worker)
         cases = [("box_muller", 2, 10**6, 1.7e6), ("qam", 2, 10**5, 1.35e6),

@@ -117,6 +117,26 @@ def test_reader_rejects_a_field_of_the_wrong_type(key, value):
     _reject(doc, f"{key} must be")
 
 
+@pytest.mark.parametrize(
+    "point",
+    [[True, 0.0], [0.0, False], [0.0, "1"], [None, 0.0], [[0.0], 0.0], [0.0], [0.0, 0.0, 0.0],
+     0.0, "xy", {"x": 0.0, "y": 0.0}],
+    ids=["true", "false", "str", "null", "nested-list", "one-element", "three-element",
+         "number", "string", "object"],
+)
+def test_reader_rejects_a_point_that_is_not_a_number_pair(point):
+    doc = _doc(box_muller_apsk(2))
+    doc["points"][2] = point
+    _reject(doc, r"points must be a list of \[x, y\] number pairs")
+
+
+@pytest.mark.parametrize("points", [{"0": [0.0, 0.0]}, "points", None], ids=["object", "str", "null"])
+def test_reader_rejects_points_that_are_not_a_list(points):
+    doc = _doc(box_muller_apsk(2))
+    doc["points"] = points
+    _reject(doc, "points must be a list")
+
+
 def test_reader_rejects_a_coordinate_too_large_for_a_double():
     doc = _doc(box_muller_apsk(2))
     doc["points"][0][0] = HUGE
