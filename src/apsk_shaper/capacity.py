@@ -60,10 +60,9 @@ representatives (`_grid_mi`) share differences, pruning masks, logs and
 weighted sums, chunks of their kept columns A and B, and only S is per
 representative. Monte Carlo always draws for every point and never reads
 the split: it is the independent check on both shortcuts. Its strata run
-on the calling thread and on helper threads (`workers._run_strata`), each
-drawing from its own Philox stream and merging its own moments into one
-row, and the rows are merged in point order, so the value and std_error
-have the same bits for any number of threads.
+on the calling thread and helper threads (`workers._run_strata`), each
+drawing its own Philox stream into one (sum, M2) row, pooled in closed
+form: the value and std_error have the same bits at any thread count.
 
 Both estimators take their scratch from the calling thread's kept
 workspace, `workers._WORKSPACE`; the pool of helper threads waits for the
@@ -383,35 +382,27 @@ def mi_quadrature(c: Constellation, snr, order: int = DEFAULT_ORDER) -> MiEstima
     return MiEstimate(_finish_value(value, c.M), "quadrature", 0.0)
 
 
-def _merge_moments(state, count, mean, m2):
-    n_a, mean_a, m2_a = state
-    n = n_a + count
-    delta = mean - mean_a
-    mean_out = mean_a + delta * (count / n)
-    m2_out = m2_a + m2 + delta * delta * (n_a * count / n)
-    return n, mean_out, m2_out
-
-
 def _mc_stratum(pts, i, count, seed, n0) -> tuple:
     """`count` draws for transmitted point i from Philox at counter [0, i, 0, 0].
 
-    Returns the sum of the per-draw contributions and their (draws, mean,
-    M2), each chunk of at most _MC_CHUNK_ROWS draws merged into them in
-    chunk order. The (M, 3) operand is folded with -1/N0 once (`_folded`),
-    and a chunk's draws go through `_log_partition` in blocks of
-    n = _block_rows(M) rows, a lone last row joined to the block before
-    (`workers._blocks`): every row is formed once, and no block has one row
-    (gemv, which rounds differently from gemm) unless the chunk has. A
-    block's exponents and operand take at most _BLOCK_ELEMENTS doubles
-    together. Each block's rows are drawn into the front of the thread's
-    block buffer and written, scaled and transposed, into the operand
-    before its product overwrites that memory; the stream is consumed in
-    row order, as one draw per chunk consumed it. A row's bits are fixed by
-    the chunk's draws, M, _BLOCK_ELEMENTS and the gemm kernel. Measured
-    against n (2 to 4,000 rows on 2 to 300 points), they kept their bits
-    on OpenBLAS's SandyBridge and Prescott kernels at every width, and on
-    its FMA kernel up to 3*M*n = 10**6 (the default budget keeps it below
-    4e5); past that, gemm rounded 1 to 3 rows of some widths differently.
+    Returns (sum, M2) of the per-draw contributions. Chunks of at most
+    _MC_CHUNK_ROWS draws add in order, a chunk of k adding its own M2 and
+    delta**2 * first*k/(first + k), delta its mean less that of the `first`
+    draws before it (Chan, Golub and LeVeque). The (M, 3) operand is folded
+    with -1/N0 once (`_folded`), and a chunk's draws go through
+    `_log_partition` in blocks of n = _block_rows(M) rows, a lone last row
+    joined to the block before (`workers._blocks`): every row is formed
+    once, and no block has one row (gemv, which rounds differently from
+    gemm) unless the chunk has. A block's exponents and operand take at most
+    _BLOCK_ELEMENTS doubles together. Each block's rows are drawn into the
+    front of the thread's block buffer and written, scaled and transposed,
+    into the operand before its product overwrites that memory; the stream
+    is consumed in row order. A row's bits are fixed by the chunk's draws,
+    M, _BLOCK_ELEMENTS and the gemm kernel. Measured against n (2 to 4,000
+    rows on 2 to 300 points), they kept their bits on OpenBLAS's SandyBridge
+    and Prescott kernels at every width, and on its FMA kernel up to 3*M*n =
+    10**6 (the default budget keeps it below 4e5); past that, gemm rounded 1
+    to 3 rows of some widths differently.
     """
     rng = np.random.Generator(np.random.Philox(key=seed, counter=[0, i, 0, 0]))
     m = len(pts)
@@ -429,7 +420,7 @@ def _mc_stratum(pts, i, count, seed, n0) -> tuple:
     rows, block, operand = workers._WORKSPACE.take(chunk, width * max(m, 2), 3 * width)
     rhs = operand.reshape(3, width)
     rhs[2] = 1.0
-    acc, moments = 0.0, (0.0, 0.0, 0.0)
+    acc, m2 = 0.0, 0.0
     for first in range(0, count, _MC_CHUNK_ROWS):
         k = min(count - first, _MC_CHUNK_ROWS)
         g = rows[:k]
@@ -441,12 +432,15 @@ def _mc_stratum(pts, i, count, seed, n0) -> tuple:
         np.subtract(log_m, g, out=g)
         g /= LN2
         total = float(g.sum())
-        acc += total
         gm = total / k  # the bits of g.mean()
         g -= gm
         g *= g
-        moments = _merge_moments(moments, float(k), gm, float(g.sum()))
-    return (acc, *moments)
+        m2 += float(g.sum())
+        if first:  # the `first` draws before it have mean acc / first
+            delta = gm - acc / first
+            m2 += delta * delta * (first * k / (first + k))
+        acc += total
+    return acc, m2
 
 
 def mi_monte_carlo(c: Constellation, snr, samples: int, seed: int) -> MiEstimate:
@@ -460,14 +454,13 @@ def mi_monte_carlo(c: Constellation, snr, samples: int, seed: int) -> MiEstimate
     points (strata) run on the calling thread and a module-level pool of
     helper threads, one thread per available core in all, made on the first
     call that needs helpers and shared by every later one (`workers`); each
-    thread reuses its own scratch across strata and calls. Each stratum
-    merges its chunks' moments into one row of (sum, draws, mean, M2)
-    (Chan, Golub and LeVeque's pairwise update), and the rows are merged in
-    point order: the bits do not depend on the thread count or on other
-    calls, and the call keeps O(M) state. The value is the mean of the
-    stratum means over the points that receive a draw; std_error is the
-    sample standard deviation of the per-draw contributions divided by
-    sqrt(samples).
+    thread reuses its own scratch across strata and calls. The strata's
+    (sum, M2) rows (`_mc_stratum`) pool in closed form, M2 = sum_i M2_i +
+    sum_i n_i (m_i - m)**2 for n_i draws of mean m_i, m that of all draws,
+    by elementwise products and sums: no thread count moves the bits, and the
+    call keeps O(M) state. The value is the mean of the stratum means over
+    the points that receive a draw; std_error is the sample standard
+    deviation of the per-draw contributions divided by sqrt(samples).
     """
     samples = integer("samples", samples, 1, 2**53)  # draws are counted in doubles
     seed = integer("seed", seed, 0, 2**64 - 1)
@@ -475,19 +468,18 @@ def mi_monte_carlo(c: Constellation, snr, samples: int, seed: int) -> MiEstimate
     pts = c._scaled()
     m = len(pts)
     strata = min(samples, m)  # the points that receive a draw come first
-    # (sum, draws, mean, M2) of each stratum, its chunks merged in chunk order
-    rows = np.empty((strata, 4))
+    draws = samples // m + (np.arange(strata) < samples % m)
+    rows = np.empty((strata, 2))  # (sum, M2) of each stratum
 
     def stratum(i):
-        rows[i] = _mc_stratum(pts, i, samples // m + (i < samples % m), seed, n0)
+        rows[i] = _mc_stratum(pts, i, int(draws[i]), seed, n0)
 
     workers._run_strata(strata, stratum)
-    moments = (0.0, 0.0, 0.0)  # pooled per-draw count/mean/M2
-    for lo in range(0, strata, 256):  # a short list at a time
-        for _, k, gm, m2 in rows[lo : lo + 256].tolist():
-            moments = _merge_moments(moments, k, gm, m2)
-    value = float((rows[:, 0] / rows[:, 1]).mean())
-    _, _, m2 = moments
+    sums, m2s = rows.T
+    means = sums / draws
+    value = float(means.mean())
+    # within strata, then between them; no `@`: OpenBLAS threads a long dot
+    m2 = float(m2s.sum() + (draws * np.square(means - sums.sum() / samples)).sum())
     std_error = math.sqrt(m2 / (samples - 1) / samples) if samples > 1 else 0.0
     # sampling noise, not a bug, when too few draws put the mean outside
     cause = f"std_error {std_error:.3g} from {samples} samples; raise --samples"

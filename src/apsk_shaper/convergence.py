@@ -97,11 +97,19 @@ def lemma_audit(
     return rows, ok
 
 
+def _pairs(name: str, rows) -> np.ndarray:
+    """`rows` as a float64 (K, 2) array; any other shape raises DomainError."""
+    a = np.asarray(rows, dtype=np.float64)
+    if a.ndim != 2 or a.shape[1] != 2:
+        raise DomainError(f"{name} must be an array of (x, y) rows, got shape {a.shape}")
+    return a
+
+
 def point_set_cf(points: np.ndarray, t_points: np.ndarray) -> np.ndarray:
     """Characteristic function of the uniform distribution on `points`.
 
-    (1/M) * sum_w exp(i*<t, w>) evaluated at each row of `t_points`; an
-    empty set has none, and raises DomainError.
+    (1/M) * sum_w exp(i*<t, w>) at each row of the (T, 2) `t_points`, for
+    (M, 2) `points`; an empty set, or another shape, raises DomainError.
 
     The phases and their exponentials are formed _CF_BLOCK points at a
     time, in two buffers from the calling thread's workspace (the complex
@@ -115,8 +123,7 @@ def point_set_cf(points: np.ndarray, t_points: np.ndarray) -> np.ndarray:
     and no cosine of a double is 0). With a single t that mean sums
     pairwise instead, so it is taken whole.
     """
-    points = np.asarray(points, dtype=np.float64)
-    t_cols = np.asarray(t_points, dtype=np.float64).T
+    points, t_cols = _pairs("points", points), _pairs("t_points", t_points).T
     m, nt = len(points), t_cols.shape[1]
     if m == 0:
         raise DomainError("the CF of an empty point set is undefined")
@@ -142,10 +149,10 @@ def point_set_cf(points: np.ndarray, t_points: np.ndarray) -> np.ndarray:
 def gaussian_cf(power: float, t_points: np.ndarray) -> np.ndarray:
     """CF of the limiting zero-mean Gaussian with variance P/2 per axis.
 
-    Real-valued, evaluated at each (t1, t2) row of `t_points`.
+    Real-valued, evaluated at each (t1, t2) row of the (T, 2) `t_points`.
     """
     power = positive("power", power)
-    t_points = np.asarray(t_points, dtype=np.float64)
+    t_points = _pairs("t_points", t_points)
     # capped where the exponent passes -750 (exp is 0 there): P |t|^2 stays a double
     sq = np.minimum(np.sum(t_points**2, axis=1), 3000.0 / power)
     return np.exp(-power * sq / 4.0)

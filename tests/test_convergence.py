@@ -230,6 +230,28 @@ class TestGaussianCf:
                 gaussian_cf(power, [(1.0, 0.0)])
 
 
+# a flat (t1, t2) pair raised IndexError in point_set_cf and AxisError in
+# gaussian_cf, and (M, 1) points a matmul ValueError
+@pytest.mark.parametrize(
+    "cf,args",
+    [
+        (point_set_cf, (np.ones((3, 2)), [1.0, 2.0])),
+        (point_set_cf, (np.ones((3, 1)), np.ones((4, 2)))),
+        (point_set_cf, (np.ones((3, 1)), np.ones((1, 2)))),
+        (point_set_cf, (np.ones(2), np.ones((4, 2)))),
+        (point_set_cf, (np.ones((3, 2)), np.ones((4, 3)))),
+        (gaussian_cf, (1.0, [1.0, 2.0])),
+        (gaussian_cf, (1.0, np.ones((4, 3)))),
+        (gaussian_cf, (1.0, np.ones((2, 4, 2)))),
+    ],
+    ids=["flat-t", "m-by-1-points", "m-by-1-points-one-t", "flat-points", "t-by-3",
+         "gaussian-flat-t", "gaussian-t-by-3", "gaussian-3d-t"],
+)
+def test_cfs_reject_arrays_that_are_not_pairs(cf, args):
+    with pytest.raises(DomainError, match=r"array of \(x, y\) rows"):
+        cf(*args)
+
+
 class TestConvergenceScan:
     def test_error_shrinks_with_n(self):
         report = cf_convergence_scan("box_muller", [4, 8, 16, 32, 64])

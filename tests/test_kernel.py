@@ -75,7 +75,7 @@ def stratum_rows(monkeypatch, pts, count, spans=None):
     """Run `count` draws of point 0 through `_mc_stratum` in one chunk.
 
     Returns the bytes of every row's log-partition, as its block left it,
-    and of the stratum's sum and moments. Each block's (lo, hi) rows are
+    and of the stratum's (sum, M2). Each block's (lo, hi) rows are
     appended to `spans`, when given, in the order the walk forms them.
     """
     rows, base = np.full(count, np.nan), []
@@ -529,14 +529,20 @@ class TestWorkers:
         assert peaks[1] <= peaks[0] + 4096, peaks
 
 
-def test_std_error_matches_a_per_draw_recomputation(monkeypatch):
+@pytest.mark.parametrize("count", [1, 2])
+@pytest.mark.parametrize("family,n,samples", [("box_muller", 3, 9 * 250 + 5),
+                                              ("qam", 17, 289 * 2 + 100)])
+def test_std_error_matches_a_per_draw_recomputation(monkeypatch, count, family, n, samples):
     # box_muller n=3 at 10 dB: five points of 251 draws and four of 250, in
-    # chunks of 100, so every point merges three chunks, the last uneven.
-    # The reference draws each point's Philox stream at once and takes a
-    # row-wise log-sum-exp with a max pass, over every draw together
+    # chunks of 100, so every point adds three chunks, the last uneven; qam
+    # n=17: 289 points of 2 or 3 draws, past the 256 strata the pooling once
+    # took at a time. The reference draws each point's Philox stream at once
+    # and takes a row-wise log-sum-exp with a max pass, over every draw
+    # together
     monkeypatch.setattr(capacity, "_MC_CHUNK_ROWS", 100)
-    c, snr = make_constellation("box_muller", 3), SnrSpec.from_db(10.0)
-    samples, seed = 9 * 250 + 5, 13
+    monkeypatch.setattr(workers, "_WORKERS", count)
+    c, snr = make_constellation(family, n), SnrSpec.from_db(10.0)
+    seed = 13
     got = mi_monte_carlo(c, snr, samples, seed)
     n0 = c.power / snr.snr
     strata = []
@@ -552,6 +558,26 @@ def test_std_error_matches_a_per_draw_recomputation(monkeypatch):
     g = np.concatenate(strata)
     assert got.std_error == pytest.approx(g.std(ddof=1) / math.sqrt(samples), rel=1e-12)
     assert got.value == pytest.approx(np.mean([s.mean() for s in strata]), abs=1e-13)
+
+
+def test_std_error_does_not_depend_on_the_blas_threads():
+    # 10,201 strata of 3 or 4 draws, past the 10,000 terms above which
+    # OpenBLAS splits a dot product over its threads. Fixed stratum sums and
+    # zero M2 stand in for the draws, so std_error is the between-strata
+    # term alone; at 1 and 2 threads a dot product moved the last bit of 3
+    # of these 8 row sets
+    code = (
+        "import os; os.environ['OPENBLAS_NUM_THREADS'] = '{}'\n"
+        "import math\n"
+        "from apsk_shaper import SnrSpec, capacity, make_constellation, mi_monte_carlo\n"
+        "c = make_constellation('qam', 101)\n"
+        "for k in range(8):\n"
+        "    capacity._mc_stratum = lambda pts, i, count, seed, n0: "
+        "(count * (1.5 + math.sin(i + k)), 0.0)\n"
+        "    print(mi_monte_carlo(c, SnrSpec(10.0), 3 * c.M + 7, 0).std_error.hex())\n"
+    )
+    one, two = (python_c(code.format(threads)) for threads in (1, 2))
+    assert one == two
 
 
 # row lengths on both sides of numpy's pairwise-summation switches: its
