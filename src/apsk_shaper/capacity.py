@@ -77,7 +77,7 @@ import numpy as np
 
 from . import workers
 from .constellations import Constellation, _ldexp
-from .errors import DomainError, EstimatorError, integer, positive
+from .errors import DomainError, EstimatorError, integer, positive, real
 from .numerics import EXP_FLOOR, LN2, gauss_hermite_2d, logsumexp_rows
 
 DEFAULT_ORDER = 40
@@ -112,7 +112,7 @@ class SnrSpec:
     @classmethod
     def from_db(cls, snr_db: float) -> "SnrSpec":
         try:
-            snr = 10.0 ** (snr_db / 10.0)
+            snr = 10.0 ** (real("snr_db", snr_db) / 10.0)
         except OverflowError:  # above about 3082.5 dB; rejected as infinite below
             snr = math.inf
         return cls(snr)
@@ -492,10 +492,10 @@ def gap_metrics(mi: float, snr) -> tuple:
     gap_bits = log2(1+snr) - mi. gap_db is the SNR overhead at equal rate,
     10*log10(snr / (2**mi - 1)), reported as +inf when mi == 0. Raises
     EstimatorError when mi exceeds capacity beyond tolerance (the estimator
-    bug sentinel) and DomainError for negative mi.
+    bug sentinel) and DomainError for an mi that is not a real (`errors.real`) >= 0.
     """
     s = _as_snr(snr)
-    if not np.isfinite(mi) or mi < 0:
+    if not np.isfinite(real("mi", mi)) or mi < 0:
         raise DomainError(f"mi must be a finite value >= 0, got {mi!r}")
     capacity = math.log2(1.0 + s)
     if mi > capacity + _CAPACITY_SLACK:

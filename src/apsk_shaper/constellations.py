@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import symmetry, workers
-from .errors import DomainError, integer, positive
+from .errors import DomainError, integer, pairs, positive
 
 BOX_MULLER = "box_muller_apsk"
 DVB_VARIANT = "dvb_variant_apsk"
@@ -69,9 +69,9 @@ class Constellation:
     `points` is an (n^2, 2) array in canonical order (ring-major for APSK,
     grid-major for QAM). `power` is the budget P the family was constructed
     for, not the realized average power. Construction keeps its own
-    read-only C-order float64 copy of the points and raises DomainError
-    unless they have shape (M, 2), M >= 1, and finite coordinates, and P is a
-    finite real > 0; `validate_constellation` adds the family's invariants.
+    read-only copy of the points as `errors.pairs` returns them (finite
+    float64, (M, 2), M >= 1) and needs P to be a finite real > 0, else
+    DomainError; `validate_constellation` adds the family's invariants.
     Every computation on the points takes them times 2**-k and N0 times 4**-k
     (k = `_exponent`, from `math.frexp` of the largest coordinate magnitude):
     exact at any size. Physical outputs are scaled back, inf past the range.
@@ -84,19 +84,11 @@ class Constellation:
     points: np.ndarray
 
     def __post_init__(self):
-        try:
-            pts = np.array(self.points, dtype=np.float64, order="C")  # a copy
-        except (OverflowError, TypeError, ValueError):  # an int past a double, not numbers
-            pts = np.empty(0)  # rejected below
-        shaped = pts.ndim == 2 and pts.shape[1] == 2 and len(pts)
-        lo, hi = (float(pts.min()), float(pts.max())) if shaped else (math.nan, math.nan)
-        # NaN and +-inf reach the min or the max, so no (M, 2) mask is needed
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise DomainError("points must be an (M, 2) array of finite numbers, M >= 1")
+        pts = pairs("points", self.points, copy=True)
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "power", positive("power", self.power))
-        object.__setattr__(self, "_exponent", math.frexp(max(-lo, hi))[1])
+        object.__setattr__(self, "_exponent", math.frexp(max(-pts.min(), pts.max()))[1])
 
     @property
     def M(self) -> int:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import workers
 from .constellations import MAX_N, average_power, canonical_family, make_constellation
-from .errors import DomainError, integer, positive
+from .errors import DomainError, integer, pairs, positive
 
 DEFAULT_T_VALUES = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
 
@@ -59,14 +59,16 @@ def lemma_audit(
     """Check lhs <= rhs + rtol*|rhs| at every k in [1, k_max], keeping a few rows.
 
     Returns (rows, ok): one (k, lhs, rhs, rhs - lhs) row of `lemma_scan`'s
-    values per k of the ascending `keep`, and whether the bound held at
-    every k. The walk takes _LEMMA_BLOCK values of k (a double, exact to
-    2**53) at a time. rhs carries across blocks as the first term of each
-    block's cumsum (0.0 before the first, which adds exactly), and numpy's
-    cumsum adds in sequence: the bits of `lemma_scan`'s. Once summed, the
-    terms hold bound - lhs, >= 0 exactly where lhs <= bound (NaN is neither).
+    values per k of the ascending `keep` (integers in [1, k_max], else
+    DomainError), and whether the bound held at every k. The walk takes
+    _LEMMA_BLOCK values of k (a double, exact to 2**53) at a time. rhs
+    carries across blocks as the first term of each block's cumsum (0.0
+    before the first, which adds exactly), and numpy's cumsum adds in
+    sequence: the bits of `lemma_scan`'s. Once summed, the terms hold
+    bound - lhs, >= 0 exactly where lhs <= bound (NaN is neither).
     """
     k_max = integer("k_max", k_max, 1, 2**53)  # k is an exact double
+    keep = [integer("keep entry", kk, 1, k_max) for kk in keep]
     size = min(k_max, _LEMMA_BLOCK)
     k, lhs, terms, sums = workers._WORKSPACE.take(size, size, size + 1, size + 1)
     terms[:size] = 1.0
@@ -97,19 +99,11 @@ def lemma_audit(
     return rows, ok
 
 
-def _pairs(name: str, rows) -> np.ndarray:
-    """`rows` as a float64 (K, 2) array; any other shape raises DomainError."""
-    a = np.asarray(rows, dtype=np.float64)
-    if a.ndim != 2 or a.shape[1] != 2:
-        raise DomainError(f"{name} must be an array of (x, y) rows, got shape {a.shape}")
-    return a
-
-
 def point_set_cf(points: np.ndarray, t_points: np.ndarray) -> np.ndarray:
     """Characteristic function of the uniform distribution on `points`.
 
     (1/M) * sum_w exp(i*<t, w>) at each row of the (T, 2) `t_points`, for
-    (M, 2) `points`; an empty set, or another shape, raises DomainError.
+    (M, 2) `points`; either failing `errors.pairs` raises DomainError.
 
     The phases and their exponentials are formed _CF_BLOCK points at a
     time, in two buffers from the calling thread's workspace (the complex
@@ -123,10 +117,8 @@ def point_set_cf(points: np.ndarray, t_points: np.ndarray) -> np.ndarray:
     and no cosine of a double is 0). With a single t that mean sums
     pairwise instead, so it is taken whole.
     """
-    points, t_cols = _pairs("points", points), _pairs("t_points", t_points).T
+    points, t_cols = pairs("points", points), pairs("t_points", t_points).T
     m, nt = len(points), t_cols.shape[1]
-    if m == 0:
-        raise DomainError("the CF of an empty point set is undefined")
     if nt < 2:
         return np.exp(1j * (points @ t_cols)).mean(axis=0)
     rows = min(m, _CF_BLOCK + 1)
@@ -149,10 +141,10 @@ def point_set_cf(points: np.ndarray, t_points: np.ndarray) -> np.ndarray:
 def gaussian_cf(power: float, t_points: np.ndarray) -> np.ndarray:
     """CF of the limiting zero-mean Gaussian with variance P/2 per axis.
 
-    Real-valued, evaluated at each (t1, t2) row of the (T, 2) `t_points`.
+    Real-valued, at each (t1, t2) row of the (T, 2) `t_points` (`errors.pairs`).
     """
     power = positive("power", power)
-    t_points = _pairs("t_points", t_points)
+    t_points = pairs("t_points", t_points)
     # capped where the exponent passes -750 (exp is 0 there): P |t|^2 stays a double
     sq = np.minimum(np.sum(t_points**2, axis=1), 3000.0 / power)
     return np.exp(-power * sq / 4.0)

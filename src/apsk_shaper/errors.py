@@ -4,6 +4,8 @@ import math
 import numbers
 import operator
 
+import numpy as np
+
 
 class DomainError(ValueError):
     """Invalid argument, configuration value, or constellation file."""
@@ -33,16 +35,42 @@ def integer(name: str, value, lo: int, hi: int) -> int:
     return n
 
 
+def real(name: str, value):
+    """`value` itself if it is a real number but not a bool (a str is not one)."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return value
+    raise DomainError(f"{name} must be a real number, got {value!r}")
+
+
 def positive(name: str, value) -> float:
     """A real `value` (not a bool, a str or an int past a double) as a finite float > 0."""
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
     try:
-        x = float(value) if real else math.nan
-    except OverflowError:
+        x = float(real(name, value))
+    except (DomainError, OverflowError):
         x = math.nan
     if not (math.isfinite(x) and x > 0):
         raise DomainError(f"{name} must be a finite number > 0, got {value!r}")
     return x
+
+
+def pairs(name: str, rows, *, copy: bool = False) -> np.ndarray:
+    """`rows` as a C-order float64 (M, 2) array of finite reals, M >= 1.
+
+    Anything else raises DomainError: bool, complex, string and object
+    arrays (ragged rows, ints past a double), other shapes, NaN and +-inf.
+    A list or tuple is converted once; with `copy`, an array is copied.
+    """
+    try:
+        a = np.asarray(rows)
+    except (TypeError, ValueError):  # ragged rows
+        a = np.empty(0, dtype=object)
+    if a.dtype.kind in "iuf" and a.ndim == 2 and a.shape[1] == 2 and len(a) > 0:
+        a = a.astype(np.float64, order="C", copy=copy and not isinstance(rows, (list, tuple)))
+        # NaN and +-inf reach the min or the max, so no (M, 2) mask is needed
+        if math.isfinite(a.min()) and math.isfinite(a.max()):
+            return a
+    raise DomainError(f"{name} must be an array of (x, y) rows: an (M, 2) array of "
+                      "finite numbers, M >= 1")
 
 
 EXIT_OK = 0

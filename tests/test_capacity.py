@@ -19,6 +19,7 @@ from apsk_shaper import (
     average_power,
     box_muller_apsk,
     dvb_variant_apsk,
+    evaluate_row,
     gap_metrics,
     gaussian_capacity,
     make_constellation,
@@ -130,12 +131,23 @@ class TestGaussianCapacity:
         with pytest.raises(DomainError):
             gaussian_capacity(0.0)
 
-    @pytest.mark.parametrize("snr", ["2", True, 10**400], ids=["str", "bool", "huge"])
+    @pytest.mark.parametrize("snr", ["2", True, 10**400, None],
+                             ids=["str", "bool", "huge", "none"])
     def test_rejects_snr_that_is_not_a_finite_real(self, snr):
         with pytest.raises(DomainError, match="snr must be a finite number"):
             gaussian_capacity(snr)
         with pytest.raises(DomainError, match="snr must be a finite number"):
             SnrSpec(snr)
+        with pytest.raises(DomainError, match="snr must be a finite number"):
+            gap_metrics(0.5, snr)
+        # as dB, a str or None raised TypeError and True was read as 1 dB; an
+        # int past a double is an infinite SNR
+        db_match = "snr must be a finite number > 0, got inf" if snr == 10**400 else (
+            "snr_db must be a real number")
+        with pytest.raises(DomainError, match=db_match):
+            SnrSpec.from_db(snr)
+        with pytest.raises(DomainError, match=db_match):
+            evaluate_row(square_qam(2), snr)
 
 
 class TestQuadrature:
@@ -432,3 +444,9 @@ class TestGapMetrics:
     def test_rejects_negative_mi(self):
         with pytest.raises(DomainError):
             gap_metrics(-0.1, SnrSpec(1.0))
+
+    @pytest.mark.parametrize("mi", ["1", True, None], ids=["str", "bool", "none"])
+    def test_rejects_mi_that_is_not_a_real(self, mi):
+        # a str or None raised TypeError, and True was read as 1 bit
+        with pytest.raises(DomainError, match="mi must be a real number"):
+            gap_metrics(mi, SnrSpec.from_db(10.0))

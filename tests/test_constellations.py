@@ -111,8 +111,14 @@ class TestConstruction:
         snr = SnrSpec.from_db(10.0)
         assert mi_quadrature(c, snr).value == mi_quadrature(unit, snr).value
 
-    @pytest.mark.parametrize("points", [[[0.0, 1.0], [2.0]], [["x", 0.0]], [[10**400, 0]]],
-                             ids=["ragged", "str", "huge"])
+    # a complex array lost its imaginary parts with only a ComplexWarning,
+    # numeric strings were parsed and a bool array read as 0.0 and 1.0
+    @pytest.mark.parametrize(
+        "points",
+        [[[0.0, 1.0], [2.0]], [["x", 0.0]], [[10**400, 0]],
+         SQUARE + 1j, [["1e0", " 2 "]], SQUARE > 0],
+        ids=["ragged", "str", "huge", "complex", "numeric-str", "bool"],
+    )
     def test_rejects_points_that_are_not_numbers(self, points):
         with pytest.raises(DomainError, match="finite numbers"):
             self.build(points)

@@ -113,6 +113,14 @@ class TestLemmaAudit:
         with pytest.raises(DomainError):
             convergence.lemma_audit(0, [1], 1e-9)
 
+    # a str raised TypeError and a float IndexError, True kept the row of
+    # k = 1, and a k outside [1, k_max] was dropped without a word
+    @pytest.mark.parametrize("entry", ["5", 5.0, True, 0, 11],
+                             ids=["str", "float", "bool", "zero", "past-k-max"])
+    def test_rejects_keep_entries_that_are_not_ks(self, entry):
+        with pytest.raises(DomainError, match=r"keep entry must be an integer in \[1, 10\]"):
+            convergence.lemma_audit(10, [1, entry], 1e-9)
+
 
 def _psi_double_sum(family, n, power, t):
     """Independent CF oracle: evaluate the generator-grid double sum directly."""
@@ -195,7 +203,7 @@ class TestEmpiricalCf:
 
     @pytest.mark.parametrize("t_count", [1, 49])
     def test_rejects_an_empty_set(self, t_count):
-        with pytest.raises(DomainError, match="empty point set"):
+        with pytest.raises(DomainError, match=r"points must be .* M >= 1"):
             point_set_cf(np.empty((0, 2)), np.ones((t_count, 2)))
 
     def test_hermitian_symmetry(self):
@@ -231,7 +239,9 @@ class TestGaussianCf:
 
 
 # a flat (t1, t2) pair raised IndexError in point_set_cf and AxisError in
-# gaussian_cf, and (M, 1) points a matmul ValueError
+# gaussian_cf, and (M, 1) points a matmul ValueError; non-numeric or ragged
+# rows raised ValueError, a NaN t gave NaN, and complex points lost their
+# imaginary parts
 @pytest.mark.parametrize(
     "cf,args",
     [
@@ -240,12 +250,21 @@ class TestGaussianCf:
         (point_set_cf, (np.ones((3, 1)), np.ones((1, 2)))),
         (point_set_cf, (np.ones(2), np.ones((4, 2)))),
         (point_set_cf, (np.ones((3, 2)), np.ones((4, 3)))),
+        (point_set_cf, ([["x", 0.0]], np.ones((4, 2)))),
+        (point_set_cf, (np.ones((3, 2)), [[1.0, 2.0], [3.0]])),
+        (point_set_cf, (np.ones((3, 2)), [[math.nan, 0.0]])),
+        (point_set_cf, (np.ones((3, 2)) + 1j, np.ones((4, 2)))),
+        (point_set_cf, (np.ones((3, 2)) > 0, np.ones((4, 2)))),
         (gaussian_cf, (1.0, [1.0, 2.0])),
         (gaussian_cf, (1.0, np.ones((4, 3)))),
         (gaussian_cf, (1.0, np.ones((2, 4, 2)))),
+        (gaussian_cf, (1.0, [["1", "2"]])),
+        (gaussian_cf, (1.0, [[math.inf, 0.0]])),
     ],
     ids=["flat-t", "m-by-1-points", "m-by-1-points-one-t", "flat-points", "t-by-3",
-         "gaussian-flat-t", "gaussian-t-by-3", "gaussian-3d-t"],
+         "str-points", "ragged-t", "nan-t", "complex-points", "bool-points",
+         "gaussian-flat-t", "gaussian-t-by-3", "gaussian-3d-t", "gaussian-str-t",
+         "gaussian-inf-t"],
 )
 def test_cfs_reject_arrays_that_are_not_pairs(cf, args):
     with pytest.raises(DomainError, match=r"array of \(x, y\) rows"):

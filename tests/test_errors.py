@@ -1,4 +1,5 @@
-"""The two checks every value from outside passes: `integer` and `positive`."""
+"""The checks every value from outside passes: `integer`, `real`, `positive`
+and, for (x, y) rows, `pairs`."""
 
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from apsk_shaper import DomainError
-from apsk_shaper.errors import integer, positive
+from apsk_shaper.errors import integer, pairs, positive, real
 
 HUGE = 10**400  # a JSON integer with 401 digits; no double holds it
 
@@ -31,6 +32,18 @@ class TestInteger:
             integer("n", value, 1, 5)
 
 
+class TestReal:
+    @pytest.mark.parametrize("value", [-2, 0.5, np.float32(0.5), np.int64(-7), Fraction(1, 4),
+                                       float("nan"), float("-inf"), HUGE])
+    def test_returns_the_value(self, value):
+        assert real("snr_db", value) is value
+
+    @pytest.mark.parametrize("value", [True, np.True_, "1", b"1", None, 1j, np.array(1.0)])
+    def test_rejects(self, value):
+        with pytest.raises(DomainError, match="snr_db must be a real number, got "):
+            real("snr_db", value)
+
+
 class TestPositive:
     @pytest.mark.parametrize(
         "value,want",
@@ -50,3 +63,36 @@ class TestPositive:
     def test_rejects(self, value):
         with pytest.raises(DomainError, match="power must be a finite number > 0, got "):
             positive("power", value)
+
+
+SQUARE = [[1, 0], [0, 1], [-1, 0], [0, -1]]
+
+
+class TestPairs:
+    @pytest.mark.parametrize(
+        "rows",
+        [SQUARE, tuple(map(tuple, SQUARE)), np.array(SQUARE, dtype=np.int8),
+         np.asfortranarray(np.array(SQUARE, dtype=np.float32))],
+        ids=["list", "tuple", "int8", "float32-f-order"],
+    )
+    def test_returns_a_c_order_float64_array(self, rows):
+        got = pairs("points", rows)
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert got.tolist() == np.array(SQUARE, dtype=float).tolist()
+
+    def test_copies_an_array_only_when_asked(self):
+        given = np.array(SQUARE, dtype=float)
+        assert pairs("points", given) is given
+        assert not np.shares_memory(pairs("points", given, copy=True), given)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [np.array(SQUARE) > 0, np.array(SQUARE) + 1j, [["1e0", " 2 "]], [[b"1", b"2"]],
+         [[1.0, 2.0], [3.0]], [[HUGE, 0]], [[float("nan"), 0.0]], [[0.0, float("inf")]],
+         np.empty((0, 2)), [1.0, 2.0], np.ones((2, 3)), np.ones((1, 2, 2)), None],
+        ids=["bool", "complex", "str", "bytes", "ragged", "huge", "nan", "inf", "empty",
+             "flat", "2-by-3", "3d", "none"],
+    )
+    def test_rejects(self, rows):
+        with pytest.raises(DomainError, match=r"t_points must be an array of \(x, y\) rows"):
+            pairs("t_points", rows)
