@@ -113,8 +113,8 @@ class SnrSpec:
     def from_db(cls, snr_db: float) -> "SnrSpec":
         try:
             snr = 10.0 ** (real("snr_db", snr_db) / 10.0)
-        except OverflowError:  # above about 3082.5 dB; rejected as infinite below
-            snr = math.inf
+        except OverflowError:  # above about 3082.5 dB, or an int past a double
+            snr = math.inf if snr_db > 0 else 0.0  # rejected as inf or 0.0 below
         return cls(snr)
 
 
@@ -492,17 +492,19 @@ def gap_metrics(mi: float, snr) -> tuple:
     gap_bits = log2(1+snr) - mi. gap_db is the SNR overhead at equal rate,
     10*log10(snr / (2**mi - 1)), reported as +inf when mi == 0. Raises
     EstimatorError when mi exceeds capacity beyond tolerance (the estimator
-    bug sentinel) and DomainError for an mi that is not a real (`errors.real`) >= 0.
+    bug sentinel) and DomainError unless mi is a real (`errors.real`) in [0, inf) as a double.
     """
     s = _as_snr(snr)
-    if not np.isfinite(real("mi", mi)) or mi < 0:
+    try:
+        bits = float(real("mi", mi))
+    except OverflowError:  # an int past a double
+        bits = math.inf
+    if not (math.isfinite(bits) and bits >= 0):
         raise DomainError(f"mi must be a finite value >= 0, got {mi!r}")
     capacity = math.log2(1.0 + s)
-    if mi > capacity + _CAPACITY_SLACK:
-        raise EstimatorError(
-            f"MI {mi!r} exceeds capacity {capacity!r} beyond tolerance"
-        )
-    gap_bits = capacity - mi
-    if mi == 0.0:
+    if bits > capacity + _CAPACITY_SLACK:
+        raise EstimatorError(f"MI {mi!r} exceeds capacity {capacity!r} beyond tolerance")
+    gap_bits = capacity - bits
+    if bits == 0.0:
         return gap_bits, math.inf
-    return gap_bits, 10.0 * math.log10(s / (2.0**mi - 1.0))
+    return gap_bits, 10.0 * math.log10(s / (2.0**bits - 1.0))

@@ -17,11 +17,11 @@ alone and never from the family label:
   information is MI(X) + MI(Y), the parallel-channel sum rule (Cover &
   Thomas, Elements of Information Theory, ch. 9).
 
-Both searches use O(M) temporaries: a grid is recognised from the
-(n, n, 2) reshape and images are matched after one sort of the points
-and all their images. `parts` combines them into the split the quadrature
-evaluates, which each `Constellation` computes once and caches with the
-instance (`Constellation._parts`).
+Both searches hold a few copies of the points: a grid is recognised from
+the (n, n, 2) reshape, and images are matched one D4 element at a time,
+about 10x the points at the peak. `parts` combines them into the split
+the quadrature evaluates, which each `Constellation` computes once and
+caches with the instance (`Constellation._parts`).
 """
 
 import math
@@ -40,10 +40,6 @@ D4 = (
     ("mirror_anti", (1, 0), (-1.0, -1.0)),  # (-y, -x)
 )
 
-# D4 as arrays, to form all seven images at once (see _images)
-_COLS = np.array([cols for _, cols, _ in D4])
-_SIGNS = np.array([signs for _, _, signs in D4])
-
 # an image matches a point within this many ulps of the largest coordinate;
 # the families' mapped points land within 15 (n up to 300, with and without
 # normalize), a phase nudged by 1e-9 misses by about 1e7
@@ -54,30 +50,31 @@ _MATCH_ULPS = 64
 _SORT_BIN = 2.0**-32
 
 
-def _images(a: np.ndarray) -> np.ndarray:
-    """(7, M, 2): the (M, 2) array `a` under each element of D4 in turn."""
-    return a[:, _COLS].transpose(1, 0, 2) * _SIGNS[:, None, :]
-
-
 def _matches(points: np.ndarray) -> dict:
     """{name: perm} for each D4 element g that maps `points` onto themselves.
 
     perm[i] is the index of the point that g(points[i]) matches. The points
-    and their seven images are sorted together, by rounded x and then
-    rounded y, and each image is matched to the point at its rank.
+    are sorted once by rounded x and then rounded y, each image the same
+    way, and each image is matched to the point at its rank.
     """
     scale = float(np.max(np.abs(points), initial=0.0)) or 1.0
     key = np.rint(points / (scale * _SORT_BIN))
-    # rint is odd, so an image's keys are its point's keys moved and negated;
-    # as complex numbers (x + iy, the view of a C-order (..., 2) array) they
-    # sort by x and then by y
-    keys = np.concatenate((key[None], _images(key))).view(np.complex128)[..., 0]
-    order = np.argsort(keys, axis=1, kind="stable")
-    perms = np.empty_like(order[1:])
-    np.put_along_axis(perms, order[1:], np.broadcast_to(order[:1], perms.shape), axis=1)
-    misses = np.max(np.abs(points[perms] - _images(points)), axis=(1, 2), initial=0.0)
+    # as complex numbers (x + iy, the view of a C-order (M, 2) array) the
+    # keys sort by x and then by y; rint is odd, so an image's keys are its
+    # point's keys moved and negated
+    base = np.argsort(key.view(np.complex128)[:, 0], kind="stable")
     tol = _MATCH_ULPS * np.spacing(scale)
-    return {name: perm for (name, _, _), perm, miss in zip(D4, perms, misses) if miss <= tol}
+    image = np.empty_like(key)  # one image at a time, in C order as the view needs
+    found = {}
+    for name, cols, signs in D4:
+        np.multiply(key.take(cols, axis=1, out=image), signs, out=image)
+        perm = np.empty_like(base)
+        perm[np.argsort(image.view(np.complex128)[:, 0], kind="stable")] = base
+        np.multiply(points.take(cols, axis=1, out=image), signs, out=image)
+        image -= points[perm]
+        if np.max(np.abs(image, out=image), initial=0.0) <= tol:
+            found[name] = perm
+    return found
 
 
 def orbits(points: np.ndarray):

@@ -5,6 +5,7 @@ import math
 import sys
 import threading
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -56,6 +57,13 @@ class TestSnrSpec:
     def test_from_db_overflow_is_a_domain_error(self, db):
         # 10 ** (db / 10) overflows a float above about 3082.5 dB
         with pytest.raises(DomainError, match="finite"):
+            SnrSpec.from_db(db)
+
+    @pytest.mark.parametrize("db,got", [(10**400, "inf"), (-10**400, "0.0")],
+                             ids=["above", "below"])
+    def test_from_db_of_an_int_past_a_double(self, db, got):
+        # 10 ** (db / 10) overflows for both signs; below 0 dB the SNR is 0.0
+        with pytest.raises(DomainError, match=f"finite number > 0, got {got}$"):
             SnrSpec.from_db(db)
 
     def test_from_db_largest_finite(self):
@@ -444,6 +452,15 @@ class TestGapMetrics:
     def test_rejects_negative_mi(self):
         with pytest.raises(DomainError):
             gap_metrics(-0.1, SnrSpec(1.0))
+
+    def test_rejects_an_int_past_a_double(self):
+        # np.isfinite raised TypeError on an int it cannot take as a double
+        with pytest.raises(DomainError, match="mi must be a finite value >= 0"):
+            gap_metrics(10**400, SnrSpec(1.0))
+
+    def test_takes_any_real(self):
+        # np.isfinite raised TypeError on a Fraction
+        assert gap_metrics(Fraction(1, 4), SnrSpec(1.0)) == gap_metrics(0.25, SnrSpec(1.0))
 
     @pytest.mark.parametrize("mi", ["1", True, None], ids=["str", "bool", "none"])
     def test_rejects_mi_that_is_not_a_real(self, mi):

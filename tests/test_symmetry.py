@@ -2,6 +2,7 @@
 
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -224,6 +225,20 @@ def test_parts_are_read_only_and_leave_the_callers_array_writable(family, n, cou
     assert pts.flags.writeable
     for _, p, reps, mults in sets:
         assert [reps.tolist(), mults.tolist()] == [a.tolist() for a in orbits(p)]
+
+
+@pytest.mark.parametrize("n", [128, 256])
+def test_the_scan_peaks_at_a_few_copies_of_the_points(n):
+    points = box_muller_apsk(n)._scaled()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        symmetry.parts(points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one D4 element at a time; all seven images at once peaked at 38x
+    assert peak < 12 * points.nbytes, peak / points.nbytes
 
 
 # -- properties ---------------------------------------------------------------
