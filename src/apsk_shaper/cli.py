@@ -21,7 +21,7 @@ from .constellations import (
     canonical_family,
     make_constellation,
 )
-from .convergence import cf_convergence_scan, lemma_audit, power_audit
+from .convergence import cf_convergence_scan, lemma_scan, power_audit
 from .errors import EXIT_CODES, EXIT_OK, ContractError, DomainError
 from .storage import dumps_constellation, read_constellation, read_text, write_text
 from .sweeps import evaluate_row, render_csv, render_table, sweep_rows
@@ -173,7 +173,7 @@ def cmd_convergence(args) -> int:
     if family not in (BOX_MULLER, DVB_VARIANT):
         raise DomainError("convergence audits apply to the APSK families only")
     # the bound is checked at every k, and only the rows of _LEMMA_KS are kept
-    lemma_rows, lemma_ok = lemma_audit(max(_LEMMA_KS), _LEMMA_KS, _LEMMA_RTOL)
+    lemma_rows, lemma_ok = lemma_scan(max(_LEMMA_KS), _LEMMA_KS, _LEMMA_RTOL)
     audits = [
         power_audit(BOX_MULLER, range(1, _AUDIT_MAX_N + 1), args.power),
         power_audit(DVB_VARIANT, range(2, _AUDIT_MAX_N + 1, 2), args.power),

@@ -1,12 +1,12 @@
 """Numerical audits of the limit behaviour behind the constellation design.
 
 Three families of checks live here: the log-integral bound that guarantees
-the power budget is respected for every size (`lemma_scan`, `lemma_audit`),
-the budget slack itself (`power_audit`), and the convergence of the
-constellation's characteristic function to the Gaussian one (`point_set_cf`,
-`gaussian_cf`, `cf_convergence_scan`).
+the power budget is respected for every size (`lemma_scan`), the budget
+slack itself (`power_audit`), and the convergence of the constellation's
+characteristic function to the Gaussian one (`point_set_cf`, `gaussian_cf`,
+`cf_convergence_scan`).
 
-`lemma_audit`'s walk and `point_set_cf`'s blocks (a single t takes all M
+`lemma_scan`'s walk and `point_set_cf`'s blocks (a single t takes all M
 points in one array) keep their memory fixed for any k_max or point count,
 and take their scratch from the calling thread's kept workspace
 (`workers._WORKSPACE`), all of a call's buffers in one `take`, so a run of
@@ -20,12 +20,12 @@ import numpy as np
 
 from . import workers
 from .constellations import MAX_N, average_power, canonical_family, make_constellation
-from .errors import DomainError, integer, pairs, positive
+from .errors import DomainError, integer, pairs, positive, real
 
 DEFAULT_T_VALUES = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
 
 
-# k values per lemma block. `lemma_audit` fills four float64 buffers of about
+# k values per lemma block. `lemma_scan` fills four float64 buffers of about
 # this many doubles (k, lhs, the terms and their cumsum), reused for the
 # whole call: 1.05 MB in all
 _LEMMA_BLOCK = 1 << 15
@@ -34,41 +34,29 @@ _LEMMA_BLOCK = 1 << 15
 _CF_BLOCK = 256
 
 
-def lemma_scan(k_max: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lemma table for every k in [1, k_max]: (k, k*ln(k) - k, sum_{j<k} ln(j + 1/2)).
-
-    The left side never exceeds the right; the margin is what keeps the
-    ring-radius construction inside its power budget. The three arrays
-    returned take 24 bytes per k, as they must; to check the bound and keep
-    a few rows, `lemma_audit` walks the same values in fixed-size blocks.
-    Each term j + 1/2 is k - 1/2; rhs comes first, so at most three k_max-long
-    arrays are alive at once (24 MB at k_max = 10**6).
-    """
-    k_max = integer("k_max", k_max, 1, 2**63 - 2)  # ks are int64
-    ks = np.arange(1, k_max + 1, dtype=np.int64)
-    rhs = np.cumsum(np.log(ks - 0.5))
-    lhs = np.log(ks)
-    lhs *= ks
-    lhs -= ks
-    return ks, lhs, rhs
-
-
-def lemma_audit(
+def lemma_scan(
     k_max: int, keep: Sequence[int], rtol: float
 ) -> Tuple[List[Tuple[int, float, float, float]], bool]:
-    """Check lhs <= rhs + rtol*|rhs| at every k in [1, k_max], keeping a few rows.
+    """Check the lemma k*ln(k) - k <= sum_{j<k} ln(j + 1/2) at every k in [1, k_max].
 
-    Returns (rows, ok): one (k, lhs, rhs, rhs - lhs) row of `lemma_scan`'s
-    values per k of the ascending `keep` (integers in [1, k_max], else
-    DomainError), and whether the bound held at every k. The walk takes
-    _LEMMA_BLOCK values of k (a double, exact to 2**53) at a time. rhs
-    carries across blocks as the first term of each block's cumsum (0.0
-    before the first, which adds exactly), and numpy's cumsum adds in
-    sequence: the bits of `lemma_scan`'s. Once summed, the terms hold
-    bound - lhs, >= 0 exactly where lhs <= bound (NaN is neither).
+    The left side (lhs) never exceeds the right (rhs); the margin is what
+    keeps the ring-radius construction inside its power budget. The check
+    is lhs <= rhs + rtol*|rhs|, for a real `rtol` (else DomainError).
+    Returns (rows, ok): one (k, lhs, rhs, rhs - lhs) row per k of `keep`
+    (integers in [1, k_max], else DomainError), ascending and once each,
+    and whether the bound held at every k.
+
+    The walk takes _LEMMA_BLOCK values of k (a double, exact to 2**53) at a
+    time, in buffers of fixed size whatever k_max. Each term j + 1/2 is
+    k - 1/2. rhs carries across blocks as the first term of each block's
+    cumsum (0.0 before the first, which adds exactly), and numpy's cumsum
+    adds in sequence: the bits of one cumsum over all k_max terms. Once
+    summed, the terms hold bound - lhs, >= 0 exactly where lhs <= bound
+    (NaN is neither).
     """
     k_max = integer("k_max", k_max, 1, 2**53)  # k is an exact double
-    keep = [integer("keep entry", kk, 1, k_max) for kk in keep]
+    keep = sorted({integer("keep entry", kk, 1, k_max) for kk in keep})
+    rtol = real("rtol", rtol)
     size = min(k_max, _LEMMA_BLOCK)
     k, lhs, terms, sums = workers._WORKSPACE.take(size, size, size + 1, size + 1)
     terms[:size] = 1.0

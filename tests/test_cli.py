@@ -341,7 +341,7 @@ class TestConvergence:
         assert "# lemma" in out and "# power_audit" in out and "# cf_error" in out
 
     def test_failed_contract_exits_4(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "lemma_audit", lambda *args: ([], False))
+        monkeypatch.setattr(cli, "lemma_scan", lambda *args: ([], False))
         code, _, err = run(capsys, "convergence", "--n", "4,8")
         assert code == 4
         assert err == "error: contracted inequalities failed: lemma\n"

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from apsk_shaper import convergence
+from apsk_shaper import convergence, workers
 from apsk_shaper import (
     DomainError,
     box_muller_apsk,
@@ -28,37 +28,56 @@ def _lemma_direct(k):
     return k * math.log(k) - k, math.fsum(math.log(j + 0.5) for j in range(k))
 
 
+def _lemma_whole(k_max):
+    """(lhs, rhs) at every k in [1, k_max] as whole arrays, one cumsum for rhs."""
+    whole = np.arange(1, k_max + 1, dtype=np.int64)
+    return whole * np.log(whole) - whole, np.cumsum(np.log(np.arange(k_max) + 0.5))
+
+
+def _block_edges(k_max):
+    """The last k of every lemma block and the first of the next, up to k_max."""
+    block = convergence._LEMMA_BLOCK
+    return {k for j in range(1, k_max // block + 1) for k in (j * block, j * block + 1)
+            if k <= k_max}
+
+
 class TestLemma:
     def test_known_values(self):
-        ks, lhs, rhs = lemma_scan(10)
-        assert list(ks) == list(range(1, 11))
-        assert (lhs[0], rhs[0]) == pytest.approx((-1.0, -0.6931471805599453), abs=1e-14)
-        assert (lhs[1], rhs[1]) == pytest.approx(
+        rows, ok = lemma_scan(10, range(1, 11), 1e-9)
+        assert ok
+        assert [row[0] for row in rows] == list(range(1, 11))
+        assert rows[0][1:3] == pytest.approx((-1.0, -0.6931471805599453), abs=1e-14)
+        assert rows[1][1:3] == pytest.approx(
             (-0.6137056388801094, -0.2876820724517809), abs=1e-13
         )
-        assert (lhs[9], rhs[9]) == pytest.approx(
+        assert rows[9][1:3] == pytest.approx(
             (13.02585092994046, 13.368260276479063), abs=1e-11
         )
 
-    def test_rejects_zero(self):
-        with pytest.raises(DomainError):
-            lemma_scan(0)
+    def test_rejects_k_max_past_the_exact_doubles(self):
+        # the bad rtol stops the call at once should k_max ever pass
+        message = r"k_max must be an integer in \[1, 9007199254740992\]"
+        with pytest.raises(DomainError, match=message):
+            lemma_scan(2**53 + 1, [1], None)
 
     def test_accepts_numpy_integers(self):
-        ks, lhs, rhs = lemma_scan(np.int64(10))
-        assert list(ks) == list(range(1, 11))
-        assert lhs.tobytes() == lemma_scan(10)[1].tobytes()
+        rows, ok = lemma_scan(np.int64(10), [np.int32(3), np.int64(10)], np.float64(1e-9))
+        assert ok and rows == lemma_scan(10, [3, 10], 1e-9)[0]
+        assert [type(row[0]) for row in rows] == [int, int]
 
     def test_scan_matches_direct_sums(self):
-        ks, lhs, rhs = lemma_scan(1000)
-        for k in (1, 2, 17, 500, 1000):
+        ks = (1, 2, 17, 500, 1000)
+        rows, _ = lemma_scan(1000, ks, 1e-9)
+        assert [row[0] for row in rows] == list(ks)
+        for k, lhs, rhs, _ in rows:
             direct = _lemma_direct(k)
-            assert lhs[k - 1] == pytest.approx(direct[0], rel=1e-14, abs=1e-14)
-            assert rhs[k - 1] == pytest.approx(direct[1], rel=1e-12)
+            assert lhs == pytest.approx(direct[0], rel=1e-14, abs=1e-14)
+            assert rhs == pytest.approx(direct[1], rel=1e-12)
 
     def test_bound_holds_to_1e5(self):
-        _, lhs, rhs = lemma_scan(100_000)
-        assert np.all(lhs <= rhs + 1e-9 * np.abs(rhs))
+        rows, ok = lemma_scan(100_000, range(1, 100_001), 1e-9)
+        assert ok and len(rows) == 100_000
+        assert all(lhs <= rhs + 1e-9 * abs(rhs) for _, lhs, rhs, _ in rows)
 
     @pytest.mark.parametrize("k_max", [
         convergence._LEMMA_BLOCK - 1,
@@ -67,59 +86,78 @@ class TestLemma:
         10**6,
     ])
     def test_blocks_have_the_bits_of_one_cumsum(self, k_max):
-        ks, lhs, rhs = lemma_scan(k_max)
-        whole = np.arange(1, k_max + 1, dtype=np.int64)
-        assert ks.tobytes() == whole.tobytes()
-        assert lhs.tobytes() == (whole * np.log(whole) - whole).tobytes()
-        assert rhs.tobytes() == np.cumsum(np.log(np.arange(k_max) + 0.5)).tobytes()
+        lhs, rhs = _lemma_whole(k_max)
+        # every k over one or two blocks; at 10**6 every 1000th and the edges
+        stride = 1 if k_max <= convergence._LEMMA_BLOCK + 1 else 1000
+        keep = sorted(set(range(1, k_max + 1, stride)) | _block_edges(k_max) | {k_max})
+        rows, ok = lemma_scan(k_max, keep, 1e-9)
+        assert ok and [row[0] for row in rows] == keep
+        at = np.asarray(keep) - 1
+        assert np.array([row[1] for row in rows]).tobytes() == lhs[at].tobytes()
+        assert np.array([row[2] for row in rows]).tobytes() == rhs[at].tobytes()
 
-    def test_memory_is_three_arrays(self):
-        # ks, lhs and rhs take 24 MB at k_max = 10**6; building rhs last,
-        # from a fresh range, peaked at 32 MB
-        lemma_scan(10)
+    def test_memory_is_bounded(self, monkeypatch):
+        # a cold workspace takes the walk's four buffers (1.05 MB) whatever
+        # k_max; the whole arrays took 24 bytes per k (24 MB at 10**6)
+        monkeypatch.setattr(workers, "_WORKSPACE", workers._Workspace())
         tracemalloc.start()
         try:
-            tracemalloc.reset_peak()
-            lemma_scan(10**6)
+            rows, ok = lemma_scan(10**7, [1, 10**7], 1e-9)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 26e6
+        assert ok and [row[0] for row in rows] == [1, 10**7]
+        assert peak <= 1.2e6
 
 
 class TestLemmaAudit:
     @pytest.mark.parametrize("k_max", [1, convergence._LEMMA_BLOCK + 1, 100_000, 10**6])
-    def test_rows_have_the_bits_of_the_scan(self, k_max):
-        _, lhs, rhs = lemma_scan(k_max)
-        block = convergence._LEMMA_BLOCK
+    def test_rows_have_the_bits_of_the_whole_arrays(self, k_max):
+        lhs, rhs = _lemma_whole(k_max)
         # the last k of every block and the first of the next, across the carry
-        edges = {k for j in range(1, k_max // block + 1) for k in (j * block, j * block + 1)}
-        keep = sorted({1, max(1, k_max // 2), k_max} | {k for k in edges if k <= k_max})
-        rows, ok = convergence.lemma_audit(k_max, keep, 1e-9)
+        keep = sorted({1, max(1, k_max // 2), k_max} | _block_edges(k_max))
+        rows, ok = lemma_scan(k_max, keep, 1e-9)
         assert ok
         assert [row[0] for row in rows] == keep
         for k, left, right, margin in rows:
             assert (left, right) == (lhs[k - 1], rhs[k - 1])
             assert margin == rhs[k - 1] - lhs[k - 1]
 
+    def test_keeps_each_row_once_in_ascending_order(self):
+        # the rows came back in the order given, a repeated k twice
+        rows, ok = lemma_scan(100_000, [40_000, 3, np.int64(3), 1], 1e-9)
+        assert ok and [row[0] for row in rows] == [1, 3, 40_000]
+        assert rows == lemma_scan(100_000, [1, 3, 40_000], 1e-9)[0]
+
     def test_reports_a_failed_bound(self):
         # rhs - |rhs| < lhs at k = 1, where both sides are negative
-        rows, ok = convergence.lemma_audit(10, [], -1.0)
+        rows, ok = lemma_scan(10, [], -1.0)
         assert (rows, ok) == ([], False)
         # a NaN bound holds nowhere
-        assert convergence.lemma_audit(10, [], math.nan) == ([], False)
+        assert lemma_scan(10, [], math.nan) == ([], False)
 
     def test_rejects_zero(self):
         with pytest.raises(DomainError):
-            convergence.lemma_audit(0, [1], 1e-9)
+            lemma_scan(0, [1], 1e-9)
 
-    # a str raised TypeError and a float IndexError, True kept the row of
-    # k = 1, and a k outside [1, k_max] was dropped without a word
-    @pytest.mark.parametrize("entry", ["5", 5.0, True, 0, 11],
-                             ids=["str", "float", "bool", "zero", "past-k-max"])
-    def test_rejects_keep_entries_that_are_not_ks(self, entry):
-        with pytest.raises(DomainError, match=r"keep entry must be an integer in \[1, 10\]"):
-            convergence.lemma_audit(10, [1, entry], 1e-9)
+    # a str keep entry raised TypeError and a float IndexError, True kept the
+    # row of k = 1, and a k outside [1, k_max] was dropped without a word; a
+    # str or None rtol raised numpy's UFuncTypeError, and True was taken as 1.0
+    @pytest.mark.parametrize("entry, rtol, message", [
+        ("5", 1e-9, r"keep entry must be an integer in \[1, 10\]"),
+        (5.0, 1e-9, r"keep entry must be an integer in \[1, 10\]"),
+        (True, 1e-9, r"keep entry must be an integer in \[1, 10\]"),
+        (0, 1e-9, r"keep entry must be an integer in \[1, 10\]"),
+        (11, 1e-9, r"keep entry must be an integer in \[1, 10\]"),
+        (5, "1e-9", "rtol must be a real number"),
+        (5, None, "rtol must be a real number"),
+        (5, True, "rtol must be a real number"),
+    ], ids=["str", "float", "bool", "zero", "past-k-max", "rtol-str", "rtol-none", "rtol-bool"])
+    def test_rejects_keep_entries_that_are_not_ks_and_rtols_that_are_not_reals(
+        self, entry, rtol, message
+    ):
+        with pytest.raises(DomainError, match=message):
+            lemma_scan(10, [1, entry], rtol)
 
 
 def _psi_double_sum(family, n, power, t):

@@ -27,7 +27,7 @@ from apsk_shaper import (
     min_distance,
 )
 from apsk_shaper import capacity, numerics, workers
-from apsk_shaper.convergence import lemma_audit
+from apsk_shaper.convergence import lemma_scan
 from apsk_shaper.symmetry import orbits, product_axes
 from quadrature_rule import log_partition, tensor_rule
 
@@ -209,7 +209,7 @@ class TestBlocks:
         build = peak_of(lambda: make_constellation("box_muller", 64))
         calls = {"min_distance": (lambda: min_distance(c), 0),
                  "min_distance n=16": (lambda: min_distance(small), 0),
-                 "lemma_audit": (lambda: lemma_audit(10**6, [1, 10**6], 1e-9), 0),
+                 "lemma_scan": (lambda: lemma_scan(10**6, [1, 10**6], 1e-9), 0),
                  "cf_convergence_scan": (
                      lambda: cf_convergence_scan("box_muller", [4, 8, 16, 32, 64]), build)}
         for name, (call, built) in calls.items():
