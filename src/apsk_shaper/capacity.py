@@ -111,11 +111,11 @@ class SnrSpec:
 
     @classmethod
     def from_db(cls, snr_db: float) -> "SnrSpec":
+        db = real("snr_db", snr_db)
         try:
-            snr = 10.0 ** (real("snr_db", snr_db) / 10.0)
-        except OverflowError:  # above about 3082.5 dB, or an int past a double
-            snr = math.inf if snr_db > 0 else 0.0  # rejected as inf or 0.0 below
-        return cls(snr)
+            return cls(10.0 ** (db / 10.0))
+        except OverflowError:  # above about 3082.5 dB
+            return cls(math.inf)  # rejected as inf
 
 
 @dataclass(frozen=True)
@@ -495,10 +495,7 @@ def gap_metrics(mi: float, snr) -> tuple:
     bug sentinel) and DomainError unless mi is a real (`errors.real`) in [0, inf) as a double.
     """
     s = _as_snr(snr)
-    try:
-        bits = float(real("mi", mi))
-    except OverflowError:  # an int past a double
-        bits = math.inf
+    bits = real("mi", mi)
     if not (math.isfinite(bits) and bits >= 0):
         raise DomainError(f"mi must be a finite value >= 0, got {mi!r}")
     capacity = math.log2(1.0 + s)

@@ -68,10 +68,10 @@ class Constellation:
 
     `points` is an (n^2, 2) array in canonical order (ring-major for APSK,
     grid-major for QAM). `power` is the budget P the family was constructed
-    for, not the realized average power. Construction keeps its own
-    read-only copy of the points as `errors.pairs` returns them (finite
-    float64, (M, 2), M >= 1) and needs P to be a finite real > 0, else
-    DomainError; `validate_constellation` adds the family's invariants.
+    for, not the realized average power. Construction checks every field,
+    else DomainError: str `label` and `family`, n in [1, MAX_N], P a finite
+    float > 0, and points that pass `errors.pairs` (finite float64, (M, 2),
+    M >= 1), kept read-only; `validate_constellation` adds the rest.
     Every computation on the points takes them times 2**-k and N0 times 4**-k
     (k = `_exponent`, from `math.frexp` of the largest coordinate magnitude):
     exact at any size. Physical outputs are scaled back, inf past the range.
@@ -84,6 +84,10 @@ class Constellation:
     points: np.ndarray
 
     def __post_init__(self):
+        for name in ("label", "family"):
+            if not isinstance(getattr(self, name), str):
+                raise DomainError(f"{name} must be a string")
+        object.__setattr__(self, "n", integer("n", self.n, 1, MAX_N))
         pts = pairs("points", self.points, copy=True)
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
@@ -315,14 +319,14 @@ def min_distance(c: Constellation) -> float:
 def validate_constellation(c: Constellation) -> None:
     """Check the family's invariants; raise DomainError on violation.
 
-    On top of construction's checks: a known family, n in [1, MAX_N] (even
-    for dvb_variant), n^2 distinct points, and the family's power and rings.
+    On top of construction's check of every field: a known family, an even
+    n for dvb_variant, n^2 distinct points, and the family's power and rings.
     The ring checks, all relative, take a scaled (M, 2) copy. Used by the
     file reader and by callers that build Constellation values by hand.
     """
     if c.family not in FAMILIES:
         raise DomainError(f"unknown family {c.family!r}")
-    n, power, pts = integer("n", c.n, 1, MAX_N), c.power, c.points
+    n, power, pts = c.n, c.power, c.points
     if c.family == DVB_VARIANT and n % 2:
         raise DomainError(f"family {DVB_VARIANT} requires an even n, got {n}")
     if pts.shape[0] != n**2:

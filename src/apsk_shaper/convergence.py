@@ -62,7 +62,7 @@ def lemma_scan(
     terms[:size] = 1.0
     np.cumsum(terms[:size], out=k)  # 1.0 to size, exact
     sums[-1] = 0.0  # the carry: 0.0, then the last sum of each (full) block
-    rows, ok = [], True
+    rows, ok, at = [], True, 0  # keep[at] is the next row to take
     for lo in range(0, k_max, size):
         n = min(size, k_max - lo)
         kb, lb, tb, sb = k[:n], lhs[:n], terms[: n + 1], sums[: n + 1]
@@ -79,10 +79,10 @@ def lemma_scan(
         margin += rhs
         margin -= lb
         ok &= float(margin.min()) >= 0.0
-        for kk in keep:
-            if lo < kk <= lo + n:
-                i = kk - lo - 1
-                rows.append((kk, lb[i], rhs[i], rhs[i] - lb[i]))
+        while at < len(keep) and keep[at] <= lo + n:
+            i = keep[at] - lo - 1
+            rows.append((keep[at], lb[i], rhs[i], rhs[i] - lb[i]))
+            at += 1
         k += size
     return rows, ok
 
@@ -133,8 +133,9 @@ def gaussian_cf(power: float, t_points: np.ndarray) -> np.ndarray:
     """
     power = positive("power", power)
     t_points = pairs("t_points", t_points)
-    # capped where the exponent passes -750 (exp is 0 there): P |t|^2 stays a double
-    sq = np.minimum(np.sum(t_points**2, axis=1), 3000.0 / power)
+    # capped where the exponent passes -750 (exp is 0 there, and |t|^2 may be inf)
+    with np.errstate(over="ignore"):
+        sq = np.minimum(np.sum(t_points**2, axis=1), 3000.0 / power)
     return np.exp(-power * sq / 4.0)
 
 

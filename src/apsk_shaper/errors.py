@@ -1,8 +1,9 @@
-"""Exception types, the checks on values from outside, and the CLI exit codes."""
+"""Exception types, CLI exit codes, and the one way in for outside values, each converted once."""
 
 import math
 import numbers
 import operator
+from itertools import chain
 
 import numpy as np
 
@@ -35,18 +36,21 @@ def integer(name: str, value, lo: int, hi: int) -> int:
     return n
 
 
-def real(name: str, value):
-    """`value` itself if it is a real number but not a bool (a str is not one)."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        return value
-    raise DomainError(f"{name} must be a real number, got {value!r}")
+def real(name: str, value) -> float:
+    """A real number `value`, not a bool (a str is not one), as a float: +-inf past a double."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an int or a Fraction past the double range
+        return math.inf if value > 0 else -math.inf
 
 
 def positive(name: str, value) -> float:
     """A real `value` (not a bool, a str or an int past a double) as a finite float > 0."""
     try:
-        x = float(real(name, value))
-    except (DomainError, OverflowError):
+        x = real(name, value)
+    except DomainError:
         x = math.nan
     if not (math.isfinite(x) and x > 0):
         raise DomainError(f"{name} must be a finite number > 0, got {value!r}")
@@ -57,15 +61,19 @@ def pairs(name: str, rows, *, copy: bool = False) -> np.ndarray:
     """`rows` as a C-order float64 (M, 2) array of finite reals, M >= 1.
 
     Anything else raises DomainError: bool, complex, string and object
-    arrays (ragged rows, ints past a double), other shapes, NaN and +-inf.
-    A list or tuple is converted once; with `copy`, an array is copied.
+    arrays (ragged rows, ints past a double), a bool or np.bool_ (neither has
+    subclasses) in a list or tuple of rows, which numpy takes as 0 or 1, other
+    shapes, NaN and +-inf. A list or tuple is converted once; `copy` copies an array.
     """
+    listed = isinstance(rows, (list, tuple))
     try:
         a = np.asarray(rows)
     except (TypeError, ValueError):  # ragged rows
         a = np.empty(0, dtype=object)
-    if a.dtype.kind in "iuf" and a.ndim == 2 and a.shape[1] == 2 and len(a) > 0:
-        a = a.astype(np.float64, order="C", copy=copy and not isinstance(rows, (list, tuple)))
+    if a.dtype.kind in "iuf" and a.ndim == 2 and a.shape[1] == 2 and len(a) > 0 and not (
+        listed and not {bool, np.bool_}.isdisjoint(map(type, chain.from_iterable(rows)))
+    ):
+        a = a.astype(np.float64, order="C", copy=copy and not listed)
         # NaN and +-inf reach the min or the max, so no (M, 2) mask is needed
         if math.isfinite(a.min()) and math.isfinite(a.max()):
             return a

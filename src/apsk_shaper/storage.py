@@ -3,8 +3,8 @@
 Schema: {"label": str, "family": str, "n": int, "power": number,
 "points": [[x, y], ...]} with points in generation order. The writer emits
 floats with 17 significant digits so every value round-trips exactly, and
-its output is byte-stable. The reader validates the full set of structural
-invariants and rejects files that violate any of them.
+its output is byte-stable. The reader checks the keys and leaves every field
+to `Constellation` and `validate_constellation`, as for a set built by hand.
 """
 
 import json
@@ -13,7 +13,6 @@ from .constellations import Constellation, validate_constellation
 from .errors import DomainError
 
 _KEYS = ("label", "family", "n", "power", "points")
-_NUMBERS = frozenset((int, float))  # exact types: json's true and false are bool
 
 
 def dumps_constellation(c: Constellation) -> str:
@@ -67,17 +66,7 @@ def loads_constellation(text: str) -> Constellation:
         missing = sorted(set(_KEYS) - set(doc))
         extra = sorted(set(doc) - set(_KEYS))
         raise DomainError(f"bad document keys (missing={missing}, unknown={extra})")
-    label, family, n, power, raw_points = (doc[k] for k in _KEYS)
-    if not isinstance(label, str):
-        raise DomainError("label must be a string")
-    if not isinstance(family, str):
-        raise DomainError("family must be a string")
-    if type(raw_points) is not list or not all(
-        type(p) is list and len(p) == 2 and type(p[0]) in _NUMBERS and type(p[1]) in _NUMBERS
-        for p in raw_points
-    ):
-        raise DomainError("points must be a list of [x, y] number pairs")
-    c = Constellation(label, family, n, power, raw_points)
+    c = Constellation(**doc)
     validate_constellation(c)
     return c
 

@@ -62,9 +62,15 @@ class TestSnrSpec:
     @pytest.mark.parametrize("db,got", [(10**400, "inf"), (-10**400, "0.0")],
                              ids=["above", "below"])
     def test_from_db_of_an_int_past_a_double(self, db, got):
-        # 10 ** (db / 10) overflows for both signs; below 0 dB the SNR is 0.0
+        # the dB value converts to +-inf: the SNR is inf above, 0.0 below
         with pytest.raises(DomainError, match=f"finite number > 0, got {got}$"):
             SnrSpec.from_db(db)
+
+    def test_from_db_works_in_double_precision(self):
+        # a float32 dB value was divided in single precision: 10.7151928
+        # where its double gives 10.7151935
+        db = np.float32(10.3)
+        assert SnrSpec.from_db(db).snr == 10.0 ** (float(db) / 10.0)
 
     def test_from_db_largest_finite(self):
         assert SnrSpec.from_db(3082.0).snr == 10.0 ** 308.2

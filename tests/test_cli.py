@@ -10,7 +10,16 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from apsk_shaper import CSV_COLUMNS, SweepRow, capacity, cli
+from apsk_shaper import (
+    CSV_COLUMNS,
+    Constellation,
+    DomainError,
+    SweepRow,
+    capacity,
+    cli,
+    evaluate_row,
+    render_csv,
+)
 from apsk_shaper.cli import main
 from apsk_shaper.constellations import MAX_N, make_constellation
 
@@ -137,6 +146,13 @@ class TestEvaluate:
         assert (code, err) == (0, "")
         (row,) = parse_rows(out)
         assert all(math.isfinite(float(row[k])) for k in ("mi_bits", "avg_power", "papr"))
+
+    @pytest.mark.parametrize("argv", [[], ["--family", "qam"], ["--n", "2"]],
+                             ids=["neither", "family-only", "n-only"])
+    def test_needs_a_file_or_family_and_n(self, capsys, argv):
+        code, out, err = run(capsys, "evaluate", *argv, "--snr-db", "5")
+        assert (code, out) == (2, "")
+        assert err == "error: need a constellation file or both --family and --n\n"
 
     def test_file_and_family_conflict(self, tmp_path, capsys):
         out = tmp_path / "c.json"
@@ -296,12 +312,51 @@ class TestSweep:
         code, _, _ = run(capsys, "sweep", "--config", str(cfg))
         assert code == 2
 
+    @pytest.mark.parametrize("text,normalized", [
+        ("yes", True), ("True", True), ("1", True), ("no", False), (" FALSE ", False),
+        ("0", False),
+    ])
+    def test_config_normalize_reads_as_the_flag(self, tmp_path, capsys, text, normalized):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"families = box_muller\nn = 2\nsnr_db = 5\nnormalize = {text}\n")
+        code, out, _ = run(capsys, "sweep", "--config", str(cfg))
+        flag = ["--normalize"] if normalized else []
+        assert (code, out) == run(capsys, "sweep", "--family", "box_muller", "--n", "2",
+                                  "--snr-db", "5", *flag)[:2]
+
+    def test_config_normalize_that_is_not_a_boolean_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("families = qam\nnormalize = maybe\n")
+        code, out, err = run(capsys, "sweep", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err == f"error: {cfg}:2: bad value for normalize: not a boolean: 'maybe'\n"
+
     def test_gap_identity_in_rows(self, capsys):
         _, out, _ = run(capsys, "sweep", "--family", "box_muller", "--n", "2",
                         "--snr-db", "5")
         (row,) = parse_rows(out)
         lhs = float(row["capacity_bits"]) - float(row["mi_bits"])
         assert abs(lhs - float(row["gap_bits"])) < 2e-8  # 9-digit rounding
+
+
+class TestRows:
+    def test_evaluate_row_rejects_an_unknown_method(self):
+        with pytest.raises(DomainError, match="method must be 'quadrature' or 'monte_carlo', "
+                                              "got 'quad'"):
+            evaluate_row(make_constellation("qam", 2), 5.0, "quad")
+
+    def test_a_zero_power_set_has_nan_papr(self):
+        row = evaluate_row(make_constellation("qam", 1), 10.0)
+        assert math.isnan(row.papr) and row.avg_power == 0.0 and row.mi_bits == 0.0
+        line = render_csv([row]).splitlines()[1]
+        assert line == "square_qam,1,1,10,0,3.45943162,3.45943162,inf,0,nan,quadrature"
+
+    def test_a_row_needs_m_equal_to_n_squared(self):
+        # a hand-built n=1 set of 12 points
+        points = np.column_stack((np.arange(12.0), np.zeros(12)))
+        c = Constellation("twelve", "square_qam", 1, 1.0, points)
+        with pytest.raises(DomainError, match=r"M must equal n\^2, got M=12 for n=1"):
+            evaluate_row(c, 30.0)  # capacity 9.97 bits, above the set's log2(12)
 
 
 class TestCompare:

@@ -131,6 +131,27 @@ class TestConstruction:
         with pytest.raises(DomainError, match="power must be a finite number > 0"):
             self.build(power=power)
 
+    # such a set reached the writer, which wrote a file the reader rejects
+    # (n=True as `True`, which is not JSON), or evaluate_row, whose CSV
+    # raised TypeError for n="x"
+    @pytest.mark.parametrize("n", [2.0, True, "x", 0, MAX_N + 1, None],
+                             ids=["float", "bool", "str", "zero", "past-max", "none"])
+    def test_rejects_n_that_is_not_a_size(self, n):
+        with pytest.raises(DomainError, match=rf"n must be an integer in \[1, {MAX_N}\], got "):
+            Constellation("hand-built", SQUARE_QAM, n, 1.0, self.SQUARE)
+
+    @pytest.mark.parametrize("field", ["label", "family"])
+    @pytest.mark.parametrize("value", [5, None, b"qam"], ids=["int", "none", "bytes"])
+    def test_rejects_a_label_or_family_that_is_not_a_str(self, field, value):
+        fields = dict(label="hand-built", family=SQUARE_QAM, n=2, power=1.0, points=self.SQUARE)
+        fields[field] = value
+        with pytest.raises(DomainError, match=f"^{field} must be a string$"):
+            Constellation(**fields)
+
+    def test_stores_n_as_an_int(self):
+        c = Constellation("hand-built", SQUARE_QAM, np.int64(2), 1.0, self.SQUARE)
+        assert type(c.n) is int and c.n == 2
+
     def test_stores_power_as_a_float(self):
         c = self.build(power=np.float32(2.0))
         assert type(c.power) is float and c.power == 2.0
@@ -455,6 +476,18 @@ class TestFamilies:
 
     def test_validate_passes_on_fresh_constellations(self):
         for c in (box_muller_apsk(3), dvb_variant_apsk(4), square_qam(4), square_qam(1)):
+            validate_constellation(c)
+
+    def test_validate_rejects_an_odd_n_dvb_variant_set(self):
+        # box_muller n=3's nine points, labelled as the variant
+        c = box_muller_apsk(3)
+        odd = Constellation(c.label, DVB_VARIANT, 3, c.power, c.points)
+        with pytest.raises(DomainError, match=f"family {DVB_VARIANT} requires an even n, got 3"):
+            validate_constellation(odd)
+
+    def test_validate_rejects_a_square_qam_n1_set_off_the_origin(self):
+        c = Constellation("moved", SQUARE_QAM, 1, 1.0, [[0.5, 0.0]])
+        with pytest.raises(DomainError, match="square_qam with n=1 must be the origin"):
             validate_constellation(c)
 
     def test_validate_rejects_near_equal_ring_radii(self):

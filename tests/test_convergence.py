@@ -140,6 +140,13 @@ class TestLemmaAudit:
         with pytest.raises(DomainError):
             lemma_scan(0, [1], 1e-9)
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_an_int_rtol_past_a_double_is_infinite(self, sign):
+        # it raised OverflowError from np.multiply; now `errors.real` makes it +-inf
+        got = lemma_scan(10, [1, 10], sign * 10**400)
+        assert got == lemma_scan(10, [1, 10], sign * math.inf)
+        assert got[1] == (sign > 0)
+
     # a str keep entry raised TypeError and a float IndexError, True kept the
     # row of k = 1, and a k outside [1, k_max] was dropped without a word; a
     # str or None rtol raised numpy's UFuncTypeError, and True was taken as 1.0
@@ -270,6 +277,14 @@ class TestGaussianCf:
         assert a == pytest.approx(b, rel=1e-12)
         assert not np.iscomplexobj(values)
 
+    @pytest.mark.parametrize("t", [1e200, -1e200, 1.7e308])
+    def test_a_t_whose_square_overflows_gives_zero(self, t):
+        # |t|^2 passes the double range above about 1.3e154: that raised an
+        # overflow RuntimeWarning, where the cap already makes the value 0
+        got = gaussian_cf(1.0, [[t, 0.0], [1.0, 0.0], [t, t]])
+        assert got[0] == got[2] == 0.0
+        assert got[1] == gaussian_cf(1.0, [[1.0, 0.0]])[0]
+
     def test_rejects_bad_power(self):
         for power in (0.0, "1", True, 10**400):
             with pytest.raises(DomainError):
@@ -363,6 +378,10 @@ class TestPowerAudit:
     def test_rejects_sizes_that_are_not_integers(self, n_values):
         with pytest.raises(DomainError, match="n must be an integer"):
             power_audit("box_muller", n_values)
+
+    def test_rejects_no_sizes(self):
+        with pytest.raises(DomainError, match="n_values must be non-empty"):
+            power_audit("box_muller", [])
 
     def test_rows(self):
         audit = power_audit("box_muller", [2])

@@ -33,10 +33,24 @@ class TestInteger:
 
 
 class TestReal:
-    @pytest.mark.parametrize("value", [-2, 0.5, np.float32(0.5), np.int64(-7), Fraction(1, 4),
-                                       float("nan"), float("-inf"), HUGE])
-    def test_returns_the_value(self, value):
-        assert real("snr_db", value) is value
+    @pytest.mark.parametrize(
+        "value,want",
+        [(-2, -2.0), (0.5, 0.5), (np.float32(0.5), 0.5), (np.int64(-7), -7.0),
+         (Fraction(1, 4), 0.25), (np.float32(10.3), 10.300000190734863),
+         (float("-inf"), float("-inf")),
+         pytest.param(HUGE, float("inf"), id="huge"),
+         pytest.param(-HUGE, float("-inf"), id="minus-huge"),
+         pytest.param(Fraction(HUGE), float("inf"), id="huge-fraction")],
+    )
+    def test_returns_a_float(self, value, want):
+        # converted once: a single-precision value reaches the caller as its
+        # exact double, and a value past the double range as +-inf
+        got = real("snr_db", value)
+        assert got == want and type(got) is float
+
+    def test_returns_nan_as_a_float(self):
+        got = real("snr_db", np.float32("nan"))
+        assert got != got and type(got) is float
 
     @pytest.mark.parametrize("value", [True, np.True_, "1", b"1", None, 1j, np.array(1.0)])
     def test_rejects(self, value):
@@ -89,9 +103,12 @@ class TestPairs:
         "rows",
         [np.array(SQUARE) > 0, np.array(SQUARE) + 1j, [["1e0", " 2 "]], [[b"1", b"2"]],
          [[1.0, 2.0], [3.0]], [[HUGE, 0]], [[float("nan"), 0.0]], [[0.0, float("inf")]],
-         np.empty((0, 2)), [1.0, 2.0], np.ones((2, 3)), np.ones((1, 2, 2)), None],
+         np.empty((0, 2)), [1.0, 2.0], np.ones((2, 3)), np.ones((1, 2, 2)), None,
+         [[True, 0.0]], [(0.0, np.False_)], [[1.0, 2.0], (np.True_, 0)],
+         [np.array([1.0, 0.0]), np.array([True, False])]],
         ids=["bool", "complex", "str", "bytes", "ragged", "huge", "nan", "inf", "empty",
-             "flat", "2-by-3", "3d", "none"],
+             "flat", "2-by-3", "3d", "none", "listed-true", "tupled-numpy-false",
+             "second-row-numpy-true", "bool-array-row"],
     )
     def test_rejects(self, rows):
         with pytest.raises(DomainError, match=r"t_points must be an array of \(x, y\) rows"):

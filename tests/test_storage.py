@@ -42,6 +42,19 @@ def test_round_trip_exact(c):
     assert np.array_equal(back.points, c.points)
 
 
+@pytest.mark.parametrize("normalize", [False, True], ids=["plain", "normalized"])
+@pytest.mark.parametrize("n", [1, 2, 7, 48])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_every_family_set_round_trips(family, n, normalize):
+    n += n % 2 if family == DVB_VARIANT else 0
+    c = make_constellation(family, n, 3.0, normalize)
+    text = dumps_constellation(c)
+    back = loads_constellation(text)
+    assert (back.label, back.family, back.n, back.power) == (c.label, c.family, c.n, c.power)
+    assert back.points.tobytes() == c.points.tobytes()
+    assert dumps_constellation(back) == text
+
+
 def test_writer_is_canonical_and_idempotent(tmp_path):
     c = box_muller_apsk(2)
     text = dumps_constellation(c)
@@ -104,12 +117,16 @@ def test_reader_rejects_bad_documents():
 
 
 HUGE = 10**400  # a 401-digit JSON integer; no double holds it
+# `errors.pairs`' message: the reader leaves the points to `Constellation`
+POINTS_MESSAGE = r"points must be an array of \(x, y\) rows"
 
 
 @pytest.mark.parametrize(
     "key,value",
-    [("power", "1"), ("power", True), ("power", HUGE), ("n", 2.0), ("n", True)],
-    ids=["power-str", "power-true", "power-huge", "n-float", "n-true"],
+    [("power", "1"), ("power", True), ("power", HUGE), ("n", 2.0), ("n", True),
+     ("label", 5), ("label", None), ("family", ["qam"]), ("family", None)],
+    ids=["power-str", "power-true", "power-huge", "n-float", "n-true", "label-number",
+         "label-null", "family-list", "family-null"],
 )
 def test_reader_rejects_a_field_of_the_wrong_type(key, value):
     doc = _doc(box_muller_apsk(2))
@@ -127,14 +144,14 @@ def test_reader_rejects_a_field_of_the_wrong_type(key, value):
 def test_reader_rejects_a_point_that_is_not_a_number_pair(point):
     doc = _doc(box_muller_apsk(2))
     doc["points"][2] = point
-    _reject(doc, r"points must be a list of \[x, y\] number pairs")
+    _reject(doc, POINTS_MESSAGE)
 
 
 @pytest.mark.parametrize("points", [{"0": [0.0, 0.0]}, "points", None], ids=["object", "str", "null"])
 def test_reader_rejects_points_that_are_not_a_list(points):
     doc = _doc(box_muller_apsk(2))
     doc["points"] = points
-    _reject(doc, "points must be a list")
+    _reject(doc, POINTS_MESSAGE)
 
 
 def test_reader_rejects_a_coordinate_too_large_for_a_double():
