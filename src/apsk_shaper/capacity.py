@@ -131,9 +131,9 @@ def _as_snr(snr) -> float:
     return positive("snr", snr.snr if isinstance(snr, SnrSpec) else snr)
 
 
-def _noise_variance(c: Constellation, snr, k: int = 0) -> float:
-    """N0 * 4**-k = (P * 4**-k)/snr, N0/2 per axis, for the points times 2**-k; checked."""
-    return positive("noise variance", _ldexp(c.power, -2 * k) / _as_snr(snr))
+def _noise_variance(c: Constellation, snr) -> float:
+    """N0 * 4**-k = (P * 4**-k)/snr, N0/2 per axis, for points times 2**-k (k = c._exponent)."""
+    return positive("noise variance", _ldexp(c.power, -2 * c._exponent) / _as_snr(snr))
 
 
 def _folded(diff, sq, n0):
@@ -376,7 +376,7 @@ def mi_quadrature(c: Constellation, snr, order: int = DEFAULT_ORDER) -> MiEstima
     Temporary buffers stay within about 1 MB each.
     """
     order = integer("quadrature order", order, 2, _MAX_ORDER)
-    n0 = _noise_variance(c, snr, c._exponent)
+    n0 = _noise_variance(c, snr)
     z, w, rho = gauss_hermite_2d(order)
     value = sum(count * _grid_mi(*part, z, w, rho, n0) for count, *part in c._parts)
     return MiEstimate(_finish_value(value, c.M), "quadrature", 0.0)
@@ -464,7 +464,7 @@ def mi_monte_carlo(c: Constellation, snr, samples: int, seed: int) -> MiEstimate
     """
     samples = integer("samples", samples, 1, 2**53)  # draws are counted in doubles
     seed = integer("seed", seed, 0, 2**64 - 1)
-    n0 = _noise_variance(c, snr, c._exponent)
+    n0 = _noise_variance(c, snr)
     pts = c._scaled()
     m = len(pts)
     strata = min(samples, m)  # the points that receive a draw come first

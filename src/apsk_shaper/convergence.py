@@ -6,11 +6,11 @@ slack itself (`power_audit`), and the convergence of the constellation's
 characteristic function to the Gaussian one (`point_set_cf`, `gaussian_cf`,
 `cf_convergence_scan`).
 
-`lemma_scan`'s walk and `point_set_cf`'s blocks (a single t takes all M
-points in one array) keep their memory fixed for any k_max or point count,
-and take their scratch from the calling thread's kept workspace
-(`workers._WORKSPACE`), all of a call's buffers in one `take`, so a run of
-audits reuses pages that an earlier call, an estimator's included, faulted in.
+`lemma_scan`'s walk and `point_set_cf`'s blocks keep their memory fixed for
+any k, point count or t count, and take their scratch from the calling
+thread's kept workspace (`workers._WORKSPACE`), all of a call's buffers in
+one `take`, so a run of audits reuses pages that an earlier call, an
+estimator's included, faulted in.
 """
 
 from dataclasses import dataclass
@@ -20,11 +20,12 @@ import numpy as np
 
 from . import workers
 from .constellations import MAX_N, average_power, canonical_family, make_constellation
-from .errors import DomainError, integer, pairs, positive, real
+from .errors import DomainError, integer, pairs, positive
 
 DEFAULT_T_VALUES = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
 
 
+_LEMMA_RTOL = 1e-9  # the lemma holds where lhs <= rhs + _LEMMA_RTOL*|rhs|
 # k values per lemma block. `lemma_scan` fills four float64 buffers of about
 # this many doubles (k, lhs, the terms and their cumsum), reused for the
 # whole call: 1.05 MB in all
@@ -34,29 +35,28 @@ _LEMMA_BLOCK = 1 << 15
 _CF_BLOCK = 256
 
 
-def lemma_scan(
-    k_max: int, keep: Sequence[int], rtol: float
-) -> Tuple[List[Tuple[int, float, float, float]], bool]:
-    """Check the lemma k*ln(k) - k <= sum_{j<k} ln(j + 1/2) at every k in [1, k_max].
+def lemma_scan(keep: Sequence[int]) -> Tuple[List[Tuple[int, float, float, float]], bool]:
+    """Check the lemma k*ln(k) - k <= sum_{j<k} ln(j + 1/2) at every k up to max(keep).
 
     The left side (lhs) never exceeds the right (rhs); the margin is what
     keeps the ring-radius construction inside its power budget. The check
-    is lhs <= rhs + rtol*|rhs|, for a real `rtol` (else DomainError).
-    Returns (rows, ok): one (k, lhs, rhs, rhs - lhs) row per k of `keep`
-    (integers in [1, k_max], else DomainError), ascending and once each,
-    and whether the bound held at every k.
+    is lhs <= rhs + _LEMMA_RTOL*|rhs|. Returns (rows, ok): one
+    (k, lhs, rhs, rhs - lhs) row per k of `keep` (a non-empty list of
+    integers in [1, 2**53], else DomainError), ascending and once each, and
+    whether the bound held at every k in [1, max(keep)].
 
     The walk takes _LEMMA_BLOCK values of k (a double, exact to 2**53) at a
-    time, in buffers of fixed size whatever k_max. Each term j + 1/2 is
+    time, in buffers of fixed size whatever max(keep). Each term j + 1/2 is
     k - 1/2. rhs carries across blocks as the first term of each block's
     cumsum (0.0 before the first, which adds exactly), and numpy's cumsum
-    adds in sequence: the bits of one cumsum over all k_max terms. Once
+    adds in sequence: the bits of one cumsum over all the terms. Once
     summed, the terms hold bound - lhs, >= 0 exactly where lhs <= bound
     (NaN is neither).
     """
-    k_max = integer("k_max", k_max, 1, 2**53)  # k is an exact double
-    keep = sorted({integer("keep entry", kk, 1, k_max) for kk in keep})
-    rtol = real("rtol", rtol)
+    keep = sorted({integer("keep entry", kk, 1, 2**53) for kk in keep})
+    if not keep:
+        raise DomainError("keep must name at least one k")
+    k_max = keep[-1]
     size = min(k_max, _LEMMA_BLOCK)
     k, lhs, terms, sums = workers._WORKSPACE.take(size, size, size + 1, size + 1)
     terms[:size] = 1.0
@@ -75,7 +75,7 @@ def lemma_scan(
         np.cumsum(tb, out=sb)
         rhs, margin = sb[1:], tb[1:]
         np.abs(rhs, out=margin)
-        np.multiply(rtol, margin, out=margin)
+        np.multiply(_LEMMA_RTOL, margin, out=margin)
         margin += rhs
         margin -= lb
         ok &= float(margin.min()) >= 0.0
@@ -102,13 +102,11 @@ def point_set_cf(points: np.ndarray, t_points: np.ndarray) -> np.ndarray:
     M points do; a lone last point joins the block before it, as a one-row
     product would go through gemv (`workers._blocks`). The total starts at
     0.0, which adds exactly: no term has a -0.0 part (a phase is made +0,
-    and no cosine of a double is 0). With a single t that mean sums
-    pairwise instead, so it is taken whole.
+    and no cosine of a double is 0). With a single t, `.mean(axis=0)` sums
+    pairwise instead, so that value agrees to rounding, not to the bit.
     """
     points, t_cols = pairs("points", points), pairs("t_points", t_points).T
     m, nt = len(points), t_cols.shape[1]
-    if nt < 2:
-        return np.exp(1j * (points @ t_cols)).mean(axis=0)
     rows = min(m, _CF_BLOCK + 1)
     phases, buf = workers._WORKSPACE.take(rows * nt, 2 * (rows + 1) * nt)
     phases, buf = phases.reshape(rows, nt), buf.view(np.complex128).reshape(rows + 1, nt)

@@ -61,17 +61,19 @@ def pairs(name: str, rows, *, copy: bool = False) -> np.ndarray:
     """`rows` as a C-order float64 (M, 2) array of finite reals, M >= 1.
 
     Anything else raises DomainError: bool, complex, string and object
-    arrays (ragged rows, ints past a double), a bool or np.bool_ (neither has
-    subclasses) in a list or tuple of rows, which numpy takes as 0 or 1, other
-    shapes, NaN and +-inf. A list or tuple is converted once; `copy` copies an array.
+    arrays (ragged rows, ints past a double), an entry of a list or tuple of
+    rows that is not a `numbers.Real` or is a bool (an np.bool_ or a 0-d
+    array, which numpy would convert), other shapes, NaN and +-inf. A list
+    or tuple is converted once; `copy` copies an array.
     """
     listed = isinstance(rows, (list, tuple))
     try:
         a = np.asarray(rows)
     except (TypeError, ValueError):  # ragged rows
         a = np.empty(0, dtype=object)
-    if a.dtype.kind in "iuf" and a.ndim == 2 and a.shape[1] == 2 and len(a) > 0 and not (
-        listed and not {bool, np.bool_}.isdisjoint(map(type, chain.from_iterable(rows)))
+    if a.dtype.kind in "iuf" and a.ndim == 2 and a.shape[1] == 2 and len(a) > 0 and (
+        not listed or all(issubclass(t, numbers.Real) and t is not bool
+                          for t in set(map(type, chain.from_iterable(rows))))
     ):
         a = a.astype(np.float64, order="C", copy=copy and not listed)
         # NaN and +-inf reach the min or the max, so no (M, 2) mask is needed

@@ -74,7 +74,7 @@ def _report(name, ok, detail):
 def test_criterion_1_lemma_bound_full_range():
     start = time.perf_counter()
     # the bound is checked at every k; only the end rows are kept
-    (first, last), holds = lemma_scan(10**6, [1, 10**6], 1e-9)
+    (first, last), holds = lemma_scan([1, 10**6])
     elapsed = time.perf_counter() - start
     _report("lemma bound k in [1, 1e6]", holds and elapsed < 10,
             f"margin {first[3]:.6f} at k=1, {last[3]:.6f} at k=1e6, {elapsed:.2f}s")

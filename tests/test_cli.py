@@ -5,7 +5,7 @@ import io
 import json
 import math
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -19,6 +19,7 @@ from apsk_shaper import (
     cli,
     evaluate_row,
     render_csv,
+    workers,
 )
 from apsk_shaper.cli import main
 from apsk_shaper.constellations import MAX_N, make_constellation
@@ -358,6 +359,11 @@ class TestRows:
         with pytest.raises(DomainError, match=r"M must equal n\^2, got M=12 for n=1"):
             evaluate_row(c, 30.0)  # capacity 9.97 bits, above the set's log2(12)
 
+    def test_a_row_needs_gap_bits_equal_to_capacity_less_mi(self):
+        row = evaluate_row(make_constellation("qam", 2), 5.0)
+        with pytest.raises(DomainError, match="gap_bits must equal capacity_bits - mi_bits"):
+            replace(row, gap_bits=row.gap_bits + 1e-6)
+
 
 class TestCompare:
     def test_default_families_and_papr(self, capsys):
@@ -422,7 +428,9 @@ class TestConvergence:
         assert (code, err) == (0, "")
         assert "# cf_error" in out
 
-    def test_memory_is_bounded(self, tmp_path, capsys):
+    def test_memory_is_bounded(self, tmp_path, capsys, monkeypatch):
+        # from a cold workspace, so that a buffer which re-grows shows
+        monkeypatch.setattr(workers, "_WORKSPACE", workers._Workspace())
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()

@@ -86,8 +86,9 @@ class TestPairs:
     @pytest.mark.parametrize(
         "rows",
         [SQUARE, tuple(map(tuple, SQUARE)), np.array(SQUARE, dtype=np.int8),
-         np.asfortranarray(np.array(SQUARE, dtype=np.float32))],
-        ids=["list", "tuple", "int8", "float32-f-order"],
+         np.asfortranarray(np.array(SQUARE, dtype=np.float32)),
+         [[np.float32(x), np.int64(y)] for x, y in SQUARE], [np.array(row) for row in SQUARE]],
+        ids=["list", "tuple", "int8", "float32-f-order", "numpy-scalars", "array-rows"],
     )
     def test_returns_a_c_order_float64_array(self, rows):
         got = pairs("points", rows)
@@ -105,10 +106,11 @@ class TestPairs:
          [[1.0, 2.0], [3.0]], [[HUGE, 0]], [[float("nan"), 0.0]], [[0.0, float("inf")]],
          np.empty((0, 2)), [1.0, 2.0], np.ones((2, 3)), np.ones((1, 2, 2)), None,
          [[True, 0.0]], [(0.0, np.False_)], [[1.0, 2.0], (np.True_, 0)],
-         [np.array([1.0, 0.0]), np.array([True, False])]],
+         [np.array([1.0, 0.0]), np.array([True, False])], [[np.array(True), 0.0]],
+         [[np.array(1.5), 0.0]]],
         ids=["bool", "complex", "str", "bytes", "ragged", "huge", "nan", "inf", "empty",
              "flat", "2-by-3", "3d", "none", "listed-true", "tupled-numpy-false",
-             "second-row-numpy-true", "bool-array-row"],
+             "second-row-numpy-true", "bool-array-row", "0d-bool", "0d-float"],
     )
     def test_rejects(self, rows):
         with pytest.raises(DomainError, match=r"t_points must be an array of \(x, y\) rows"):

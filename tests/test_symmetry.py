@@ -38,7 +38,7 @@ MIRROR_X = {"identity", "mirror_x"}
 
 def full_loop(c, snr, order):
     """The plain loop over every point against the tensor rule."""
-    n0 = capacity._noise_variance(c, snr)
+    n0 = c.power / snr.snr
     nodes, weights = tensor_rule(order)
     noise2 = (2.0 * math.sqrt(n0)) * nodes
     pts = c.points
@@ -52,7 +52,7 @@ def full_loop(c, snr, order):
 
 def every_point(c, snr, order):
     """The quadrature's separable kernel run once over every point."""
-    n0 = capacity._noise_variance(c, snr)
+    n0 = c.power / snr.snr
     m = c.M
     value = capacity._grid_mi(c.points, np.arange(m), np.ones(m, dtype=int),
                               *numerics.gauss_hermite_2d(order), n0)
