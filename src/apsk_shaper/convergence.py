@@ -47,9 +47,9 @@ def lemma_scan(keep: Sequence[int]) -> Tuple[List[Tuple[int, float, float, float
 
     The walk takes _LEMMA_BLOCK values of k (a double, exact to 2**53) at a
     time, in buffers of fixed size whatever max(keep). Each term j + 1/2 is
-    k - 1/2. rhs carries across blocks as the first term of each block's
-    cumsum (0.0 before the first, which adds exactly), and numpy's cumsum
-    adds in sequence: the bits of one cumsum over all the terms. Once
+    k - 1/2. rhs carries across blocks as a float, the first term of each
+    block's cumsum (0.0 before the first, which adds exactly), and numpy's
+    cumsum adds in sequence: the bits of one cumsum over all the terms. Once
     summed, the terms hold bound - lhs, >= 0 exactly where lhs <= bound
     (NaN is neither).
     """
@@ -61,18 +61,18 @@ def lemma_scan(keep: Sequence[int]) -> Tuple[List[Tuple[int, float, float, float
     k, lhs, terms, sums = workers._WORKSPACE.take(size, size, size + 1, size + 1)
     terms[:size] = 1.0
     np.cumsum(terms[:size], out=k)  # 1.0 to size, exact
-    sums[-1] = 0.0  # the carry: 0.0, then the last sum of each (full) block
-    rows, ok, at = [], True, 0  # keep[at] is the next row to take
+    carry, rows, ok, at = 0.0, [], True, 0  # keep[at] is the next row to take
     for lo in range(0, k_max, size):
         n = min(size, k_max - lo)
         kb, lb, tb, sb = k[:n], lhs[:n], terms[: n + 1], sums[: n + 1]
         np.log(kb, out=lb)
         lb *= kb
         lb -= kb
-        tb[0] = sums[-1]
+        tb[0] = carry
         np.subtract(kb, 0.5, out=tb[1:])
         np.log(tb[1:], out=tb[1:])
         np.cumsum(tb, out=sb)
+        carry = float(sb[-1])
         rhs, margin = sb[1:], tb[1:]
         np.abs(rhs, out=margin)
         np.multiply(_LEMMA_RTOL, margin, out=margin)
@@ -100,10 +100,11 @@ def point_set_cf(points: np.ndarray, t_points: np.ndarray) -> np.ndarray:
     `.mean(axis=0)` adds the rows of the whole (M, T) array. Each block's
     phases are its own gemm, which rounds as the rows of one gemm over all
     M points do; a lone last point joins the block before it, as a one-row
-    product would go through gemv (`workers._blocks`). The total starts at
-    0.0, which adds exactly: no term has a -0.0 part (a phase is made +0,
-    and no cosine of a double is 0). With a single t, `.mean(axis=0)` sums
-    pairwise instead, so that value agrees to rounding, not to the bit.
+    product would go through gemv (`workers._blocks`). A term is the cosine
+    and sine of its phase: the bits of exp(1j*phase), but for a -0.0 sine
+    where the phase is -0.0. The total starts at +0.0, and +0.0 + -0.0 is
+    +0.0, so the sums keep the bits of the whole-array mean. With a single
+    t, that mean sums pairwise, and agrees to rounding, not to the bit.
     """
     points, t_cols = pairs("points", points), pairs("t_points", t_points).T
     m, nt = len(points), t_cols.shape[1]
@@ -114,11 +115,8 @@ def point_set_cf(points: np.ndarray, t_points: np.ndarray) -> np.ndarray:
     for lo, hi in workers._blocks(m, _CF_BLOCK):
         block = np.matmul(points[lo:hi], t_cols, out=phases[: hi - lo])
         terms = buf[1 : hi - lo + 1]
-        # the bits of 1j * block (a -0 phase turns +0), which cast through a
-        # 100 kB buffer per block
-        np.copyto(terms.real, 0.0)
-        np.add(block, 0.0, out=terms.imag)
-        np.exp(terms, out=terms)
+        np.cos(block, out=terms.real)
+        np.sin(block, out=terms.imag)
         buf[0] = total
         total = buf[: hi - lo + 1].sum(axis=0)
     return total / m

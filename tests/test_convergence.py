@@ -34,6 +34,15 @@ def _lemma_whole(k_max):
     return whole * np.log(whole) - whole, np.cumsum(np.log(np.arange(k_max) + 0.5))
 
 
+def _margin(k):
+    """rhs - lhs of the lemma in closed form: sum_{j<k} ln(j + 1/2) is
+    lgamma(k + 1/2) - lgamma(1/2); from k = 50 on, where that difference
+    cancels, the Stirling series of the margin."""
+    if k < 50:
+        return math.lgamma(k + 0.5) - math.lgamma(0.5) - (k * math.log(k) - k)
+    return math.log(2) / 2 - 1 / (24 * k) + 7 / (2880 * k**3) - 31 / (40320 * k**5)
+
+
 def _block_edges(k_max):
     """The last k of every lemma block and the first of the next, up to k_max."""
     block = convergence._LEMMA_BLOCK
@@ -137,6 +146,15 @@ class TestLemmaAudit:
         monkeypatch.setattr(convergence, "_LEMMA_RTOL", rtol)
         assert lemma_scan([1, 10]) == (rows, False)
 
+    def test_margins_follow_the_closed_form(self):
+        # the walk's cumsum drifts from the closed form by 8.6e-8 at
+        # k = 10**6 and by under 4e-12 up to k = 1000
+        keep = [*range(1, 101), 1000, 10_000, 100_000, 999_999, 10**6]
+        rows, ok = lemma_scan(keep)
+        assert ok and [row[0] for row in rows] == keep
+        for k, _, _, margin in rows:
+            assert margin == pytest.approx(_margin(k), rel=0, abs=1e-10 if k <= 1000 else 1e-7)
+
     def test_rejects_an_empty_keep(self):
         with pytest.raises(DomainError, match="keep must name at least one k"):
             lemma_scan([])
@@ -213,6 +231,46 @@ class TestEmpiricalCf:
             assert abs(got[0] - whole[0]) <= 1e-14
         else:
             assert got.tobytes() == whole.tobytes()
+
+    # sets not closed under negation, so no two sines cancel exactly: odd
+    # box_muller n (289 points at n = 17, two blocks) and a random set
+    @pytest.mark.parametrize("pts", [
+        *(box_muller_apsk(n).points for n in (3, 5, 7, 17)),
+        np.random.default_rng(41).standard_normal((300, 2)),
+    ], ids=["box_muller-3", "box_muller-5", "box_muller-7", "box_muller-17", "random-300"])
+    def test_terms_have_the_bits_of_complex_exp(self, pts):
+        grid = default_t_grid()
+        got = point_set_cf(pts, grid)
+        assert got.tobytes() == np.exp(1j * (pts @ grid.T)).mean(axis=0).tobytes()
+
+    # the total of M ones is M, but `total / m` is a complex division, which
+    # rounds as M * (1/M): 1 - 2**-53 at M = 49, as `.mean(axis=0)` does
+    @pytest.mark.parametrize("n", [3, 5, 17, pytest.param(7, marks=pytest.mark.xfail(
+        strict=True, reason="49 points: the origin reads 1 - 2**-53"))])
+    def test_the_origin_column_is_one(self, n):
+        grid = default_t_grid()
+        got = point_set_cf(box_muller_apsk(n).points, grid)
+        assert got[np.all(grid == 0.0, axis=1)].tobytes() == np.array([1 + 0j]).tobytes()
+
+    def test_a_minus_zero_phase_adds_as_plus_zero(self, monkeypatch):
+        # OpenBLAS's gemm sums from +0.0, so the t = 0 phases of a point with
+        # both coordinates negative come out +0.0; a gemm that starts from
+        # its first product, (-1)*0.0, gives -0.0, whose sine is -0.0 where
+        # exp(1j*phase) has +0.0. Every zero phase is made -0.0 here
+        def matmul(a, b, out):
+            np.matmul(a, b, out=out)
+            out[out == 0.0] = -0.0
+            return out
+
+        pts = -np.abs(np.random.default_rng(7).standard_normal((300, 2)))
+        grid = default_t_grid()
+        origin = np.all(grid == 0.0, axis=1)
+        phases = matmul(pts, grid.T, np.empty((300, len(grid))))
+        assert np.signbit(phases[:, origin]).all()
+        monkeypatch.setattr(convergence, "np", SimpleNamespace(**{**vars(np), "matmul": matmul}))
+        got = point_set_cf(pts, grid)
+        assert got.tobytes() == np.exp(1j * phases).mean(axis=0).tobytes()
+        assert got[origin].tobytes() == np.array([1 + 0j]).tobytes()
 
     def test_a_single_t_has_bounded_memory(self):
         # all M phases and exponentials in one array took 8.4 MB at n = 512
@@ -367,6 +425,18 @@ class TestPowerAudit:
         )
         dvb = power_audit("dvb_variant", [2])
         assert dvb.slacks[0] == pytest.approx(0.3068528194400547, abs=1e-14)
+
+    # an APSK set of R rings falls short of P by P*margin(R)/R: R = n for
+    # box_muller, n/2 for dvb_variant, at every n the command audits
+    @pytest.mark.parametrize("power", [1.0, 2.5])
+    @pytest.mark.parametrize("family,n_values,rings", [
+        ("box_muller", range(1, 65), lambda n: n),
+        ("dvb_variant", range(2, 65, 2), lambda n: n // 2),
+    ], ids=["box_muller", "dvb_variant"])
+    def test_slack_is_the_lemma_margin_per_ring(self, family, n_values, rings, power):
+        audit = power_audit(family, n_values, power)
+        expected = [power * _margin(rings(n)) / rings(n) for n in n_values]
+        assert audit.slacks == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_slack_positive_and_decreasing(self):
         audit = power_audit("box_muller", range(1, 257))
