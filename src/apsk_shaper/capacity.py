@@ -14,8 +14,8 @@ Gauss-Hermite rule (`mi_quadrature`) and a seeded stratified Monte Carlo
 
 Monte Carlo forms its inner sums for one transmitted point x_i at a time
 (a stratum, `_mc_stratum`). It walks the point's noise rows in blocks
-whose exponents and (3, n) operand together take about _BLOCK_ELEMENTS
-doubles (`_block_rows`), small enough to stay in cache, drawing
+whose exponents and (3, n) operand together take about the block budget
+of `workers` (`_block_rows`), drawing
 each block's rows just before `_log_partition` forms its exponents, laid
 out point-major (one contiguous row of exponents per point j). A block's
 exponents are one product alone: -[d_x, d_y, |d|^2]/N0 (M, 3), folded
@@ -26,8 +26,8 @@ row sum and `log`. There is no max pass: the j = i exponent is exactly
 0, so every row sum is at least 1, and no exponent exceeds |N|^2/N0, half
 the squared norm of the draw's standard-normal pair. The clip runs only
 when the bound -(|d|max^2 + 2|N|max |d|max)/N0 on the exponents says it
-can bite. A value's bits are fixed by the draws per point, M,
-_BLOCK_ELEMENTS and the gemm kernel; they do not depend on the number of
+can bite. A value's bits are fixed by the draws per point, M, the
+block budget and the gemm kernel; they do not depend on the number of
 threads or the order in which the points run. How the block width moves
 them was measured on OpenBLAS's FMA, SandyBridge and Prescott kernels
 (see `_mc_stratum`).
@@ -82,10 +82,6 @@ from .numerics import EXP_FLOOR, LN2, gauss_hermite_2d, logsumexp_rows
 
 DEFAULT_ORDER = 40
 
-# exponents per logsumexp block, and per block of the tensor rule's two
-# factors together: 1 << 17 doubles (about 1 MB), so a block stays in a
-# 2 MB L2 cache from the operation that forms it to its reduction
-_BLOCK_ELEMENTS = 1 << 17
 # the EXP_FLOOR clip is skipped when every exponent provably stays
 # above -_CLIP_FREE_NATS (see _clip_can_bite)
 _CLIP_FREE_NATS = -EXP_FLOOR - 100.0
@@ -202,10 +198,10 @@ def _block_rows(m: int) -> int:
     """Monte Carlo's rows n per block, at least two (see `_mc_stratum`).
 
     A block's M*n exponents and (3, n) operand, with a row more when a lone
-    last row joins it, share _BLOCK_ELEMENTS doubles: at M=4 n is 18,723
+    last row joins it, share the budget of `workers`: at M=4 n is 18,723
     rows in 1.0 MB, where the exponents alone filled it with 32,768 rows.
     """
-    return max(2, _BLOCK_ELEMENTS // (m + 3) - 1)
+    return max(2, workers._BLOCK_ELEMENTS // (m + 3) - 1)
 
 
 def gaussian_capacity(snr) -> float:
@@ -297,9 +293,9 @@ def _grid_mi(pts, reps, mults, z, w, rho, n0) -> float:
     coef = np.zeros((2 * r, 3))
     coef[:r, 0] = coef[r:, 1] = (-2.0 / math.sqrt(n0)) * z
     coef[r:, 2] = 1.0
-    # the 2R w factors, w = min(nb M, _BLOCK_ELEMENTS // 2R), in a buffer of
+    # the 2R w factors, w = min(nb M, budget // 2R), in a buffer of
     # at least 2 nb M doubles, the (nb, R, R) sums and the (3, nb, M)
-    # differences, each at most _BLOCK_ELEMENTS doubles or one
+    # differences, each at most the block budget (`workers`) or one
     # representative's, and the (nb, M) pruning mask, as bools, come from
     # the thread's workspace: made per point, malloc mapped a buffer each
     # time, and made per call, they were trimmed from the heap after each
@@ -308,8 +304,9 @@ def _grid_mi(pts, reps, mults, z, w, rho, n0) -> float:
     # differences' second operand, then d_y^2, then a pruned block's kept
     # columns (a tenth at 30 dB, box_muller n=16 to 64) one row at a time,
     # gathered to the front of the row they came from
-    nb = min(len(reps), max(1, min(_BLOCK_ELEMENTS // (3 * m), _BLOCK_ELEMENTS // (r * r))))
-    cols = min(nb * m, max(1, _BLOCK_ELEMENTS // (2 * r)))
+    budget = workers._BLOCK_ELEMENTS
+    nb = min(len(reps), max(1, min(budget // (3 * m), budget // (r * r))))
+    cols = min(nb * m, max(1, budget // (2 * r)))
     work, s, d, flags = workers._WORKSPACE.take(
         max(2 * r * cols, 2 * nb * m), nb * r * r, 3 * nb * m, -(-nb * m // 8))
     s, d = s.reshape(nb, r, r), d.reshape(3, nb, m)
@@ -373,7 +370,7 @@ def mi_quadrature(c: Constellation, snr, order: int = DEFAULT_ORDER) -> MiEstima
     the value by about 1e-16 bits and keeps every exponent within about
     [-416, 182] at any SNR or power. Against the row-wise log-sum-exp over
     every point the value moves by rounding only (below 1e-13 bits).
-    Temporary buffers stay within about 1 MB each.
+    Temporary buffers stay within the block budget each (`workers`).
     """
     order = integer("quadrature order", order, 2, _MAX_ORDER)
     n0 = _noise_variance(c, snr)
@@ -394,11 +391,11 @@ def _mc_stratum(pts, i, count, seed, n0) -> tuple:
     joined to the block before (`workers._blocks`): every row is formed
     once, and no block has one row (gemv, which rounds differently from
     gemm) unless the chunk has. A block's exponents and operand take at most
-    _BLOCK_ELEMENTS doubles together. Each block's rows are drawn into the
+    the block budget together. Each block's rows are drawn into the
     front of the thread's block buffer and written, scaled and transposed,
     into the operand before its product overwrites that memory; the stream
     is consumed in row order. A row's bits are fixed by the chunk's draws,
-    M, _BLOCK_ELEMENTS and the gemm kernel. Measured against n (2 to 4,000
+    M, the block budget and the gemm kernel. Measured against n (2 to 4,000
     rows on 2 to 300 points), they kept their bits on OpenBLAS's SandyBridge
     and Prescott kernels at every width, and on its FMA kernel up to 3*M*n =
     10**6 (the default budget keeps it below 4e5); past that, gemm rounded 1

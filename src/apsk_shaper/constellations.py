@@ -44,9 +44,6 @@ _RING_RTOL = 1e-9
 # asked numpy for 74.5 GiB at n = 100000.
 _MAX_POINT_BYTES = 64 * 2**20
 MAX_N = math.isqrt(_MAX_POINT_BYTES // 16)  # 2048
-# pairs per min_distance block: 1 << 16, so its three buffers of differences
-# and coordinates take about 1.5 MB in all
-_PAIR_BLOCK = 1 << 16
 # a least squared distance from which min_distance takes the points' own
 # differences: above it no square that decides it underflowed
 _TINY_SQUARE = 2.0**-960
@@ -260,9 +257,9 @@ def _closest(xs, ys, dist) -> float:
     """The least dist(x_i - x_j, y_i - y_j) over the pairs i < j.
 
     Rows i of the pair matrix go in blocks against the columns j > i, with a
-    block's differences formed in two buffers of about _PAIR_BLOCK doubles
-    each (one row at least), and a third of the same size that holds the
-    columns' coordinates, all from the calling thread's kept workspace
+    block's differences formed in two buffers, and a third of the same size
+    that holds the columns' coordinates, which share the budget of `workers`
+    (one row at least), all from the calling thread's kept workspace
     (`workers._WORKSPACE`); `dist` writes its value into the first. Both
     operands of a subtraction are written out whole first: numpy buffers a
     broadcast operand, 112 kB a block at box_muller n=48. Only the pairs
@@ -270,7 +267,7 @@ def _closest(xs, ys, dist) -> float:
     with the same bits (x_j - x_i is exactly -(x_i - x_j); `dist` is even).
     """
     m = len(xs)
-    rows = max(1, min(m - 1, _PAIR_BLOCK // m))
+    rows = max(1, min(m - 1, workers._BLOCK_ELEMENTS // (3 * m)))
     bufs = workers._WORKSPACE.take(rows * m, rows * m, rows * m)
     best = np.inf
     for s in range(0, m - 1, rows):

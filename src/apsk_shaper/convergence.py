@@ -6,11 +6,9 @@ slack itself (`power_audit`), and the convergence of the constellation's
 characteristic function to the Gaussian one (`point_set_cf`, `gaussian_cf`,
 `cf_convergence_scan`).
 
-`lemma_scan`'s walk and `point_set_cf`'s blocks keep their memory fixed for
-any k, point count or t count, and take their scratch from the calling
-thread's kept workspace (`workers._WORKSPACE`), all of a call's buffers in
-one `take`, so a run of audits reuses pages that an earlier call, an
-estimator's included, faulted in.
+`lemma_scan`'s walk and `point_set_cf`'s blocks size their buffers from
+the block budget and take them from the thread's workspace, both in
+`workers`, all of a call's buffers in one `take`.
 """
 
 from dataclasses import dataclass
@@ -26,13 +24,6 @@ DEFAULT_T_VALUES = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
 
 
 _LEMMA_RTOL = 1e-9  # the lemma holds where lhs <= rhs + _LEMMA_RTOL*|rhs|
-# k values per lemma block. `lemma_scan` fills four float64 buffers of about
-# this many doubles (k, lhs, the terms and their cumsum), reused for the
-# whole call: 1.05 MB in all
-_LEMMA_BLOCK = 1 << 15
-# points per CF block, and a lone last one: their phases go to a reused (257, T)
-# float64 buffer, their exponentials to a (258, T) complex one, 300 kB in all
-_CF_BLOCK = 256
 
 
 def lemma_scan(keep: Sequence[int]) -> Tuple[List[Tuple[int, float, float, float]], bool]:
@@ -45,19 +36,19 @@ def lemma_scan(keep: Sequence[int]) -> Tuple[List[Tuple[int, float, float, float
     integers in [1, 2**53], else DomainError), ascending and once each, and
     whether the bound held at every k in [1, max(keep)].
 
-    The walk takes _LEMMA_BLOCK values of k (a double, exact to 2**53) at a
-    time, in buffers of fixed size whatever max(keep). Each term j + 1/2 is
-    k - 1/2. rhs carries across blocks as a float, the first term of each
-    block's cumsum (0.0 before the first, which adds exactly), and numpy's
-    cumsum adds in sequence: the bits of one cumsum over all the terms. Once
-    summed, the terms hold bound - lhs, >= 0 exactly where lhs <= bound
-    (NaN is neither).
+    The walk takes a quarter of the block budget (`workers`) in values of k
+    (a double, exact to 2**53) at a time, whatever max(keep). Each term
+    j + 1/2 is k - 1/2. rhs carries across blocks as a float, the first
+    term of each block's cumsum (0.0 before the first, which adds exactly),
+    and numpy's cumsum adds in sequence: the bits of one cumsum over all
+    the terms. Once summed, the terms hold bound - lhs, >= 0 exactly where
+    lhs <= bound (NaN is neither).
     """
     keep = sorted({integer("keep entry", kk, 1, 2**53) for kk in keep})
     if not keep:
         raise DomainError("keep must name at least one k")
     k_max = keep[-1]
-    size = min(k_max, _LEMMA_BLOCK)
+    size = min(k_max, workers._BLOCK_ELEMENTS // 4)
     k, lhs, terms, sums = workers._WORKSPACE.take(size, size, size + 1, size + 1)
     terms[:size] = 1.0
     np.cumsum(terms[:size], out=k)  # 1.0 to size, exact
@@ -93,33 +84,40 @@ def point_set_cf(points: np.ndarray, t_points: np.ndarray) -> np.ndarray:
     (1/M) * sum_w exp(i*<t, w>) at each row of the (T, 2) `t_points`, for
     (M, 2) `points`; either failing `errors.pairs` raises DomainError.
 
-    The phases and their exponentials are formed _CF_BLOCK points at a
+    The phases and their exponentials are formed a block of points at a
     time, in two buffers from the calling thread's workspace (the complex
-    one a view of its doubles) reused for the whole call, each block's sum
+    one a view of its doubles) that share the budget of `workers` (two
+    points at least) and are reused for the whole call, each block's sum
     starting from the running total, which is the order in which
-    `.mean(axis=0)` adds the rows of the whole (M, T) array. Each block's
+    `.sum(axis=0)` adds the rows of the whole (M, T) array. Each block's
     phases are its own gemm, which rounds as the rows of one gemm over all
     M points do; a lone last point joins the block before it, as a one-row
     product would go through gemv (`workers._blocks`). A term is the cosine
     and sine of its phase: the bits of exp(1j*phase), but for a -0.0 sine
     where the phase is -0.0. The total starts at +0.0, and +0.0 + -0.0 is
-    +0.0, so the sums keep the bits of the whole-array mean. With a single
-    t, that mean sums pairwise, and agrees to rounding, not to the bit.
+    +0.0, so the totals keep the bits of the whole-array sum. With a single
+    t, that sum is pairwise, and agrees to rounding, not to the bit. Each
+    part of the total is divided by M as a double, so t = 0 gives exactly 1
+    (a complex division rounds as M * (1/M): 1 - 2**-53 at M = 49).
     """
     points, t_cols = pairs("points", points), pairs("t_points", t_points).T
     m, nt = len(points), t_cols.shape[1]
-    rows = min(m, _CF_BLOCK + 1)
+    # a block of `size` points and a lone last one take (3 size + 5) nt doubles
+    size = max(2, (workers._BLOCK_ELEMENTS // nt - 5) // 3)
+    rows = min(m, size + 1)
     phases, buf = workers._WORKSPACE.take(rows * nt, 2 * (rows + 1) * nt)
     phases, buf = phases.reshape(rows, nt), buf.view(np.complex128).reshape(rows + 1, nt)
     total = 0.0
-    for lo, hi in workers._blocks(m, _CF_BLOCK):
+    for lo, hi in workers._blocks(m, size):
         block = np.matmul(points[lo:hi], t_cols, out=phases[: hi - lo])
         terms = buf[1 : hi - lo + 1]
         np.cos(block, out=terms.real)
         np.sin(block, out=terms.imag)
         buf[0] = total
         total = buf[: hi - lo + 1].sum(axis=0)
-    return total / m
+    total.real /= m
+    total.imag /= m
+    return total
 
 
 def gaussian_cf(power: float, t_points: np.ndarray) -> np.ndarray:
@@ -167,7 +165,7 @@ def cf_convergence_scan(
     """Tabulate the CF approximation error on `default_t_grid()` per n in `n_list`.
 
     `n_list` must be non-empty and ascending. Deterministic; the error at
-    t = 0 is identically zero because both CFs equal 1 there.
+    t = 0 is exactly zero for every n, as both CFs are exactly 1 there.
     """
     n_list = tuple(integer("n", n, 1, MAX_N) for n in n_list)
     if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):

@@ -1,21 +1,22 @@
 """Per-thread scratch and the helper threads of Monte Carlo's strata.
 
-Every thread keeps one workspace (`_Workspace`): flat float buffers on
-64-byte lines that grow to the largest request up to 4 MB and are kept
-across calls, so a run of calls does not fault the same pages in again.
-Every bounded-memory walk of the package takes its scratch from it: both
-estimators (`capacity`), `min_distance`'s pair blocks
-(`constellations._closest`), `lemma_scan`'s walk and `point_set_cf`'s
-blocks. Each looks it up as `workers._WORKSPACE` at call time,
-so a test can swap it in one place.
+Every bounded-memory walk (both estimators in `capacity`, `min_distance`'s
+pair blocks, `lemma_scan` and `point_set_cf`) sizes its blocks so that a
+block's buffers together take at most _BLOCK_ELEMENTS doubles (1 MB, so a
+block stays in a 2 MB L2 cache from the operation that forms it to its
+reduction), or its least block's if that is more, and takes them from the
+calling thread's `_Workspace`: flat float buffers on 64-byte lines, kept
+across calls up to four budgets, so a run of calls does not fault the
+same pages in again. Each walk reads `workers._BLOCK_ELEMENTS` and
+`workers._WORKSPACE` at call time, so a test changes them in one place.
 
 Monte Carlo's strata run on the calling thread and on helper threads, one
 thread per available core in all (`_run_strata`). The helpers are one
 module-level pool of daemon threads that serve one `queue.SimpleQueue`,
-made on the first call that needs one, never at import, and shared by
-every later call; a forked child drops it and makes its own. The pool is
-plain `threading`: `concurrent.futures` (and the `logging` it imports,
-about 0.7 MB resident together) is never loaded.
+started on the first call that needs one, never at import, shared by every
+later call and never shrunk; a forked child drops it and makes its own.
+The pool is plain `threading`: `concurrent.futures` (and the `logging` it
+imports, about 0.7 MB resident together) is never loaded.
 """
 
 import itertools
@@ -25,8 +26,10 @@ import threading
 
 import numpy as np
 
+# doubles in one block's buffers together, for every bounded walk (1 MB)
+_BLOCK_ELEMENTS = 1 << 17
 # doubles of scratch a thread keeps between calls (4 MB); see _Workspace
-_WORKSPACE_DOUBLES = 1 << 19
+_WORKSPACE_DOUBLES = 4 * _BLOCK_ELEMENTS
 # threads for the Monte Carlo strata: the caller and _WORKERS - 1 helpers
 try:
     _WORKERS = len(os.sched_getaffinity(0))
@@ -38,7 +41,7 @@ class _Workspace(threading.local):
     """Flat float buffers that one thread keeps from call to call.
 
     Each thread sees its own buffer. It grows to the largest request up to
-    _WORKSPACE_DOUBLES (4 MB) and is kept for the thread's next call: made
+    _WORKSPACE_DOUBLES and is kept for the thread's next call: made
     afresh per call, glibc trimmed the heap after each call and the next one
     faulted the same pages in again (1,640 minor faults per Monte Carlo
     call at qam n=2, 72 per quadrature row at box_muller n=16). A larger
@@ -82,33 +85,30 @@ def _blocks(count: int, size: int):
     return zip((0, *ends), (*ends, count))
 
 
-_pool = None  # (helper count, the SimpleQueue its helpers serve), made on first use
+_pool = None  # [helper count, the SimpleQueue its helpers serve], made on first use
 _pool_lock = threading.Lock()
 
 
 def _serve(tasks):
-    """A helper thread's loop: run each task queued, until a None."""
-    for task in iter(tasks.get, None):
-        task()
+    """A helper thread's loop: run each task queued."""
+    while True:
+        tasks.get()()
 
 
 def _helpers(count: int):
-    """The task queue of the module's `count` helper threads, made on first use.
+    """The task queue of the module's helper threads, at least `count` of them.
 
-    A pool of another size (a changed _WORKERS) is replaced; its helpers
-    exit once they reach the None queued behind the tasks already there.
+    The first call makes the queue; a call that asks for more helpers than
+    are running (a larger _WORKERS) starts the missing ones.
     """
     global _pool
     with _pool_lock:
-        if _pool is None or _pool[0] != count:
-            if _pool is not None:
-                for _ in range(_pool[0]):
-                    _pool[1].put(None)
-            tasks = queue.SimpleQueue()
-            for k in range(count):
-                threading.Thread(target=_serve, args=(tasks,), name=f"apsk-mc_{k}",
-                                 daemon=True).start()
-            _pool = (count, tasks)
+        if _pool is None:
+            _pool = [0, queue.SimpleQueue()]
+        while _pool[0] < count:
+            threading.Thread(target=_serve, args=(_pool[1],), name=f"apsk-mc_{_pool[0]}",
+                             daemon=True).start()
+            _pool[0] += 1
         return _pool[1]
 
 

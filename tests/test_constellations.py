@@ -31,7 +31,7 @@ from apsk_shaper import (
     square_qam,
     validate_constellation,
 )
-from apsk_shaper import constellations
+from apsk_shaper import workers
 from apsk_shaper.constellations import MAX_N
 
 SQRT_LN2 = 0.8325546111576977
@@ -371,15 +371,16 @@ class TestMetrics:
 
     @pytest.mark.parametrize("m", [2, 3, 57, 58, 300])
     def test_min_distance_matches_all_pairs_at_once(self, monkeypatch, m):
-        # 58 points fill 10 rows of 580 doubles exactly; 57 and 300 do not
-        monkeypatch.setattr(constellations, "_PAIR_BLOCK", 580)
+        # 58 points fill 10 rows of three 580-double buffers exactly; 57 and
+        # 300 do not
+        monkeypatch.setattr(workers, "_BLOCK_ELEMENTS", 3 * 580)
         rng = np.random.default_rng(m)
         pts = rng.standard_normal((m, 2))
         c = Constellation("random", SQUARE_QAM, 1, 1.0, pts)
         d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2)
         d2[np.tril_indices(m)] = np.inf
         assert min_distance(c) == float(np.sqrt(d2.min()))
-        rows = max(1, min(m - 1, 580 // m))
+        rows = max(1, min(m - 1, workers._BLOCK_ELEMENTS // (3 * m)))
         # a duplicate within the first block of rows, and one across two blocks
         for i, j in [(0, rows - 1)] * (rows > 1) + [(rows - 1, rows)] * (rows < m - 1):
             dup = np.array(pts)

@@ -43,11 +43,14 @@ def _margin(k):
     return math.log(2) / 2 - 1 / (24 * k) + 7 / (2880 * k**3) - 31 / (40320 * k**5)
 
 
+# k values per lemma block: its four buffers share the block budget
+LEMMA_BLOCK = workers._BLOCK_ELEMENTS // 4
+
+
 def _block_edges(k_max):
     """The last k of every lemma block and the first of the next, up to k_max."""
-    block = convergence._LEMMA_BLOCK
-    return {k for j in range(1, k_max // block + 1) for k in (j * block, j * block + 1)
-            if k <= k_max}
+    return {k for j in range(1, k_max // LEMMA_BLOCK + 1)
+            for k in (j * LEMMA_BLOCK, j * LEMMA_BLOCK + 1) if k <= k_max}
 
 
 class TestLemma:
@@ -87,16 +90,11 @@ class TestLemma:
         assert ok and len(rows) == 100_000
         assert all(lhs <= rhs + 1e-9 * abs(rhs) for _, lhs, rhs, _ in rows)
 
-    @pytest.mark.parametrize("k_max", [
-        convergence._LEMMA_BLOCK - 1,
-        convergence._LEMMA_BLOCK,
-        convergence._LEMMA_BLOCK + 1,
-        10**6,
-    ])
+    @pytest.mark.parametrize("k_max", [LEMMA_BLOCK - 1, LEMMA_BLOCK, LEMMA_BLOCK + 1, 10**6])
     def test_blocks_have_the_bits_of_one_cumsum(self, k_max):
         lhs, rhs = _lemma_whole(k_max)
         # every k over one or two blocks; at 10**6 every 1000th and the edges
-        stride = 1 if k_max <= convergence._LEMMA_BLOCK + 1 else 1000
+        stride = 1 if k_max <= LEMMA_BLOCK + 1 else 1000
         keep = sorted(set(range(1, k_max + 1, stride)) | _block_edges(k_max) | {k_max})
         rows, ok = lemma_scan(keep)
         assert ok and [row[0] for row in rows] == keep
@@ -119,7 +117,7 @@ class TestLemma:
 
 
 class TestLemmaAudit:
-    @pytest.mark.parametrize("k_max", [1, convergence._LEMMA_BLOCK + 1, 100_000, 10**6])
+    @pytest.mark.parametrize("k_max", [1, LEMMA_BLOCK + 1, 100_000, 10**6])
     def test_rows_have_the_bits_of_the_whole_arrays(self, k_max):
         lhs, rhs = _lemma_whole(k_max)
         # the last k of every block and the first of the next, across the carry
@@ -185,6 +183,21 @@ def _psi_double_sum(family, n, power, t):
     return total / (len(u) * len(v))
 
 
+def _mean(terms):
+    """The mean of each column of `terms`, its real and imaginary sums each
+    divided by the row count as doubles."""
+    total = terms.sum(axis=0)
+    total.real /= len(terms)
+    total.imag /= len(terms)
+    return total
+
+
+def _cf_block(t_count):
+    """Points per `point_set_cf` block at `t_count` t: a block and a lone
+    last point joined to it take (3 size + 5) t_count doubles of the budget."""
+    return max(2, (workers._BLOCK_ELEMENTS // t_count - 5) // 3)
+
+
 def empirical(family, n, power, t):
     """CF of one constellation family at a single evaluation point t=(t1,t2)."""
     return point_set_cf(make_constellation(family, n, power).points, [t])[0]
@@ -219,15 +232,18 @@ class TestEmpiricalCf:
         values = point_set_cf(box_muller_apsk(7).points, grid)
         assert np.all(np.abs(values) <= 1 + 1e-12)
 
-    # a lone last point (257, 513 points) joins the block before it
+    # blocks of 256 points at any t count: a lone last point (257, 513
+    # points) joins the block before it
     @pytest.mark.parametrize("m", [1, 2, 255, 256, 257, 513, 1000])
     @pytest.mark.parametrize("t_count", [1, 2, 49])
-    def test_blocks_have_the_bits_of_one_mean(self, m, t_count):
+    def test_blocks_have_the_bits_of_one_mean(self, monkeypatch, m, t_count):
+        monkeypatch.setattr(workers, "_BLOCK_ELEMENTS", (3 * 256 + 5) * t_count)
+        assert _cf_block(t_count) == 256
         rng = np.random.default_rng(m + t_count)
         pts, t = rng.standard_normal((m, 2)), 2.0 * rng.standard_normal((t_count, 2))
-        whole = np.exp(1j * (pts @ t.T)).mean(axis=0)
+        whole = _mean(np.exp(1j * (pts @ t.T)))
         got = point_set_cf(pts, t)
-        if t_count == 1:  # `.mean(axis=0)` of one column sums pairwise
+        if t_count == 1:  # `.sum(axis=0)` of one column sums pairwise
             assert abs(got[0] - whole[0]) <= 1e-14
         else:
             assert got.tobytes() == whole.tobytes()
@@ -241,12 +257,22 @@ class TestEmpiricalCf:
     def test_terms_have_the_bits_of_complex_exp(self, pts):
         grid = default_t_grid()
         got = point_set_cf(pts, grid)
-        assert got.tobytes() == np.exp(1j * (pts @ grid.T)).mean(axis=0).tobytes()
+        assert got.tobytes() == _mean(np.exp(1j * (pts @ grid.T))).tobytes()
 
-    # the total of M ones is M, but `total / m` is a complex division, which
-    # rounds as M * (1/M): 1 - 2**-53 at M = 49, as `.mean(axis=0)` does
-    @pytest.mark.parametrize("n", [3, 5, 17, pytest.param(7, marks=pytest.mark.xfail(
-        strict=True, reason="49 points: the origin reads 1 - 2**-53"))])
+    # 889 points is the default budget's block at 49 t
+    @pytest.mark.parametrize("size", [2, 3, 7, 889])
+    def test_a_block_size_keeps_the_bits(self, monkeypatch, size):
+        # 1,849 points in blocks of `size`, the budget set to fit them at 49 t
+        pts = box_muller_apsk(43).points
+        grid = default_t_grid()
+        assert _cf_block(len(grid)) == 889
+        monkeypatch.setattr(workers, "_BLOCK_ELEMENTS", (3 * size + 5) * len(grid))
+        assert _cf_block(len(grid)) == size
+        assert point_set_cf(pts, grid).tobytes() == _mean(np.exp(1j * (pts @ grid.T))).tobytes()
+
+    # the total of M ones is M, and its real part divided by M as a double
+    # is 1; a complex `total / m` rounded as M * (1/M): 1 - 2**-53 at M = 49
+    @pytest.mark.parametrize("n", [3, 5, 7, 17])
     def test_the_origin_column_is_one(self, n):
         grid = default_t_grid()
         got = point_set_cf(box_muller_apsk(n).points, grid)
@@ -269,7 +295,7 @@ class TestEmpiricalCf:
         assert np.signbit(phases[:, origin]).all()
         monkeypatch.setattr(convergence, "np", SimpleNamespace(**{**vars(np), "matmul": matmul}))
         got = point_set_cf(pts, grid)
-        assert got.tobytes() == np.exp(1j * phases).mean(axis=0).tobytes()
+        assert got.tobytes() == _mean(np.exp(1j * phases)).tobytes()
         assert got[origin].tobytes() == np.array([1 + 0j]).tobytes()
 
     def test_a_single_t_has_bounded_memory(self):
@@ -284,11 +310,26 @@ class TestEmpiricalCf:
             tracemalloc.stop()
         assert peak < 0.2e6, peak
 
+    def test_many_t_have_bounded_memory(self, monkeypatch):
+        # blocks of 256 points took 124 MB of scratch at 20,000 t, 389 times
+        # the result; two-point blocks take 1.76 MB
+        pts = make_constellation("box_muller", 32).points
+        t = np.random.default_rng(3).standard_normal((20_000, 2))
+        monkeypatch.setattr(workers, "_WORKSPACE", workers._Workspace())
+        tracemalloc.start()
+        try:
+            point_set_cf(pts, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6, peak
+
     @pytest.mark.parametrize("blocks", [1, 2])
     def test_every_point_is_in_one_block(self, monkeypatch, blocks):
-        # 257 and 513 points: the lone last point joins the block before it,
-        # so no phase is formed twice and no block has one point (gemv)
-        m = blocks * convergence._CF_BLOCK + 1
+        # one and two blocks of 49 t and a point more: the lone last point
+        # joins the block before it, so no phase is formed twice and no
+        # block has one point (gemv)
+        m = blocks * _cf_block(len(default_t_grid())) + 1
         pts = np.random.default_rng(m).standard_normal((m, 2))
         spans = []
 

@@ -115,7 +115,7 @@ class TestBlocks:
         # points) on the FMA kernel, SandyBridge and Prescott, up to
         # 3*M*width = 10**6 on FMA (see _mc_stratum)
         for budget in (1, 3, m - 1, 301 * (m + 3), 656 * (m + 3)):
-            monkeypatch.setattr(capacity, "_BLOCK_ELEMENTS", budget)
+            monkeypatch.setattr(workers, "_BLOCK_ELEMENTS", budget)
             assert stratum_rows(monkeypatch, pts, k) == want, budget
 
     @pytest.mark.parametrize(
@@ -126,7 +126,7 @@ class TestBlocks:
         snr = SnrSpec.from_db(20.0)
         want = mi_monte_carlo(c, snr, samples, 11)
         for budget in (1, 3, c.M - 1):
-            monkeypatch.setattr(capacity, "_BLOCK_ELEMENTS", budget)
+            monkeypatch.setattr(workers, "_BLOCK_ELEMENTS", budget)
             got = mi_monte_carlo(c, snr, samples, 11)
             assert (got.value, got.std_error) == (want.value, want.std_error), budget
 
@@ -139,7 +139,7 @@ class TestBlocks:
         assert {m for _, m in blocks} == {c.M}
         assert max(size // c.M for size, _ in blocks) == step + 1
         # a block's exponents and its (3, n) operand share the budget
-        assert max(size // c.M * (c.M + 3) for size, _ in blocks) <= capacity._BLOCK_ELEMENTS
+        assert max(size // c.M * (c.M + 3) for size, _ in blocks) <= workers._BLOCK_ELEMENTS
         assert len(blocks) == 2 * c.M
 
     @pytest.mark.parametrize("blocks", [0, 1, 2])
@@ -261,7 +261,7 @@ class TestBlocks:
             finally:
                 tracemalloc.stop()
             assert factors and not lse_blocks, family
-            assert max(max(f) for f in factors) <= max(capacity._BLOCK_ELEMENTS, r), family
+            assert max(max(f) for f in factors) <= max(workers._BLOCK_ELEMENTS, r), family
             # the unblocked kernel held 53 MB of exponents at once at box n=32,
             # and a stack bounded by M alone 7.7 MB at box n=15, order 256
             assert peak <= 4e6, (family, n, order, peak)
@@ -272,7 +272,7 @@ class TestBlocks:
         want = mi_quadrature(c, snr, 40).value
         # one column per block, and blocks that split the 64 points unevenly
         for budget in (1, 60 * 7):
-            monkeypatch.setattr(capacity, "_BLOCK_ELEMENTS", budget)
+            monkeypatch.setattr(workers, "_BLOCK_ELEMENTS", budget)
             assert abs(mi_quadrature(c, snr, 40).value - want) <= 1e-14, budget
 
 
@@ -404,8 +404,6 @@ class TestWorkers:
 
         monkeypatch.setattr(capacity, "_mc_stratum", recording)
         assert mc_result(c, 16 * 200) == want
-        # an earlier test's pool of another size may still be winding down,
-        # so threads can end meanwhile, but none starts
         assert len(seen) > 1 and seen <= before
         assert set(threading.enumerate()) <= before
 
@@ -846,7 +844,7 @@ def loop_grid_mi(pts, reps, mults, z, w, rho, n0):
     them; the kernel's stream of a block's columns must give the same bits.
     """
     m, r = len(pts), len(z)
-    budget = capacity._BLOCK_ELEMENTS
+    budget = workers._BLOCK_ELEMENTS
     coef = np.zeros((2 * r, 3))
     coef[:r, 0] = coef[r:, 1] = (-2.0 / math.sqrt(n0)) * z
     coef[r:, 2] = 1.0
@@ -886,7 +884,7 @@ def loop_mi(c, snr, order):
 STREAM_BUDGETS = {
     1: range(2, 5),
     420: (2, 3, 5, 8, 12, 16),
-    capacity._BLOCK_ELEMENTS: range(2, 25),
+    workers._BLOCK_ELEMENTS: range(2, 25),
 }
 
 
@@ -894,7 +892,7 @@ class TestStream:
     @pytest.mark.parametrize("budget", list(STREAM_BUDGETS))
     @pytest.mark.parametrize("family", ["box_muller", "dvb_variant", "qam"])
     def test_matches_the_per_representative_loop_bit_for_bit(self, monkeypatch, family, budget):
-        monkeypatch.setattr(capacity, "_BLOCK_ELEMENTS", budget)
+        monkeypatch.setattr(workers, "_BLOCK_ELEMENTS", budget)
         for n in STREAM_BUDGETS[budget]:
             if family == "dvb_variant" and n % 2:
                 continue
