@@ -116,7 +116,11 @@ class SnrSpec:
 
 @dataclass(frozen=True)
 class MiEstimate:
-    """Mutual information in bits per 2D use with its provenance."""
+    """Mutual information in bits per 2D use with its provenance.
+
+    `std_error` is Monte Carlo's sampling error, the standard error of its
+    mean. The quadrature's 0.0 is not an accuracy figure (`mi_quadrature`).
+    """
 
     value: float
     method: str
@@ -371,6 +375,11 @@ def mi_quadrature(c: Constellation, snr, order: int = DEFAULT_ORDER) -> MiEstima
     [-416, 182] at any SNR or power. Against the row-wise log-sum-exp over
     every point the value moves by rounding only (below 1e-13 bits).
     Temporary buffers stay within the block budget each (`workers`).
+
+    Its `std_error` is 0.0, which says nothing of how far the value lies
+    from the true MI: on the inputs of tests/data/mi_golden.json, order 40
+    lies up to 2.6e-5 bits from the output-entropy truth table
+    (tests/data/mi_truth.json) and order 60 up to 3.8e-6 (README).
     """
     order = integer("quadrature order", order, 2, _MAX_ORDER)
     n0 = _noise_variance(c, snr)

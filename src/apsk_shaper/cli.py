@@ -171,7 +171,7 @@ def cmd_convergence(args) -> int:
     family = canonical_family(args.family)
     if family not in (BOX_MULLER, DVB_VARIANT):
         raise DomainError("convergence audits apply to the APSK families only")
-    # the bound is checked at every k up to 10**6, and only the rows of _LEMMA_KS are kept
+    # the bound is checked at the printed rows, the k of _LEMMA_KS
     lemma_rows, lemma_ok = lemma_scan(_LEMMA_KS)
     audits = [
         power_audit(BOX_MULLER, range(1, _AUDIT_MAX_N + 1), args.power),

@@ -1,7 +1,7 @@
 """Numerical audits of the limit behaviour behind the constellation design.
 
-Three families of checks live here: the log-integral bound that guarantees
-the power budget is respected for every size (`lemma_scan`), the budget
+Three families of checks live here: rows of the log-integral bound that
+keeps the power budget for every size (`lemma_scan`), the budget
 slack itself (`power_audit`), and the convergence of the constellation's
 characteristic function to the Gaussian one (`point_set_cf`, `gaussian_cf`,
 `cf_convergence_scan`).
@@ -27,55 +27,50 @@ _LEMMA_RTOL = 1e-9  # the lemma holds where lhs <= rhs + _LEMMA_RTOL*|rhs|
 
 
 def lemma_scan(keep: Sequence[int]) -> Tuple[List[Tuple[int, float, float, float]], bool]:
-    """Check the lemma k*ln(k) - k <= sum_{j<k} ln(j + 1/2) at every k up to max(keep).
+    """Rows of the lemma k*ln(k) - k <= sum_{j<k} ln(j + 1/2) at the k of `keep`.
 
-    The left side (lhs) never exceeds the right (rhs); the margin is what
-    keeps the ring-radius construction inside its power budget. The check
-    is lhs <= rhs + _LEMMA_RTOL*|rhs|. Returns (rows, ok): one
-    (k, lhs, rhs, rhs - lhs) row per k of `keep` (a non-empty list of
-    integers in [1, 2**53], else DomainError), ascending and once each, and
-    whether the bound held at every k in [1, max(keep)].
+    The bound holds at every k: each term ln(j + 1/2) is the midpoint rule
+    for the integral of ln over [j, j + 1], which overestimates the
+    integral of a concave function, and those integrals sum to
+    k*ln(k) - k. Its margin keeps the ring-radius construction inside its
+    power budget. Returns (rows, ok): one (k, lhs, rhs, rhs - lhs) row per
+    k of `keep` (a non-empty list of integers in [1, 2**53], else
+    DomainError), ascending and once each, and whether
+    lhs <= rhs + _LEMMA_RTOL*|rhs| at every row (NaN holds nowhere).
 
-    The walk takes a quarter of the block budget (`workers`) in values of k
-    (a double, exact to 2**53) at a time, whatever max(keep). Each term
-    j + 1/2 is k - 1/2. rhs carries across blocks as a float, the first
-    term of each block's cumsum (0.0 before the first, which adds exactly),
-    and numpy's cumsum adds in sequence: the bits of one cumsum over all
-    the terms. Once summed, the terms hold bound - lhs, >= 0 exactly where
-    lhs <= bound (NaN is neither).
+    rhs is one cumsum over the terms up to max(keep), walked a block of k
+    (a double, exact to 2**53) at a time in three buffers that share the
+    block budget (`workers`). Each term j + 1/2 is k - 1/2. rhs carries
+    across blocks as a float, the first term of each block's cumsum (0.0
+    before the first, which adds exactly), and numpy's cumsum adds in
+    sequence: the bits of one cumsum over all the terms. lhs is formed at
+    the kept k only, elementwise, so with the bits it has over all k.
     """
     keep = sorted({integer("keep entry", kk, 1, 2**53) for kk in keep})
     if not keep:
         raise DomainError("keep must name at least one k")
     k_max = keep[-1]
-    size = min(k_max, workers._BLOCK_ELEMENTS // 4)
-    k, lhs, terms, sums = workers._WORKSPACE.take(size, size, size + 1, size + 1)
+    size = min(k_max, workers._BLOCK_ELEMENTS // 3)
+    k, terms, sums = workers._WORKSPACE.take(size, size + 1, size + 1)
     terms[:size] = 1.0
     np.cumsum(terms[:size], out=k)  # 1.0 to size, exact
-    carry, rows, ok, at = 0.0, [], True, 0  # keep[at] is the next row to take
+    carry, rhs, at = 0.0, np.empty(len(keep)), 0  # keep[at] is the next row to take
     for lo in range(0, k_max, size):
         n = min(size, k_max - lo)
-        kb, lb, tb, sb = k[:n], lhs[:n], terms[: n + 1], sums[: n + 1]
-        np.log(kb, out=lb)
-        lb *= kb
-        lb -= kb
+        tb, sb = terms[: n + 1], sums[: n + 1]
         tb[0] = carry
-        np.subtract(kb, 0.5, out=tb[1:])
+        np.subtract(k[:n], 0.5, out=tb[1:])
         np.log(tb[1:], out=tb[1:])
         np.cumsum(tb, out=sb)
         carry = float(sb[-1])
-        rhs, margin = sb[1:], tb[1:]
-        np.abs(rhs, out=margin)
-        np.multiply(_LEMMA_RTOL, margin, out=margin)
-        margin += rhs
-        margin -= lb
-        ok &= float(margin.min()) >= 0.0
         while at < len(keep) and keep[at] <= lo + n:
-            i = keep[at] - lo - 1
-            rows.append((keep[at], lb[i], rhs[i], rhs[i] - lb[i]))
+            rhs[at] = sb[keep[at] - lo]
             at += 1
         k += size
-    return rows, ok
+    ks = np.array(keep, dtype=np.float64)
+    lhs = ks * np.log(ks) - ks
+    ok = bool(np.all(lhs <= rhs + _LEMMA_RTOL * np.abs(rhs)))
+    return list(zip(keep, lhs, rhs, rhs - lhs)), ok
 
 
 def point_set_cf(points: np.ndarray, t_points: np.ndarray) -> np.ndarray:

@@ -1,14 +1,19 @@
 """Per-thread scratch and the helper threads of Monte Carlo's strata.
 
-Every bounded-memory walk (both estimators in `capacity`, `min_distance`'s
-pair blocks, `lemma_scan` and `point_set_cf`) sizes its blocks so that a
-block's buffers together take at most _BLOCK_ELEMENTS doubles (1 MB, so a
-block stays in a 2 MB L2 cache from the operation that forms it to its
-reduction), or its least block's if that is more, and takes them from the
-calling thread's `_Workspace`: flat float buffers on 64-byte lines, kept
-across calls up to four budgets, so a run of calls does not fault the
-same pages in again. Each walk reads `workers._BLOCK_ELEMENTS` and
-`workers._WORKSPACE` at call time, so a test changes them in one place.
+Every bounded-memory walk sizes its blocks from one budget, _BLOCK_ELEMENTS
+doubles (1 MB, so a block stays in a 2 MB L2 cache from the operation that
+forms it to its reduction), or from its least block if that is more.
+Monte Carlo, `min_distance`'s pair blocks, `lemma_scan` and
+`point_set_cf` fit all of a block's buffers in one budget together. The
+quadrature (`capacity._grid_mi`) fits each of its three in one budget:
+the factors, the (nb, R, R) sums and the (3, nb, M) differences, so its
+one `take` asks for up to three budgets and the pruning mask (185,440
+doubles, 1.48 MB, at box_muller n=16 and order 40). Every walk takes its
+buffers from the calling thread's `_Workspace`: flat float buffers on
+64-byte lines, kept across calls up to four budgets, so a run of calls
+does not fault the same pages in again. Each walk reads
+`workers._BLOCK_ELEMENTS` and `workers._WORKSPACE` at call time, so a test
+changes them in one place.
 
 Monte Carlo's strata run on the calling thread and on helper threads, one
 thread per available core in all (`_run_strata`). The helpers are one
@@ -26,7 +31,7 @@ import threading
 
 import numpy as np
 
-# doubles in one block's buffers together, for every bounded walk (1 MB)
+# doubles in one block budget (1 MB), the unit of every bounded walk
 _BLOCK_ELEMENTS = 1 << 17
 # doubles of scratch a thread keeps between calls (4 MB); see _Workspace
 _WORKSPACE_DOUBLES = 4 * _BLOCK_ELEMENTS

@@ -73,12 +73,17 @@ def _report(name, ok, detail):
 
 def test_criterion_1_lemma_bound_full_range():
     start = time.perf_counter()
-    # the bound is checked at every k; only the end rows are kept
-    (first, last), holds = lemma_scan([1, 10**6])
+    # the bound at every k up to 1e6, from one cumsum over all the terms
+    k = np.arange(1.0, 10**6 + 1)
+    lhs, rhs = k * np.log(k) - k, np.cumsum(np.log(k - 0.5))
+    holds = bool(np.all(lhs <= rhs + 1e-9 * np.abs(rhs)))
+    # lemma_scan checks the rows it keeps, which are those arrays' entries
+    rows, ok = lemma_scan([1, 10**6])
+    same = rows == [(kk, lhs[kk - 1], rhs[kk - 1], rhs[kk - 1] - lhs[kk - 1]) for kk in (1, 10**6)]
     elapsed = time.perf_counter() - start
-    _report("lemma bound k in [1, 1e6]", holds and elapsed < 10,
-            f"margin {first[3]:.6f} at k=1, {last[3]:.6f} at k=1e6, {elapsed:.2f}s")
-    assert holds
+    _report("lemma bound k in [1, 1e6]", holds and ok and same and elapsed < 10,
+            f"margin {rows[0][3]:.6f} at k=1, {rows[1][3]:.6f} at k=1e6, {elapsed:.2f}s")
+    assert holds and ok and same
     assert elapsed < 10
 
 

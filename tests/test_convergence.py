@@ -43,8 +43,8 @@ def _margin(k):
     return math.log(2) / 2 - 1 / (24 * k) + 7 / (2880 * k**3) - 31 / (40320 * k**5)
 
 
-# k values per lemma block: its four buffers share the block budget
-LEMMA_BLOCK = workers._BLOCK_ELEMENTS // 4
+# k values per lemma block: its three buffers share the block budget
+LEMMA_BLOCK = workers._BLOCK_ELEMENTS // 3
 
 
 def _block_edges(k_max):
@@ -103,7 +103,7 @@ class TestLemma:
         assert np.array([row[2] for row in rows]).tobytes() == rhs[at].tobytes()
 
     def test_memory_is_bounded(self, monkeypatch):
-        # a cold workspace takes the walk's four buffers (1.05 MB) whatever
+        # a cold workspace takes the walk's three buffers (1.05 MB) whatever
         # the largest k; the whole arrays took 24 bytes per k (24 MB at 10**6)
         monkeypatch.setattr(workers, "_WORKSPACE", workers._Workspace())
         tracemalloc.start()
